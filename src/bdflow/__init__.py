@@ -31,11 +31,7 @@ from .dynamics import (
 )
 from .ensemble import (
     Ensemble,
-    ParticleState,
-    clone_particle,
-    empirical_expectation,
     init_from_sampler,
-    kill_particle,
     write_snapshot_csv,
 )
 from .errors import (
@@ -51,9 +47,7 @@ from .meanfield import (
     GridStepper,
     RateFormulas,
     characteristics_density_quadratic,
-    grid_energy,
     grid_from_sampler,
-    grid_solver_1d,
     pure_bd_density,
     pure_bd_mean_energy,
     transport_bd_asymptote,
@@ -64,16 +58,10 @@ from .potentials import (
     PotentialModel,
     QuadraticWellModel,
     ReLUStudentTeacherModel,
-    all_potentials,
-    batch_potential_hat,
     build_model,
-    eval_F,
-    eval_K,
     exact_mixture_loss,
-    grad_F,
-    grad_K,
-    particle_potential,
-    probe_potentials,
+    field,
+    potential,
 )
 from .samplers import (
     GaussianSampler,

@@ -11,7 +11,7 @@ from .dynamics import DynamicsConfig, run_step
 from .ensemble import Ensemble, init_from_sampler
 from .errors import ConfigurationError, FitError
 from .meanfield import GridStepper, grid_from_sampler
-from .potentials import PotentialModel, all_potentials, probe_potentials
+from .potentials import PotentialModel, field, potential
 
 TRAJECTORY_COLUMNS = (
     "step",
@@ -24,6 +24,7 @@ TRAJECTORY_COLUMNS = (
     "deaths",
     "n",
 )
+RATE_FIT_FORMS = ("power-law", "exponential")
 
 
 @dataclass
@@ -66,12 +67,7 @@ def energy_decay_terms(model: PotentialModel, ens: Ensemble) -> tuple[float, flo
     """(integral |grad V|^2 dmu, integral (V - Vbar)^2 dmu), both nonnegative."""
     n = ens.n
     w = ens.weights
-    grad = model.grad_F(ens.thetas)
-    v = model.F(ens.thetas).copy()
-    if model.is_interacting:
-        vsum, fsum = model.kernel_weighted_sums(ens.thetas, ens.thetas, w)
-        grad = grad + fsum / n
-        v += vsum / n
+    v, grad = field(model, ens)
     grad_term = float(w @ np.sum(grad**2, axis=1)) / n
     vbar = float(w @ v) / n
     var_term = float(w @ (v - vbar) ** 2) / n
@@ -90,10 +86,10 @@ def euler_lagrange_residual(model: PotentialModel, ens: Ensemble,
     probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
     if probes.size == 0:
         raise ConfigurationError("probe set must be nonempty")
-    v = all_potentials(model, ens)
+    v = potential(model, ens)
     vbar = float(ens.weights @ v) / ens.n
     support_residual = float(np.max(np.abs(v - vbar)))
-    probe_v = probe_potentials(model, ens, probes)
+    probe_v = potential(model, ens, probes)
     exterior_violation = max(0.0, vbar - float(probe_v.min()))
     return support_residual, exterior_violation
 
@@ -217,7 +213,7 @@ class FitResult:
 def rate_fit(records, window, form: str) -> FitResult:
     """Least-squares fit of log E against log t (power-law) or t (exponential)
     over the records whose time lies in the window."""
-    if form not in ("power-law", "exponential"):
+    if form not in RATE_FIT_FORMS:
         raise ConfigurationError(f"form must be power-law or exponential, got {form!r}")
     t0, t1 = window
     sel = [r for r in records if t0 <= r.time <= t1]

@@ -33,7 +33,7 @@ import numpy as np
 
 from .ensemble import Ensemble
 from .errors import ConfigurationError, ExtinctionError, NumericError, StepSizeError
-from .potentials import PotentialModel, all_potentials
+from .potentials import PotentialModel, potential
 
 VARIANTS = (
     "gd-only",
@@ -83,7 +83,6 @@ class DynamicsConfig:
     variant: str
     dt: float
     alpha: float = 1.0
-    alpha_prime: float = 0.0
     f_spec: FVariant | None = None
     tau: float | None = None
     proximal_inner_iters: int = 100
@@ -94,8 +93,8 @@ class DynamicsConfig:
             raise ConfigurationError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if not self.dt > 0:
             raise ConfigurationError(f"dt must be > 0, got {self.dt}")
-        if self.alpha < 0 or self.alpha_prime < 0:
-            raise ConfigurationError("alpha and alpha_prime must be >= 0")
+        if self.alpha < 0:
+            raise ConfigurationError(f"alpha must be >= 0, got {self.alpha}")
         if self.variant == "gd-bd-fvariant" and self.f_spec is None:
             raise ConfigurationError("gd-bd-fvariant requires f_spec")
         if self.variant == "gd-bd-reinjection" and self.reinjection_prior is None:
@@ -115,6 +114,25 @@ class DynamicsConfig:
         return max(1, round(self.tau / (self.alpha * self.dt)))
 
 
+def check_model_support(model: PotentialModel, variant: str, prior=None) -> None:
+    """The model/variant rules: kmc-bd and proximal need an exact model,
+    kmc-bd also needs K = 0, and reinjection needs an amplitude channel plus a
+    prior over the position space."""
+    if variant in ("kmc-bd", "proximal") and not model.is_exact:
+        raise ConfigurationError(f"variant {variant} requires an exact model")
+    if variant == "kmc-bd" and model.is_interacting:
+        raise ConfigurationError("kinetic Monte Carlo requires a non-interacting model")
+    if variant == "gd-bd-reinjection":
+        if not model.has_amplitude:
+            raise ConfigurationError("reinjection needs a model with an amplitude channel")
+        if prior is None:
+            raise ConfigurationError("reinjection_prior is not configured")
+        if prior.dim != model.position_dim:
+            raise ConfigurationError(
+                f"reinjection prior dimension {prior.dim} != position dimension {model.position_dim}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # rates
 
@@ -122,7 +140,7 @@ class DynamicsConfig:
 def centered_rate(model: PotentialModel, ens: Ensemble, batch: np.ndarray | None = None) -> np.ndarray:
     """vt_i = V(theta_i) - n^-1 sum_j V(theta_j); sums to zero by construction."""
     if model.is_exact:
-        v = all_potentials(model, ens)
+        v = potential(model, ens)
     else:
         if batch is None:
             raise ConfigurationError("batch models need a minibatch to evaluate rates")
@@ -197,17 +215,22 @@ def bernoulli_phase(rates: np.ndarray, alpha: float, dt: float, rng: np.random.G
     return kill, dup
 
 
-def _apply_birth_death(ens: Ensemble, kill: np.ndarray, dup: np.ndarray,
-                       rng: np.random.Generator, prior_sampler=None) -> StepReport:
-    """Rebuild the population after a Bernoulli pass, then enforce the exact
-    head count: excess is removed uniformly, deficits are refilled by uniform
-    cloning (or by `prior_sampler(count, rng)` rows when given)."""
+def _birth_death_pass(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
+                      rng: np.random.Generator, rates: np.ndarray | None, prior) -> StepReport:
+    """One Bernoulli kill/duplicate pass on frozen rates, then exact head-count
+    control: excess is removed uniformly, and a deficit is refilled by uniform
+    cloning or, when `prior` is given, by zero-amplitude rows whose positions
+    are drawn from it."""
+    if rates is None:
+        rates = _effective_rates(model, ens, cfg)
+    kill, dup = bernoulli_phase(rates, cfg.alpha, cfg.dt, rng)
     n0 = ens.n
     surv = np.flatnonzero(~kill)
     if surv.size == 0:
         raise ExtinctionError("all particles were killed in one birth-death pass")
     dup_idx = np.flatnonzero(dup & ~kill)
     report = StepReport(births=int(dup_idx.size), deaths=int(n0 - surv.size))
+    report.max_rate = float(cfg.alpha * np.max(np.abs(rates), initial=0.0) * cfg.dt)
 
     idx = np.concatenate([surv, dup_idx])
     thetas = ens.thetas[idx]
@@ -223,12 +246,13 @@ def _apply_birth_death(ens: Ensemble, kill: np.ndarray, dup: np.ndarray,
         thetas, weights, bids = thetas[keep], weights[keep], bids[keep]
     elif n1 < n0:
         deficit = n0 - n1
-        if prior_sampler is None:
+        if prior is None:
             parents = rng.choice(n1, size=deficit, replace=True)
             new_rows = thetas[parents]
             new_w = weights[parents]
         else:
-            new_rows = prior_sampler(deficit, rng)
+            new_rows = np.zeros((deficit, ens.theta_dim))
+            new_rows[:, 1:] = prior.sample(rng, deficit)
             new_w = np.ones(deficit)
         thetas = np.vstack([thetas, new_rows])
         weights = np.concatenate([weights, new_w])
@@ -240,39 +264,16 @@ def _apply_birth_death(ens: Ensemble, kill: np.ndarray, dup: np.ndarray,
 
 def birth_death_step(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
                      rng: np.random.Generator, rates: np.ndarray | None = None) -> StepReport:
-    if rates is None:
-        rates = _effective_rates(model, ens, cfg)
-    kill, dup = bernoulli_phase(rates, cfg.alpha, cfg.dt, rng)
-    report = _apply_birth_death(ens, kill, dup, rng)
-    report.max_rate = float(cfg.alpha * np.max(np.abs(rates), initial=0.0) * cfg.dt)
-    return report
+    """Birth-death pass whose deficit refill clones uniform survivors."""
+    return _birth_death_pass(model, ens, cfg, rng, rates, prior=None)
 
 
 def reinjection_step(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
                      rng: np.random.Generator, rates: np.ndarray | None = None) -> StepReport:
     """Birth-death pass whose deficit refill samples fresh particles with zero
     amplitude and positions from the configured prior."""
-    if not ens.has_amplitude:
-        raise ConfigurationError("reinjection needs a model with an amplitude channel")
-    prior = cfg.reinjection_prior
-    if prior is None:
-        raise ConfigurationError("reinjection_prior is not configured")
-    if prior.dim != ens.dimension:
-        raise ConfigurationError(
-            f"reinjection prior dimension {prior.dim} != position dimension {ens.dimension}"
-        )
-
-    def sample_prior(count: int, r: np.random.Generator) -> np.ndarray:
-        rows = np.zeros((count, ens.theta_dim))
-        rows[:, 1:] = prior.sample(r, count)
-        return rows
-
-    if rates is None:
-        rates = _effective_rates(model, ens, cfg)
-    kill, dup = bernoulli_phase(rates, cfg.alpha, cfg.dt, rng)
-    report = _apply_birth_death(ens, kill, dup, rng, prior_sampler=sample_prior)
-    report.max_rate = float(cfg.alpha * np.max(np.abs(rates), initial=0.0) * cfg.dt)
-    return report
+    check_model_support(model, "gd-bd-reinjection", cfg.reinjection_prior)
+    return _birth_death_pass(model, ens, cfg, rng, rates, prior=cfg.reinjection_prior)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +310,7 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
     recomputed after every event.  Requires K = 0 so V depends on a particle
     only through F.
     """
-    if model.is_interacting:
-        raise ConfigurationError("kinetic Monte Carlo requires a non-interacting model")
+    check_model_support(model, "kmc-bd")
     if horizon < 0:
         raise ConfigurationError("horizon must be >= 0")
     n = ens.n
@@ -446,46 +446,32 @@ def resample_weights(ens: Ensemble, rng: np.random.Generator) -> StepReport:
 
 def run_step(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
              rng: np.random.Generator) -> StepReport:
-    """Advance one full dynamics step; population size is exactly conserved."""
+    """Advance one full dynamics step: transport, then one birth-death pass on
+    the post-transport rates.  The population size is exactly conserved."""
     n0 = ens.n
     variant = cfg.variant
-    batch = None
-    if not model.is_exact:
-        if variant in ("kmc-bd", "proximal"):
-            raise ConfigurationError(f"variant {variant} requires an exact model")
-        batch = model.sample_batch(rng)
+    check_model_support(model, variant, cfg.reinjection_prior)
+    batch = None if model.is_exact else model.sample_batch(rng)
+
+    substeps = cfg.proximal_gd_steps if variant == "proximal" else 1
+    if variant not in ("bd-only", "kmc-bd"):
+        for _ in range(substeps):
+            gd_step(model, ens, cfg.dt, batch)
 
     if variant == "gd-only":
-        gd_step(model, ens, cfg.dt, batch)
         report = StepReport()
-        ens.step_count += 1
-    elif variant in ("gd-bd", "gd-bd-fvariant"):
-        gd_step(model, ens, cfg.dt, batch)
-        rates = _effective_rates(model, ens, cfg, batch)
-        report = birth_death_step(model, ens, cfg, rng, rates=rates)
-        ens.step_count += 1
-    elif variant == "gd-bd-reinjection":
-        gd_step(model, ens, cfg.dt, batch)
-        rates = _effective_rates(model, ens, cfg, batch)
-        report = reinjection_step(model, ens, cfg, rng, rates=rates)
-        ens.step_count += 1
-    elif variant == "bd-only":
-        rates = _effective_rates(model, ens, cfg, batch)
-        report = birth_death_step(model, ens, cfg, rng, rates=rates)
-        ens.step_count += 1
     elif variant == "kmc-bd":
         log = kmc_run(model, ens, cfg, cfg.dt, rng)
         report = StepReport(births=log.n_events, deaths=log.n_events)
-        ens.step_count += 1
     elif variant == "proximal":
-        for _ in range(cfg.proximal_gd_steps):
-            gd_step(model, ens, cfg.dt, batch)
         proximal_weight_update(model, ens, cfg.tau, cfg.proximal_inner_iters)
         report = resample_weights(ens, rng)
-        ens.step_count += cfg.proximal_gd_steps
-    else:  # pragma: no cover - guarded by DynamicsConfig
-        raise ConfigurationError(f"unknown variant {variant!r}")
+    else:
+        rates = _effective_rates(model, ens, cfg, batch)
+        bd_pass = reinjection_step if variant == "gd-bd-reinjection" else birth_death_step
+        report = bd_pass(model, ens, cfg, rng, rates=rates)
 
+    ens.step_count += substeps
     ens.time = ens.step_count * cfg.dt  # exact, no float accumulation drift
     if ens.n != n0:
         raise NumericError(f"population changed from {n0} to {ens.n} within one step")

@@ -25,22 +25,11 @@ WEIGHT_MEAN_RTOL = 1e-12
 
 
 @dataclass
-class ParticleState:
-    """Read-only view of a single particle."""
-
-    position: np.ndarray
-    amplitude: float | None
-    weight: float
-    birth_id: int
-
-
-@dataclass
 class Ensemble:
     thetas: np.ndarray  # (n, D) full parameter rows
     weights: np.ndarray  # (n,)
     birth_ids: np.ndarray  # (n,) int64
     has_amplitude: bool = False
-    rng_seed: int = 0
     step_count: int = 0
     time: float = 0.0
     next_birth_id: int = field(default=0)
@@ -75,24 +64,12 @@ class Ensemble:
     def amplitudes(self) -> np.ndarray | None:
         return self.thetas[:, 0] if self.has_amplitude else None
 
-    def particle(self, i: int) -> ParticleState:
-        if not 0 <= i < self.n:
-            raise IndexError(f"particle index {i} out of range for n={self.n}")
-        amp = float(self.thetas[i, 0]) if self.has_amplitude else None
-        return ParticleState(
-            position=self.positions[i].copy(),
-            amplitude=amp,
-            weight=float(self.weights[i]),
-            birth_id=int(self.birth_ids[i]),
-        )
-
     def copy(self) -> "Ensemble":
         return Ensemble(
             thetas=self.thetas.copy(),
             weights=self.weights.copy(),
             birth_ids=self.birth_ids.copy(),
             has_amplitude=self.has_amplitude,
-            rng_seed=self.rng_seed,
             step_count=self.step_count,
             time=self.time,
             next_birth_id=self.next_birth_id,
@@ -139,59 +116,8 @@ def init_from_sampler(sampler, n: int, k: int, seed: int, has_amplitude: bool = 
         weights=np.ones(n),
         birth_ids=np.arange(n, dtype=np.int64),
         has_amplitude=has_amplitude,
-        rng_seed=int(seed),
     )
     ens.validate()
-    return ens
-
-
-def empirical_expectation(ens: Ensemble, phi) -> float:
-    """Weighted empirical mean n^-1 sum_i w_i phi(theta_i).
-
-    `phi` receives one full parameter row as a 1D array and must return a
-    finite scalar.
-    """
-    total = 0.0
-    for i in range(ens.n):
-        val = np.asarray(phi(ens.thetas[i]), dtype=float)
-        if val.size != 1:
-            raise NumericError(f"phi returned a non-scalar at particle {i}")
-        v = float(val.reshape(()))
-        if not np.isfinite(v):
-            raise NumericError(f"phi returned a non-finite value at particle {i}")
-        total += ens.weights[i] * v
-    return total / ens.n
-
-
-def clone_particle(ens: Ensemble, i: int, jitter: float = 0.0, rng: np.random.Generator | None = None) -> Ensemble:
-    """Append a copy of particle i; optional gaussian jitter on the copy's position."""
-    if not 0 <= i < ens.n:
-        raise IndexError(f"particle index {i} out of range for n={ens.n}")
-    if jitter < 0:
-        raise ConfigurationError("jitter must be >= 0")
-    row = ens.thetas[i].copy()
-    if jitter > 0:
-        if rng is None:
-            raise ConfigurationError("jitter > 0 requires an rng")
-        off = 1 if ens.has_amplitude else 0
-        row[off:] += jitter * rng.standard_normal(ens.dimension)
-    ens.thetas = np.vstack([ens.thetas, row[None, :]])
-    ens.weights = np.append(ens.weights, ens.weights[i])
-    ens.birth_ids = np.append(ens.birth_ids, ens.claim_birth_ids(1))
-    return ens
-
-
-def kill_particle(ens: Ensemble, i: int) -> Ensemble:
-    """Remove particle i keeping the remaining order stable."""
-    if not 0 <= i < ens.n:
-        raise IndexError(f"particle index {i} out of range for n={ens.n}")
-    if ens.n < 2:
-        raise ExtinctionError("cannot kill the last particle")
-    keep = np.ones(ens.n, dtype=bool)
-    keep[i] = False
-    ens.thetas = ens.thetas[keep]
-    ens.weights = ens.weights[keep]
-    ens.birth_ids = ens.birth_ids[keep]
     return ens
 
 

@@ -8,10 +8,12 @@ all defaults filled in; parsing that echo reproduces the config exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..dynamics import VARIANTS, DynamicsConfig, FVariant
+from ..diagnostics import RATE_FIT_FORMS
+from ..dynamics import VARIANTS, DynamicsConfig, FVariant, check_model_support
 from ..errors import ConfigurationError
 from ..potentials import build_model
 from ..samplers import build_sampler
@@ -31,8 +33,7 @@ _TOP_KEYS = {
     "output_dir",
     "rate_fit",
 }
-_DYNAMICS_KEYS = {"variant", "dt", "alpha", "alpha_prime", "f", "tau",
-                  "proximal_inner_iters", "reinjection"}
+_DYNAMICS_KEYS = {"variant", "dt", "alpha", "f", "tau", "proximal_inner_iters", "reinjection"}
 _RATE_FIT_KEYS = {"window", "form"}
 
 
@@ -40,6 +41,19 @@ def _require_int(value, name, minimum):
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def _require_number(value, name) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _require_numbers(values, name, length=None) -> list:
+    if not isinstance(values, list) or (length is not None and len(values) != length):
+        shape = "a list" if length is None else f"a list of {length}"
+        raise ConfigurationError(f"{name} must be {shape} numbers, got {values!r}")
+    return [_require_number(v, name) for v in values]
 
 
 @dataclass
@@ -67,19 +81,22 @@ class ExperimentConfig:
         f_spec = None
         if d.get("f") is not None:
             fd = d["f"]
+            if not isinstance(fd, dict) or "kind" not in fd:
+                raise ConfigurationError(f"dynamics.f must be an object with a 'kind': {fd!r}")
             extra = set(fd) - {"kind", "beta"}
             if extra:
                 raise ConfigurationError(f"unknown f keys {sorted(extra)}")
-            f_spec = FVariant(kind=fd["kind"], beta=float(fd.get("beta", 1.0)))
+            f_spec = FVariant(kind=fd["kind"], beta=_require_number(fd.get("beta", 1.0), "f.beta"))
         prior = build_sampler(d["reinjection"]) if d.get("reinjection") is not None else None
         return DynamicsConfig(
             variant=d["variant"],
-            dt=float(d["dt"]),
-            alpha=float(d.get("alpha", 1.0)),
-            alpha_prime=float(d.get("alpha_prime", 0.0)),
+            dt=_require_number(d["dt"], "dynamics.dt"),
+            alpha=_require_number(d.get("alpha", 1.0), "dynamics.alpha"),
             f_spec=f_spec,
-            tau=float(d["tau"]) if d.get("tau") is not None else None,
-            proximal_inner_iters=int(d.get("proximal_inner_iters", 100)),
+            tau=_require_number(d["tau"], "dynamics.tau") if d.get("tau") is not None else None,
+            proximal_inner_iters=_require_int(
+                d.get("proximal_inner_iters", 100), "dynamics.proximal_inner_iters", 1
+            ),
             reinjection_prior=prior,
         )
 
@@ -90,7 +107,6 @@ class ExperimentConfig:
             "variant": dyn.variant,
             "dt": dyn.dt,
             "alpha": dyn.alpha,
-            "alpha_prime": dyn.alpha_prime,
             "f": None if dyn.f_spec is None else {"kind": dyn.f_spec.kind, "beta": dyn.f_spec.beta},
             "tau": dyn.tau,
             "proximal_inner_iters": dyn.proximal_inner_iters,
@@ -135,12 +151,12 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigurationError(f"unknown variant {dyn['variant']!r}")
     rate_fit = data.get("rate_fit")
     if rate_fit is not None:
-        unknown = set(rate_fit) - _RATE_FIT_KEYS
-        if unknown or set(rate_fit) != _RATE_FIT_KEYS:
+        if not isinstance(rate_fit, dict) or set(rate_fit) != _RATE_FIT_KEYS:
             raise ConfigurationError("rate_fit takes exactly the keys window, form")
-        if len(rate_fit["window"]) != 2:
-            raise ConfigurationError("rate_fit window must be [t0, t1]")
-    snapshot_times = data.get("snapshot_times", [])
+        _require_numbers(rate_fit["window"], "rate_fit window [t0, t1]", length=2)
+        if rate_fit["form"] not in RATE_FIT_FORMS:
+            raise ConfigurationError(f"rate_fit form must be one of {RATE_FIT_FORMS}")
+    snapshot_times = _require_numbers(data.get("snapshot_times", []), "snapshot_times")
     if any(t < 0 for t in snapshot_times):
         raise ConfigurationError("snapshot_times must be >= 0")
 
@@ -152,7 +168,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         steps=_require_int(data["steps"], "steps", 1),
         seed=_require_int(data["seed"], "seed", 0),
         record_every=_require_int(data.get("record_every", 1), "record_every", 1),
-        snapshot_times=tuple(float(t) for t in snapshot_times),
+        snapshot_times=tuple(snapshot_times),
         output_dir=str(data.get("output_dir", ".")),
         rate_fit=rate_fit,
         schema_version=version,
@@ -166,15 +182,7 @@ def parse_config(data: dict) -> ExperimentConfig:
             f"parameter dimension {model.theta_dim}"
         )
     dyn_cfg = cfg.build_dynamics()
-    if dyn_cfg.variant == "gd-bd-reinjection":
-        if not model.has_amplitude:
-            raise ConfigurationError("reinjection requires a model with an amplitude channel")
-        if dyn_cfg.reinjection_prior.dim != model.position_dim:
-            raise ConfigurationError("reinjection prior must cover the position space")
-    if dyn_cfg.variant in ("kmc-bd", "proximal") and not model.is_exact:
-        raise ConfigurationError(f"variant {dyn_cfg.variant} requires an exact model")
-    if dyn_cfg.variant == "kmc-bd" and model.is_interacting:
-        raise ConfigurationError("kmc-bd requires a non-interacting model")
+    check_model_support(model, dyn_cfg.variant, dyn_cfg.reinjection_prior)
     return cfg
 
 

@@ -23,7 +23,7 @@ from ..diagnostics import TRAJECTORY_COLUMNS, TrajectoryRecord, ensemble_energy,
 from ..dynamics import run_step
 from ..ensemble import init_from_sampler, write_snapshot_csv
 from ..errors import ConfigurationError, ExtinctionError, NumericError, StepSizeError
-from ..potentials import all_potentials
+from ..potentials import field
 from .config import ExperimentConfig, parse_config
 
 RUN_ERRORS = (NumericError, ExtinctionError, StepSizeError)
@@ -42,11 +42,7 @@ def observe(model, ens, births: int, deaths: int, eval_rng) -> TrajectoryRecord:
     w = ens.weights
     if model.is_exact:
         energy = ensemble_energy(model, ens)
-        v = all_potentials(model, ens)
-        grad = model.grad_F(ens.thetas)
-        if model.is_interacting:
-            _, fsum = model.kernel_weighted_sums(ens.thetas, ens.thetas, w)
-            grad = grad + fsum / n
+        v, grad = field(model, ens)
     else:
         batch = model.sample_batch(eval_rng)
         energy = model.batch_loss(ens.thetas, w, batch)
@@ -178,9 +174,17 @@ def _set_axis(data: dict, axis: str, value):
     leaf = keys[-1]
     if not isinstance(node, dict) or leaf not in node:
         raise ConfigurationError(f"axis {axis!r} does not resolve in the config")
-    if isinstance(node[leaf], bool) or not isinstance(node[leaf], (int, float, str)):
+    old = node[leaf]
+    if isinstance(old, bool) or not isinstance(old, (int, float, str)):
         raise ConfigurationError(f"axis {axis!r} must point at a numeric or enum field")
-    node[leaf] = type(node[leaf])(value) if not isinstance(node[leaf], str) else str(value)
+    if isinstance(old, str):
+        node[leaf] = str(value)
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"axis {axis!r} takes numbers, got {value!r}")
+    if isinstance(old, int) and not float(value).is_integer():
+        raise ConfigurationError(f"axis {axis!r} takes integers, got {value!r}")
+    node[leaf] = type(old)(value)
 
 
 def _run_cell(args):

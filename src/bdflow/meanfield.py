@@ -319,19 +319,3 @@ class GridStepper:
         if self._k is not None:
             e += 0.5 * float(rho_dx @ (self._k @ rho_dx))
         return e
-
-
-def grid_solver_1d(model: PotentialModel, grid: Grid1D, cfg: DynamicsConfig) -> Grid1D:
-    """One explicit step of the 1D solver (see GridStepper for loops)."""
-    GridStepper(model, grid, cfg).step()
-    return grid
-
-
-def grid_energy(model: PotentialModel, grid: Grid1D) -> float:
-    """E[rho] = sum F rho dx + 0.5 sum K rho rho dx^2 on the grid."""
-    thetas = grid.centers[:, None]
-    rho_dx = grid.density * grid.dx
-    e = float(np.asarray(model.F(thetas)) @ rho_dx)
-    if model.is_interacting:
-        e += 0.5 * float(rho_dx @ model.kernel_mean(thetas, thetas, rho_dx))
-    return e

@@ -404,65 +404,30 @@ class ReLUStudentTeacherModel(PotentialModel):
                 )
 
 
-# -- single-input conveniences -------------------------------------------
-
-
-def eval_F(model: PotentialModel, theta) -> float:
-    return float(model.F(np.atleast_2d(np.asarray(theta, dtype=float)))[0])
-
-
-def grad_F(model: PotentialModel, theta) -> np.ndarray:
-    return model.grad_F(np.atleast_2d(np.asarray(theta, dtype=float)))[0]
-
-
-def eval_K(model: PotentialModel, theta_a, theta_b) -> float:
-    a = np.atleast_2d(np.asarray(theta_a, dtype=float))
-    b = np.atleast_2d(np.asarray(theta_b, dtype=float))
-    return float(model.K_block(a, b)[0, 0])
-
-
-def grad_K(model: PotentialModel, theta_a, theta_b) -> np.ndarray:
-    """Gradient of K in its first slot."""
-    a = np.atleast_2d(np.asarray(theta_a, dtype=float))
-    b = np.atleast_2d(np.asarray(theta_b, dtype=float))
-    _, fsum = model.kernel_weighted_sums(a, b, np.ones(1))
-    return fsum[0]
-
-
 # -- ensemble-level potentials ---------------------------------------------
 
 
-def all_potentials(model: PotentialModel, ens) -> np.ndarray:
-    """V(theta_i) = F(theta_i) + n^-1 sum_j w_j K(theta_i, theta_j) for all i."""
-    v = model.F(ens.thetas).copy()
+def potential(model: PotentialModel, ens, points=None) -> np.ndarray:
+    """V(x) = F(x) + n^-1 sum_j w_j K(x, theta_j) against the empirical measure.
+
+    `points` are parameter rows to evaluate at; they default to the particles.
+    """
+    x = ens.thetas if points is None else np.atleast_2d(np.asarray(points, dtype=float))
+    v = model.F(x)
     if model.is_interacting:
-        v += model.kernel_mean(ens.thetas, ens.thetas, ens.weights) / ens.n
+        v += model.kernel_mean(x, ens.thetas, ens.weights) / ens.n
     return v
 
 
-def particle_potential(model: PotentialModel, ens, i: int) -> float:
-    if not 0 <= i < ens.n:
-        raise IndexError(f"particle index {i} out of range for n={ens.n}")
-    row = ens.thetas[i : i + 1]
-    v = float(model.F(row)[0])
+def field(model: PotentialModel, ens) -> tuple[np.ndarray, np.ndarray]:
+    """(V, grad V) at every particle from a single pairwise pass."""
+    v = model.F(ens.thetas)
+    grad = model.grad_F(ens.thetas)
     if model.is_interacting:
-        v += float(model.kernel_mean(row, ens.thetas, ens.weights)[0]) / ens.n
-    return v
-
-
-def probe_potentials(model: PotentialModel, ens, probes: np.ndarray) -> np.ndarray:
-    """V at arbitrary probe points against the empirical measure."""
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    v = model.F(probes).copy()
-    if model.is_interacting:
-        v += model.kernel_mean(probes, ens.thetas, ens.weights) / ens.n
-    return v
-
-
-def batch_potential_hat(model: ReLUStudentTeacherModel, ens, batch: np.ndarray) -> np.ndarray:
-    if not isinstance(model, ReLUStudentTeacherModel):
-        raise ConfigurationError("batch_potential_hat requires the relu student-teacher model")
-    return model.batch_potential_hat(ens.thetas, ens.weights, batch)
+        vsum, fsum = model.kernel_weighted_sums(ens.thetas, ens.thetas, ens.weights)
+        v += vsum / ens.n
+        grad = grad + fsum / ens.n
+    return v, grad
 
 
 def exact_mixture_loss(model: GaussianMixtureModel, ens) -> float:

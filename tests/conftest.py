@@ -51,6 +51,11 @@ def make_ensemble(thetas, weights=None, has_amplitude=False):
     )
 
 
+def at(theta):
+    """One parameter row as a (1, D) array, the shape the model methods take."""
+    return np.atleast_2d(np.asarray(theta, dtype=float))
+
+
 def numerical_grad_F(model, theta, h=1e-6):
     theta = np.asarray(theta, dtype=float)
     out = np.zeros_like(theta)
@@ -58,7 +63,7 @@ def numerical_grad_F(model, theta, h=1e-6):
         up, dn = theta.copy(), theta.copy()
         up[i] += h
         dn[i] -= h
-        out[i] = (bf.eval_F(model, up) - bf.eval_F(model, dn)) / (2 * h)
+        out[i] = (model.F(at(up)) - model.F(at(dn)))[0] / (2 * h)
     return out
 
 
@@ -69,5 +74,5 @@ def numerical_grad_K1(model, a, b, h=1e-6):
         up, dn = a.copy(), a.copy()
         up[i] += h
         dn[i] -= h
-        out[i] = (bf.eval_K(model, up, b) - bf.eval_K(model, dn, b)) / (2 * h)
+        out[i] = (model.K_block(at(up), at(b)) - model.K_block(at(dn), at(b)))[0, 0] / (2 * h)
     return out

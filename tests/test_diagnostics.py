@@ -3,7 +3,7 @@ import pytest
 
 import bdflow as bf
 
-from conftest import make_ensemble
+from conftest import at, make_ensemble
 
 
 class TestEnsembleEnergy:
@@ -14,7 +14,7 @@ class TestEnsembleEnergy:
     def test_single_particle_includes_half_self_interaction(self, mixture_1c):
         theta = np.array([0.8, 0.3])
         ens = make_ensemble([theta], has_amplitude=True)
-        expected = bf.eval_F(mixture_1c, theta) + 0.5 * bf.eval_K(mixture_1c, theta, theta)
+        expected = mixture_1c.F(at(theta))[0] + 0.5 * mixture_1c.K_block(at(theta), at(theta))[0, 0]
         assert bf.ensemble_energy(mixture_1c, ens) == pytest.approx(expected, rel=1e-13)
 
     def test_matches_exact_loss_minus_constant(self, mixture_3c):

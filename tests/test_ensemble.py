@@ -45,75 +45,68 @@ class TestInit:
         ens = bf.init_from_sampler(init, 4, 1, seed=0, has_amplitude=True)
         np.testing.assert_array_equal(ens.amplitudes, np.full(4, 2.0))
         np.testing.assert_array_equal(ens.positions, np.full((4, 1), 5.0))
-        p = ens.particle(1)
-        assert p.amplitude == 2.0 and p.position.tolist() == [5.0]
 
 
 class TestEmpiricalExpectation:
+    """Weighted empirical means n^-1 sum_i w_i phi(theta_i) over an ensemble."""
+
     def test_constant_is_one(self):
         ens = bf.init_from_sampler(bf.GaussianSampler(mean=[1.0], std=3.0), 17, 1, seed=1)
-        assert bf.empirical_expectation(ens, lambda th: 1.0) == pytest.approx(1.0, abs=0)
+        assert float(ens.weights @ np.ones(ens.n)) / ens.n == 1.0
 
-    def test_symmetry_cancels(self):
-        ens = make_ensemble([[-1.0], [1.0]])
-        assert bf.empirical_expectation(ens, lambda th: th[0]) == 0.0
-
-    def test_second_moment_monte_carlo(self):
+    def test_second_moment_monte_carlo(self, quad_1d):
         # tolerance 4*sqrt(Var[x^2]/n) = 4*sqrt(2/1e5) ~ 0.018, rounded up
         n = 100_000
         ens = bf.init_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), n, 1, seed=9)
-        m2 = bf.empirical_expectation(ens, lambda th: th[0] ** 2)
+        m2 = 2.0 * bf.ensemble_energy(quad_1d, ens)  # F = theta^2 / 2
         assert m2 == pytest.approx(1.0, abs=0.05)
 
-    def test_nonfinite_value_reports_index(self):
-        ens = make_ensemble([[0.0], [1.0], [2.0]])
+    def test_nonfinite_value_reports_index(self, quad_1d):
+        ens = make_ensemble([[0.0], [np.inf], [2.0]])
         with pytest.raises(bf.NumericError, match="particle 1"):
-            bf.empirical_expectation(ens, lambda th: np.inf if th[0] == 1.0 else 0.0)
+            bf.centered_rate(quad_1d, ens)
+
+
+CERTAIN = bf.DynamicsConfig(variant="bd-only", dt=1.0, alpha=1.0)
+
+
+def certain_pass(ens, kill=(), dup=(), rng=None):
+    """One birth-death pass in which exactly the given particles die or clone.
+
+    Rates of +-1e9 make each event probability 1 - exp(-1e9) == 1.0; the
+    rates are given, so no model is evaluated.
+    """
+    rates = np.zeros(ens.n)
+    rates[list(kill)] = 1e9
+    rates[list(dup)] = -1e9
+    return bf.birth_death_step(None, ens, CERTAIN, rng or np.random.default_rng(0), rates=rates)
 
 
 class TestCloneKill:
     def test_exact_clone(self):
         ens = bf.init_from_sampler(bf.GaussianSampler(mean=[0.0, 0.0], std=1.0), 5, 2, seed=3)
-        bf.clone_particle(ens, 2)
-        assert ens.n == 6
-        assert np.array_equal(ens.thetas[5], ens.thetas[2])
-        assert ens.birth_ids[5] == 5  # fresh lineage id
-
-    def test_jittered_clone_stays_close(self):
-        # 0.1 is ten standard deviations of the jitter noise
-        ens = make_ensemble([[1.0]])
-        bf.clone_particle(ens, 0, jitter=0.01, rng=np.random.default_rng(4))
-        assert ens.n == 2
-        assert abs(ens.thetas[1, 0] - 1.0) < 0.1
-        assert ens.thetas[1, 0] != 1.0
-
-    def test_jitter_without_rng_rejected(self):
-        ens = make_ensemble([[1.0]])
-        with pytest.raises(bf.ConfigurationError):
-            bf.clone_particle(ens, 0, jitter=0.1)
+        before = ens.thetas.copy()
+        rep = certain_pass(ens, kill=[0], dup=[2])
+        assert (rep.births, rep.deaths, rep.population_corrections) == (1, 1, 0)
+        assert ens.n == 5
+        assert np.array_equal(ens.thetas[4], before[2])
+        assert ens.birth_ids[4] == 5  # fresh lineage id
 
     def test_kill_stable_order(self):
         ens = make_ensemble([[0.0], [1.0], [2.0]])
-        bf.kill_particle(ens, 0)
-        assert ens.thetas[:, 0].tolist() == [1.0, 2.0]
+        certain_pass(ens, kill=[0], dup=[2])
+        assert ens.thetas[:, 0].tolist() == [1.0, 2.0, 2.0]
 
     def test_kill_then_clone_restores_count(self):
         ens = make_ensemble([[0.0], [1.0]])
-        bf.kill_particle(ens, 0)
-        bf.clone_particle(ens, 0)
-        assert ens.n == 2
+        rep = certain_pass(ens, kill=[0])
+        assert ens.n == 2 and rep.population_corrections == 1
+        assert ens.thetas[:, 0].tolist() == [1.0, 1.0]
 
     def test_kill_last_particle_refused(self):
         ens = make_ensemble([[0.0]])
         with pytest.raises(bf.ExtinctionError):
-            bf.kill_particle(ens, 0)
-
-    def test_index_out_of_range(self):
-        ens = make_ensemble([[0.0], [1.0]])
-        with pytest.raises(IndexError):
-            bf.kill_particle(ens, 2)
-        with pytest.raises(IndexError):
-            bf.clone_particle(ens, -3)
+            certain_pass(ens, kill=[0])
 
     def test_clone_kill_shifts_expectation_by_single_particle_term(self):
         rng = np.random.default_rng(11)
@@ -122,11 +115,10 @@ class TestCloneKill:
             ens = bf.init_from_sampler(
                 bf.GaussianSampler(mean=[0.0], std=2.0), n, 1, seed=int(rng.integers(1e6))
             )
-            phi = lambda th: np.sin(th[0])
-            before = bf.empirical_expectation(ens, phi)
-            bf.clone_particle(ens, int(rng.integers(n)))
-            bf.kill_particle(ens, int(rng.integers(n + 1)))
-            after = bf.empirical_expectation(ens, phi)
+            before = float(ens.weights @ np.sin(ens.thetas[:, 0])) / n
+            i, j = rng.choice(n, size=2, replace=False)
+            certain_pass(ens, kill=[i], dup=[j])
+            after = float(ens.weights @ np.sin(ens.thetas[:, 0])) / n
             assert abs(after - before) <= 2.0 / n + 1e-12
 
 

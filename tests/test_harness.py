@@ -48,6 +48,32 @@ def mixture_config(**overrides):
     return data
 
 
+# each entry breaks one field of quad_config(); dotted keys reach into objects.
+# The first three once escaped as raw ValueError/TypeError (CLI exit 1).
+MALFORMED = [
+    {"dynamics.dt": "abc"},
+    {"snapshot_times": ["x"]},
+    {"rate_fit": {"window": 5, "form": "exponential"}},
+    {"dynamics.alpha": None},
+    {"dynamics.alpha_prime": 0.5},
+    {"dynamics.proximal_inner_iters": 2.5},
+    {"snapshot_times": 1.0},
+    {"rate_fit": {"window": [0.0, "x"], "form": "exponential"}},
+    {"rate_fit": {"window": [0.0, 1.0], "form": "linear"}},
+]
+
+
+def malformed_config(overrides):
+    data = quad_config()
+    for path, value in overrides.items():
+        *parents, leaf = path.split(".")
+        node = data
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+    return data
+
+
 class TestConfigParsing:
     def test_unknown_top_level_key(self):
         with pytest.raises(bf.ConfigurationError, match="unknown config keys"):
@@ -80,6 +106,11 @@ class TestConfigParsing:
                            "reinjection": {"kind": "gaussian", "mean": [0.0], "std": 1.0}}
         with pytest.raises(bf.ConfigurationError, match="amplitude"):
             parse_config(cfg)
+
+    @pytest.mark.parametrize("overrides", MALFORMED, ids=[str(m) for m in MALFORMED])
+    def test_malformed_values_rejected(self, overrides):
+        with pytest.raises(bf.ConfigurationError):
+            parse_config(malformed_config(overrides))
 
     def test_echo_round_trips(self):
         cfg = parse_config(mixture_config())
@@ -247,6 +278,21 @@ class TestCli:
         assert code == 0
         report = json.loads((tmp_path / "sw/sweep.json").read_text())
         assert report["values"] == [2, 4]
+
+    @pytest.mark.parametrize("overrides", MALFORMED[:3], ids=[str(m) for m in MALFORMED[:3]])
+    def test_malformed_config_exit_code(self, tmp_path, overrides):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(malformed_config(overrides)))
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("axis", ["n", "steps", "record_every"])
+    def test_sweep_non_integer_value_exit_code(self, tmp_path, axis):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(quad_config()))
+        code = cli_main(["sweep", "--config", str(path), "--axis", axis, "--values", "1.5",
+                         "--seeds", "1", "--jobs", "1", "--out", str(tmp_path / "sw"), "--quiet"])
+        assert code == 2
+        assert not (tmp_path / "sw" / "sweep.json").exists()
 
     def test_teacher_dump(self, tmp_path):
         path = tmp_path / "cfg.json"

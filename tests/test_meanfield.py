@@ -169,15 +169,6 @@ class TestGridStepper:
             assert e <= prev + 1e-10 * max(1.0, abs(prev))
             prev = e
 
-    def test_solver_function_is_one_step(self, quad_1d):
-        g1 = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 256)
-        g2 = g1.copy()
-        cfg = bf.DynamicsConfig(variant="bd-only", dt=1e-3, alpha=1.0)
-        bf.grid_solver_1d(quad_1d, g1, cfg)
-        bf.GridStepper(quad_1d, g2, cfg).step()
-        np.testing.assert_array_equal(g1.density, g2.density)
-        assert g1.time == pytest.approx(1e-3)
-
 
 class TestGridSolverVsCharacteristics:
     def test_first_order_convergence(self, quad_1d):
@@ -207,6 +198,10 @@ class TestGridSolverVsCharacteristics:
         assert float(np.sum(np.abs(g.density - exact)) * g.dx) < 1e-3
 
 
+def stepper_energy(model, grid):
+    return bf.GridStepper(model, grid, bf.DynamicsConfig(variant="gd-bd", dt=1e-3)).energy()
+
+
 class TestGridEnergy:
     def test_point_mass_cell_at_minimum(self, quad_1d):
         g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 512)
@@ -215,12 +210,12 @@ class TestGridEnergy:
         g.density = rho
         g.renormalize()
         max_cell_f = 0.5 * g.dx**2  # F maximum over the occupied cell
-        assert 0.0 <= bf.grid_energy(quad_1d, g) <= 0.5 * max_cell_f + 1e-15
+        assert 0.0 <= stepper_energy(quad_1d, g) <= 0.5 * max_cell_f + 1e-15
 
     def test_reduces_to_single_particle_term(self, quad_1d):
         g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 2048)
         expected = float(np.sum(quad_f(g.centers) * g.density) * g.dx)
-        assert bf.grid_energy(quad_1d, g) == pytest.approx(expected, rel=1e-14)
+        assert stepper_energy(quad_1d, g) == pytest.approx(expected, rel=1e-14)
 
     def test_interacting_energy_against_double_sum(self, mixture_frozen):
         g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 64)
@@ -231,10 +226,10 @@ class TestGridEnergy:
         for i in range(64):
             for j in range(64):
                 total += 0.5 * (
-                    bf.eval_K(mixture_frozen, [g.centers[i]], [g.centers[j]])
+                    mixture_frozen.K_block(g.centers[i : i + 1, None], g.centers[j : j + 1, None])[0, 0]
                     * g.density[i] * g.density[j] * g.dx**2
                 )
-        assert bf.grid_energy(mixture_frozen, g) == pytest.approx(total, rel=1e-10)
+        assert stepper_energy(mixture_frozen, g) == pytest.approx(total, rel=1e-10)
 
 
 class TestGridCsv:

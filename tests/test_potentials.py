@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 import bdflow as bf
 
-from conftest import make_ensemble, numerical_grad_K1
+from conftest import at, make_ensemble, numerical_grad_F, numerical_grad_K1
 
 
 def target_density(model, x):
@@ -25,14 +25,14 @@ class TestQuadraticWell:
     def test_minimum(self):
         h = np.array([[2.0, 0.3], [0.3, 1.0]])
         m = bf.QuadraticWellModel(minimizer=[1.0, -1.0], hessian=h)
-        assert bf.eval_F(m, [1.0, -1.0]) == 0.0
-        np.testing.assert_array_equal(bf.grad_F(m, [1.0, -1.0]), [0.0, 0.0])
+        assert m.F(at([1.0, -1.0]))[0] == 0.0
+        np.testing.assert_array_equal(m.grad_F(at([1.0, -1.0]))[0], [0.0, 0.0])
 
     def test_quadratic_form_value(self):
         h = np.array([[2.0, 0.3], [0.3, 1.0]])
         m = bf.QuadraticWellModel(minimizer=[0.0, 0.0], hessian=h)
         th = np.array([0.7, -0.2])
-        assert bf.eval_F(m, th) == pytest.approx(0.5 * th @ h @ th, rel=1e-14)
+        assert m.F(at(th))[0] == pytest.approx(0.5 * th @ h @ th, rel=1e-14)
 
     def test_requires_spd_hessian(self):
         with pytest.raises(bf.ConfigurationError):
@@ -42,10 +42,10 @@ class TestQuadraticWell:
 class TestDoubleWell:
     def test_global_minimum_is_zero(self):
         m = bf.DoubleWellModel(height=1.0, tilt=0.5)
-        assert bf.eval_F(m, m.minimizer) == pytest.approx(0.0, abs=1e-14)
-        assert np.linalg.norm(bf.grad_F(m, m.minimizer)) < 1e-10
+        assert m.F(at(m.minimizer))[0] == pytest.approx(0.0, abs=1e-14)
+        assert np.linalg.norm(m.grad_F(at(m.minimizer))[0]) < 1e-10
         # tilted well: the other basin sits strictly higher
-        assert bf.eval_F(m, [-m.minimizer[0]]) > 0.1
+        assert m.F(at([-m.minimizer[0]]))[0] > 0.1
 
     def test_one_dimensional_only(self):
         m = bf.DoubleWellModel()
@@ -55,11 +55,11 @@ class TestDoubleWell:
 
 class TestMixtureClosedForms:
     def test_zero_amplitude_zeroes_f(self, mixture_1c):
-        assert bf.eval_F(mixture_1c, [0.0, 1.3]) == 0.0
+        assert mixture_1c.F(at([0.0, 1.3]))[0] == 0.0
 
     def test_f_against_quadrature(self, mixture_1c):
         theta = [1.0, 0.0]  # amplitude 1 at position 0
-        val = bf.eval_F(mixture_1c, theta)
+        val = mixture_1c.F(at(theta))[0]
         oracle, err = quad(
             lambda x: -target_density(mixture_1c, x) * unit_response(mixture_1c, x, 1.0, 0.0),
             -12.0, 12.0, epsabs=1e-13, epsrel=1e-13,
@@ -69,7 +69,7 @@ class TestMixtureClosedForms:
 
     def test_k_against_quadrature(self, mixture_1c):
         a, b = [1.0, 0.0], [1.0, 1.0]
-        val = bf.eval_K(mixture_1c, a, b)
+        val = mixture_1c.K_block(at(a), at(b))[0, 0]
         oracle, err = quad(
             lambda x: unit_response(mixture_1c, x, 1.0, 0.0) * unit_response(mixture_1c, x, 1.0, 1.0),
             -12.0, 12.0, epsabs=1e-13, epsrel=1e-13,
@@ -82,13 +82,13 @@ class TestMixtureClosedForms:
         for _ in range(100):
             a = rng.normal(size=2)
             b = rng.normal(size=2)
-            assert bf.eval_K(mixture_3c, a, b) == pytest.approx(
-                bf.eval_K(mixture_3c, b, a), rel=1e-13
+            assert mixture_3c.K_block(at(a), at(b))[0, 0] == pytest.approx(
+                mixture_3c.K_block(at(b), at(a))[0, 0], rel=1e-13
             )
 
     def test_k_vanishes_with_zero_amplitude(self, mixture_3c):
-        assert bf.eval_K(mixture_3c, [0.0, 0.5], [2.0, 0.6]) == 0.0
-        assert bf.eval_K(mixture_3c, [2.0, 0.5], [0.0, 0.6]) == 0.0
+        assert mixture_3c.K_block(at([0.0, 0.5]), at([2.0, 0.6]))[0, 0] == 0.0
+        assert mixture_3c.K_block(at([2.0, 0.5]), at([0.0, 0.6]))[0, 0] == 0.0
 
     def test_gram_matrix_positive_semidefinite(self, mixture_3c):
         rng = np.random.default_rng(1)
@@ -113,10 +113,10 @@ class TestGradientChecks:
     def _check_grad_f(self, model, rng, scale=1.0):
         for _ in range(50):
             th = rng.normal(scale=scale, size=model.theta_dim)
-            ana = bf.grad_F(model, th)
+            ana = model.grad_F(at(th))[0]
             num = np.array(
                 [
-                    (bf.eval_F(model, th + self.H * e) - bf.eval_F(model, th - self.H * e))
+                    (model.F(at(th + self.H * e))[0] - model.F(at(th - self.H * e))[0])
                     / (2 * self.H)
                     for e in np.eye(model.theta_dim)
                 ]
@@ -143,7 +143,8 @@ class TestGradientChecks:
         for _ in range(50):
             a = rng.normal(scale=1.5, size=2)
             b = rng.normal(scale=1.5, size=2)
-            ana = bf.grad_K(mixture_3c, a, b)
+            _, fsum = mixture_3c.kernel_weighted_sums(at(a), at(b), np.ones(1))
+            ana = fsum[0]
             num = numerical_grad_K1(mixture_3c, a, b, h=self.H)
             assert np.linalg.norm(num - ana) <= 1e-6 * max(1.0, np.linalg.norm(ana))
 
@@ -151,21 +152,61 @@ class TestGradientChecks:
 class TestParticlePotential:
     def test_reduces_to_f_without_interaction(self, quad_1d):
         ens = make_ensemble([[1.0], [3.0]])
-        assert bf.particle_potential(quad_1d, ens, 0) == bf.eval_F(quad_1d, [1.0])
+        np.testing.assert_array_equal(bf.potential(quad_1d, ens), quad_1d.F(ens.thetas))
+        assert bf.potential(quad_1d, ens, [[1.0]])[0] == quad_1d.F(at([1.0]))[0]
 
     def test_single_particle_at_minimum(self, quad_1d):
         ens = make_ensemble([[0.0]])
-        assert bf.particle_potential(quad_1d, ens, 0) == 0.0
+        assert bf.potential(quad_1d, ens)[0] == 0.0
 
     def test_three_particle_mixture_against_direct_sum(self, mixture_3c):
         rng = np.random.default_rng(7)
         ens = make_ensemble(rng.normal(size=(3, 2)), has_amplitude=True)
+        v = bf.potential(mixture_3c, ens)
         for i in range(3):
-            direct = bf.eval_F(mixture_3c, ens.thetas[i]) + sum(
-                ens.weights[j] * bf.eval_K(mixture_3c, ens.thetas[i], ens.thetas[j])
+            direct = mixture_3c.F(at(ens.thetas[i]))[0] + sum(
+                ens.weights[j] * mixture_3c.K_block(at(ens.thetas[i]), at(ens.thetas[j]))[0, 0]
                 for j in range(3)
             ) / 3.0
-            assert bf.particle_potential(mixture_3c, ens, i) == pytest.approx(direct, rel=1e-12)
+            assert v[i] == pytest.approx(direct, rel=1e-12)
+            assert bf.potential(mixture_3c, ens, ens.thetas[i])[0] == pytest.approx(v[i], rel=1e-13)
+
+
+class TestField:
+    MODELS = {
+        "dynamic-1d": dict(target_c=[1.0, -0.5], target_y=[[-1.0], [1.0]],
+                           target_sigma=[0.6, 0.6], sigma=0.4),
+        "frozen-1d": dict(target_c=[1.0, 1.0], target_y=[[-1.5], [1.5]],
+                          target_sigma=[0.8, 0.8], sigma=0.5, amplitude_mode="frozen"),
+        "dynamic-2d": dict(target_c=[1.0, -0.5], target_y=[[-1.0, 0.5], [1.0, 0.0]],
+                           target_sigma=[0.6, 0.7], sigma=0.4),
+        "frozen-2d": dict(target_c=[1.0, 1.0], target_y=[[-1.5, 0.0], [1.5, 1.0]],
+                          target_sigma=[0.8, 0.8], sigma=0.5, amplitude_mode="frozen",
+                          frozen_c=0.7),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_values_bitwise_equal_potential(self, kind):
+        model = bf.GaussianMixtureModel(**self.MODELS[kind])
+        rng = np.random.default_rng(11)
+        w = rng.uniform(0.5, 1.5, 23)
+        ens = make_ensemble(rng.normal(size=(23, model.theta_dim)), weights=w / w.mean(),
+                            has_amplitude=model.has_amplitude)
+        v, _ = bf.field(model, ens)
+        np.testing.assert_array_equal(v, bf.potential(model, ens))
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_gradient_matches_finite_differences(self, kind):
+        model = bf.GaussianMixtureModel(**self.MODELS[kind])
+        rng = np.random.default_rng(12)
+        thetas = rng.normal(size=(4, model.theta_dim))
+        ens = make_ensemble(thetas, has_amplitude=model.has_amplitude)
+        _, grad = bf.field(model, ens)
+        for i in range(4):
+            num = numerical_grad_F(model, thetas[i], h=1e-5)
+            for j in range(4):
+                num = num + numerical_grad_K1(model, thetas[i], thetas[j], h=1e-5) / 4.0
+            np.testing.assert_allclose(grad[i], num, atol=1e-8)
 
 
 class TestExactMixtureLoss:
@@ -216,14 +257,14 @@ class TestReluStudentTeacher:
         with pytest.raises(bf.UnsupportedOperationError):
             m.F(np.zeros((1, 5)))
         with pytest.raises(bf.UnsupportedOperationError):
-            bf.eval_K(m, np.zeros(5), np.zeros(5))
+            m.K_block(np.zeros((1, 5)), np.zeros((1, 5)))
 
     def test_student_equals_teacher_zero_potential(self):
         m = bf.ReLUStudentTeacherModel(input_dim=6, teacher_units=4, batch_size=32, teacher_seed=1)
         thetas = np.column_stack([m.teacher_c, m.teacher_y])
         ens = make_ensemble(thetas, has_amplitude=True)
         x = m.sample_batch(np.random.default_rng(2))
-        vhat = bf.batch_potential_hat(m, ens, x)
+        vhat = m.batch_potential_hat(ens.thetas, ens.weights, x)
         np.testing.assert_allclose(vhat, 0.0, atol=1e-14)
 
     def test_single_sample_hand_value(self):
@@ -235,7 +276,7 @@ class TestReluStudentTeacher:
         f_teacher = cbar * max(0.0, ybar * x0)
         f_student = c * max(0.0, y * x0)
         expected = max(0.0, y * x0) * (f_student - f_teacher)
-        assert bf.batch_potential_hat(m, ens, x)[0] == pytest.approx(expected, rel=1e-14)
+        assert m.batch_potential_hat(ens.thetas, ens.weights, x)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_vhat_is_scaled_amplitude_gradient(self):
         # vhat equals n * d(batch loss)/dc_i on a fixed batch

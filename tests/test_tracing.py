@@ -1,0 +1,60 @@
+"""The benchmark's traced run wraps package attributes by name, so deleting or
+renaming one of them breaks it.  These tests install its tracer against the
+package and drive a few steps through the wrapped functions."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import bdflow as bf
+import bdflow.harness  # noqa: F401  (the tracer wraps harness functions too)
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracer_class():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def test_tracer_installs_and_removes():
+    tracer = load_tracer_class()(bf)
+    run_step = bf.dynamics.run_step
+    tracer.install()
+    try:
+        assert bf.dynamics.run_step.__wrapped__ is run_step
+        assert bf.run_step.__wrapped__ is run_step
+    finally:
+        tracer.remove()
+    assert bf.dynamics.run_step is run_step and bf.run_step is run_step
+    assert not hasattr(bf.harness.runner.observe, "__wrapped__")
+
+
+def test_traced_steps_reach_every_phase():
+    model = bf.GaussianMixtureModel(
+        target_c=[1.0, -0.5], target_y=[[-1.0], [1.0]], target_sigma=[0.6, 0.6], sigma=0.4
+    )
+    init = bf.ProductSampler(
+        factors=(bf.GaussianSampler(mean=[0.0], std=1.0), bf.GaussianSampler(mean=[0.0], std=2.0))
+    )
+    prior = bf.GaussianSampler(mean=[0.0], std=2.0)
+    tracer = load_tracer_class()(bf)
+    tracer.install()
+    try:
+        for variant in ("gd-bd", "gd-bd-reinjection"):
+            cfg = bf.DynamicsConfig(variant=variant, dt=0.05, alpha=1.0, reinjection_prior=prior)
+            ens = bf.init_from_sampler(init, 16, 1, seed=0, has_amplitude=True)
+            rng = np.random.default_rng(1)
+            for _ in range(3):
+                bf.run_step(model, ens, cfg, rng)
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.remove()
+    for name in ("dynamics.transport_s", "dynamics.rates_s", "dynamics.birth_death_s",
+                 "potentials.pair_evals"):
+        assert metrics[name] > 0, name
+    assert metrics["dynamics.step_samples.gd-bd"] == 3
+    assert metrics["dynamics.step_samples.gd-bd-reinjection"] == 3
