@@ -3,7 +3,7 @@ scaling against the grid reference, and rate fits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -13,17 +13,6 @@ from .errors import ConfigurationError, FitError
 from .meanfield import GridStepper, grid_from_sampler
 from .potentials import PotentialModel, field, potential
 
-TRAJECTORY_COLUMNS = (
-    "step",
-    "time",
-    "energy",
-    "mean_V",
-    "var_V",
-    "grad_norm_sq",
-    "births",
-    "deaths",
-    "n",
-)
 RATE_FIT_FORMS = ("power-law", "exponential")
 
 
@@ -40,17 +29,12 @@ class TrajectoryRecord:
     n: int
 
     def to_row(self) -> list[str]:
-        return [
-            str(self.step),
-            format(self.time, ".17g"),
-            format(self.energy, ".17g"),
-            format(self.mean_V, ".17g"),
-            format(self.var_V, ".17g"),
-            format(self.grad_norm_sq, ".17g"),
-            str(self.births),
-            str(self.deaths),
-            str(self.n),
-        ]
+        """TRAJECTORY_COLUMNS' values: ints via str, reals with 17 significant digits."""
+        values = (getattr(self, c) for c in TRAJECTORY_COLUMNS)
+        return [str(v) if isinstance(v, int) else format(v, ".17g") for v in values]
+
+
+TRAJECTORY_COLUMNS = tuple(f.name for f in fields(TrajectoryRecord))
 
 
 def ensemble_energy(model: PotentialModel, ens: Ensemble) -> float:

@@ -32,7 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import Ensemble
-from .errors import ConfigurationError, ExtinctionError, NumericError, StepSizeError
+from .errors import (
+    ConfigurationError,
+    ExtinctionError,
+    NumericError,
+    StepSizeError,
+    require_int,
+    require_number,
+)
 from .potentials import PotentialModel, potential
 
 VARIANTS = (
@@ -58,6 +65,7 @@ class FVariant:
     def __post_init__(self):
         if self.kind not in ("identity", "tanh"):
             raise ConfigurationError(f"unknown f variant {self.kind!r}")
+        object.__setattr__(self, "beta", require_number(self.beta, "f.beta"))
         if self.kind == "tanh" and not self.beta > 0:
             raise ConfigurationError("tanh f variant needs beta > 0")
         z = np.linspace(-10.0, 10.0, 1000)
@@ -80,6 +88,11 @@ class StepReport:
 
 @dataclass
 class DynamicsConfig:
+    """One dynamics scheme and its step parameters.  `f_spec` is read only by
+    gd-bd-fvariant, `reinjection_prior` only by gd-bd-reinjection, and `tau` and
+    `proximal_inner_iters` only by proximal; every variant carries them
+    unchanged, so one configuration can be swept over the variant."""
+
     variant: str
     dt: float
     alpha: float = 1.0
@@ -91,20 +104,18 @@ class DynamicsConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if not self.dt > 0:
-            raise ConfigurationError(f"dt must be > 0, got {self.dt}")
-        if self.alpha < 0:
-            raise ConfigurationError(f"alpha must be >= 0, got {self.alpha}")
+        self.dt = require_number(self.dt, "dt", 0.0, exclusive=True)
+        self.alpha = require_number(self.alpha, "alpha", 0.0)
+        self.proximal_inner_iters = require_int(self.proximal_inner_iters, "proximal_inner_iters", 1)
+        if self.variant == "proximal" and self.tau is None:
+            # default proximal horizon: 10 transport steps per cycle
+            self.tau = self.alpha * 10 * self.dt
+        if self.tau is not None:
+            self.tau = require_number(self.tau, "tau", 0.0, exclusive=True)
         if self.variant == "gd-bd-fvariant" and self.f_spec is None:
             raise ConfigurationError("gd-bd-fvariant requires f_spec")
         if self.variant == "gd-bd-reinjection" and self.reinjection_prior is None:
             raise ConfigurationError("gd-bd-reinjection requires reinjection_prior")
-        if self.variant == "proximal":
-            if self.tau is None:
-                # default proximal horizon: 10 transport steps per cycle
-                self.tau = self.alpha * 10 * self.dt
-            if not self.tau > 0:
-                raise ConfigurationError(f"tau must be > 0, got {self.tau}")
 
     @property
     def proximal_gd_steps(self) -> int:
@@ -138,7 +149,10 @@ def check_model_support(model: PotentialModel, variant: str, prior=None) -> None
 
 
 def centered_rate(model: PotentialModel, ens: Ensemble, batch: np.ndarray | None = None) -> np.ndarray:
-    """vt_i = V(theta_i) - n^-1 sum_j V(theta_j); sums to zero by construction."""
+    """vt_i = V(theta_i) - n^-1 sum_j V(theta_j); sums to zero by construction.
+    The mean is unweighted, so the ensemble must carry unit weights."""
+    if not np.all(ens.weights == 1.0):
+        raise ConfigurationError("centered rates take the unweighted mean and need unit weights")
     if model.is_exact:
         v = potential(model, ens)
     else:
@@ -168,7 +182,7 @@ def fvariant_rate(model: PotentialModel, ens: Ensemble, f_spec: FVariant,
 
 
 def _effective_rates(model, ens, cfg, batch=None):
-    if cfg.f_spec is not None:
+    if cfg.variant == "gd-bd-fvariant":
         return fvariant_rate(model, ens, cfg.f_spec, batch)
     return centered_rate(model, ens, batch)
 

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 acceptance failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from ..errors import ConfigurationError, ExtinctionError, NumericError, StepSizeError
@@ -69,11 +70,7 @@ def main(argv=None) -> int:
 
             cfg = load_config(args.config)
             if args.seed is not None:
-                data = cfg.normalized()
-                data["seed"] = args.seed
-                from .config import parse_config
-
-                cfg = parse_config(data)
+                cfg = dataclasses.replace(cfg, seed=args.seed)
             summary = run_experiment(cfg, output_dir=args.out, quiet=args.quiet)
             return EXIT_OK if summary["status"] == "ok" else EXIT_NUMERIC
 
@@ -107,8 +104,7 @@ def main(argv=None) -> int:
         if args.command == "teacher-dump":
             from .config import load_config
 
-            cfg = load_config(args.config)
-            model = cfg.build_model()
+            model = load_config(args.config).model
             if model.kind != "relu-student-teacher":
                 raise ConfigurationError("teacher-dump needs a relu-student-teacher model")
             model.dump_teacher_csv(args.out)

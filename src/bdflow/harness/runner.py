@@ -81,14 +81,12 @@ def run_experiment(config: ExperimentConfig, output_dir=None, quiet: bool = True
     last valid record instead of raising."""
     out = Path(output_dir if output_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = config.build_model()
-    sampler = config.build_init_sampler()
-    dyn = config.build_dynamics()
+    model, dyn = config.model, config.dynamics
 
     root = np.random.SeedSequence(config.seed)
     init_ss, dyn_ss, eval_ss = root.spawn(3)
     ens = init_from_sampler(
-        sampler,
+        config.init,
         config.n,
         model.position_dim,
         seed=int(init_ss.generate_state(1)[0]),
@@ -188,23 +186,23 @@ def _set_axis(data: dict, axis: str, value):
 
 
 def _run_cell(args):
-    data, cell_dir = args
+    cfg, cell_dir = args
     try:
-        cfg = parse_config(data)
         summary = run_experiment(cfg, output_dir=cell_dir)
         return summary["status"], summary.get("final_energy"), summary.get("error")
-    except (ConfigurationError, *RUN_ERRORS) as exc:
+    except RUN_ERRORS as exc:
         return "failed", None, f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(config: ExperimentConfig, axis: str, values, seeds: int,
               output_dir, jobs: int | None = None) -> dict:
     """Cross product of axis values and seeds; per-cell statistics in one
-    report.  Cells run in a process pool and failures mark the cell only."""
+    report.  Every cell's config is parsed before any cell runs, so a bad axis
+    value raises ConfigurationError; cells then run in a process pool and
+    numeric failures mark the cell only."""
     if seeds < 1:
         raise ConfigurationError("seeds must be >= 1")
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     base = config.normalized()
     tasks = []
     for vi, value in enumerate(values):
@@ -216,8 +214,8 @@ def run_sweep(config: ExperimentConfig, axis: str, values, seeds: int,
                 np.random.SeedSequence([config.seed, vi, si]).generate_state(1)[0]
             )
             cell_dir = out / f"value_{vi:02d}" / f"seed_{si:03d}"
-            tasks.append(((data, str(cell_dir)), vi, si))
-    parse_config(json.loads(json.dumps(base)))  # fail fast on the base config
+            tasks.append(((parse_config(data), str(cell_dir)), vi, si))
+    out.mkdir(parents=True, exist_ok=True)
 
     n_jobs = jobs if jobs else (os.cpu_count() or 1)
     results = {}

@@ -22,7 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, UnsupportedOperationError
+from .errors import (
+    ConfigurationError,
+    UnsupportedOperationError,
+    check_keys,
+    check_kind,
+    require_array,
+    require_int,
+    require_list,
+    require_number,
+)
 
 _CHUNK_ELEMS = 1 << 22  # bound pairwise temporaries to ~32 MB of float64
 
@@ -96,17 +105,18 @@ class PotentialModel:
 
 @dataclass
 class QuadraticWellModel(PotentialModel):
-    """F(theta) = 0.5 <theta - minimizer, hessian (theta - minimizer)>."""
+    """F(theta) = 0.5 <theta - minimizer, hessian (theta - minimizer)>; a scalar
+    hessian means that multiple of the identity."""
 
-    minimizer: np.ndarray
-    hessian: np.ndarray
+    minimizer: np.ndarray = (0.0,)
+    hessian: np.ndarray = 1.0
 
     kind = "quadratic-well"
     is_interacting = False
 
     def __post_init__(self):
-        self.minimizer = np.atleast_1d(np.asarray(self.minimizer, dtype=float))
-        h = np.asarray(self.hessian, dtype=float)
+        self.minimizer = np.atleast_1d(require_array(self.minimizer, "minimizer"))
+        h = require_array(self.hessian, "hessian", ndims=(0, 2))
         if h.ndim == 0:
             h = h * np.eye(self.minimizer.size)
         if h.shape != (self.minimizer.size, self.minimizer.size):
@@ -141,8 +151,8 @@ class DoubleWellModel(PotentialModel):
     is_interacting = False
 
     def __post_init__(self):
-        if self.height <= 0:
-            raise ConfigurationError("height must be > 0")
+        self.height = require_number(self.height, "height", 0.0, exclusive=True)
+        self.tilt = require_number(self.tilt, "tilt")
         if self.tilt == 0:
             raise ConfigurationError("tilt must be nonzero so the global minimum is unique")
         self.theta_dim = 1
@@ -188,11 +198,13 @@ class GaussianMixtureModel(PotentialModel):
     is_interacting = True
 
     def __post_init__(self):
-        self.target_c = np.atleast_1d(np.asarray(self.target_c, dtype=float))
-        self.target_y = np.atleast_2d(np.asarray(self.target_y, dtype=float))
+        self.target_c = np.atleast_1d(require_array(self.target_c, "component amplitudes c"))
+        self.target_y = np.atleast_2d(require_array(self.target_y, "component means y", (1, 2)))
         if self.target_y.shape[0] != self.target_c.size:
             self.target_y = self.target_y.T
-        self.target_sigma = np.atleast_1d(np.asarray(self.target_sigma, dtype=float))
+        self.target_sigma = np.atleast_1d(require_array(self.target_sigma, "component widths sigma"))
+        self.sigma = require_number(self.sigma, "sigma")
+        self.frozen_c = require_number(self.frozen_c, "frozen_c")
         m = self.target_c.size
         if self.target_y.shape[0] != m or self.target_sigma.size != m:
             raise ConfigurationError("target component arrays must share one length")
@@ -322,10 +334,10 @@ class ReLUStudentTeacherModel(PotentialModel):
     has_amplitude = True
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.teacher_units < 1:
-            raise ConfigurationError("input_dim and teacher_units must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch size must be >= 1")
+        self.input_dim = require_int(self.input_dim, "input_dim", 1)
+        self.teacher_units = require_int(self.teacher_units, "teacher_units", 1)
+        self.batch_size = require_int(self.batch_size, "batch_size", 1)
+        self.teacher_seed = require_int(self.teacher_seed, "teacher_seed", 0)
         rng = np.random.default_rng(self.teacher_seed)
         self.teacher_c = rng.choice([-1.0, 1.0], size=self.teacher_units)
         y = rng.standard_normal((self.teacher_units, self.input_dim))
@@ -444,49 +456,26 @@ def exact_mixture_loss(model: GaussianMixtureModel, ens) -> float:
 # -- construction from config ------------------------------------------------
 
 
+# per kind: the model class and its (required, optional) spec keys, which are
+# constructor arguments, except that the mixture's components become target_*
+_MODELS = {
+    "quadratic-well": (QuadraticWellModel, (), ("minimizer", "hessian")),
+    "double-well": (DoubleWellModel, (), ("height", "tilt")),
+    "gaussian-mixture": (GaussianMixtureModel, ("components", "sigma"), ("amplitude_mode", "frozen_c")),
+    "relu-student-teacher": (
+        ReLUStudentTeacherModel, (), ("input_dim", "teacher_units", "batch_size", "teacher_seed")
+    ),
+}
+
+
 def build_model(spec: dict) -> PotentialModel:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigurationError(f"model spec must be a dict with a 'kind': {spec!r}")
-    kind = spec["kind"]
-    extra = set(spec) - {"kind"}
-    if kind == "quadratic-well":
-        allowed = {"minimizer", "hessian"}
-        if not extra <= allowed:
-            raise ConfigurationError(f"unknown quadratic-well keys {sorted(extra - allowed)}")
-        return QuadraticWellModel(
-            minimizer=spec.get("minimizer", [0.0]), hessian=np.asarray(spec.get("hessian", 1.0))
-        )
-    if kind == "double-well":
-        allowed = {"height", "tilt"}
-        if not extra <= allowed:
-            raise ConfigurationError(f"unknown double-well keys {sorted(extra - allowed)}")
-        return DoubleWellModel(height=spec.get("height", 1.0), tilt=spec.get("tilt", 0.5))
+    kind = check_kind(spec, "model", _MODELS)
+    cls, required, optional = _MODELS[kind]
+    args = dict(check_keys(spec, kind, ("kind", *required), optional))
+    del args["kind"]
     if kind == "gaussian-mixture":
-        allowed = {"components", "sigma", "amplitude_mode", "frozen_c"}
-        if not extra <= allowed:
-            raise ConfigurationError(f"unknown gaussian-mixture keys {sorted(extra - allowed)}")
-        comps = spec.get("components")
-        if not comps:
-            raise ConfigurationError("gaussian-mixture needs a nonempty 'components' list")
-        for c in comps:
-            if set(c) != {"c", "y", "sigma"}:
-                raise ConfigurationError(f"each component takes keys c, y, sigma; got {sorted(c)}")
-        return GaussianMixtureModel(
-            target_c=[c["c"] for c in comps],
-            target_y=np.atleast_2d([np.atleast_1d(c["y"]) for c in comps]),
-            target_sigma=[c["sigma"] for c in comps],
-            sigma=float(spec["sigma"]),
-            amplitude_mode=spec.get("amplitude_mode", "dynamic"),
-            frozen_c=float(spec.get("frozen_c", 1.0)),
-        )
-    if kind == "relu-student-teacher":
-        allowed = {"input_dim", "teacher_units", "batch_size", "teacher_seed"}
-        if not extra <= allowed:
-            raise ConfigurationError(f"unknown relu keys {sorted(extra - allowed)}")
-        return ReLUStudentTeacherModel(
-            input_dim=int(spec.get("input_dim", 50)),
-            teacher_units=int(spec.get("teacher_units", 10)),
-            batch_size=int(spec.get("batch_size", 64)),
-            teacher_seed=int(spec.get("teacher_seed", 0)),
-        )
-    raise ConfigurationError(f"unknown model kind {kind!r}")
+        comps = [check_keys(c, "component", ("c", "y", "sigma"))
+                 for c in require_list(args.pop("components"), "components")]
+        args.update(target_c=[c["c"] for c in comps], target_y=[c["y"] for c in comps],
+                    target_sigma=[c["sigma"] for c in comps])
+    return cls(**args)

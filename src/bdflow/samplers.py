@@ -12,16 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-
-
-def _as_vector(x, name: str) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1:
-        raise ConfigurationError(f"{name} must be a scalar or 1D sequence")
-    if not np.all(np.isfinite(v)):
-        raise ConfigurationError(f"{name} must be finite")
-    return v
+from .errors import ConfigurationError, check_keys, check_kind, require_array, require_list, require_number
 
 
 @dataclass(frozen=True)
@@ -32,9 +23,8 @@ class GaussianSampler:
     std: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", _as_vector(self.mean, "mean"))
-        if not (self.std > 0 and np.isfinite(self.std)):
-            raise ConfigurationError(f"gaussian std must be > 0, got {self.std}")
+        object.__setattr__(self, "mean", np.atleast_1d(require_array(self.mean, "gaussian mean")))
+        object.__setattr__(self, "std", require_number(self.std, "gaussian std", 0.0, exclusive=True))
 
     @property
     def dim(self) -> int:
@@ -67,8 +57,8 @@ class UniformSampler:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = _as_vector(self.lo, "lo")
-        hi = _as_vector(self.hi, "hi")
+        lo = np.atleast_1d(require_array(self.lo, "uniform lo"))
+        hi = np.atleast_1d(require_array(self.hi, "uniform hi"))
         if lo.size != hi.size:
             raise ConfigurationError("lo and hi must have the same length")
         if np.any(lo >= hi):
@@ -105,7 +95,7 @@ class PointSampler:
     at: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "at", _as_vector(self.at, "at"))
+        object.__setattr__(self, "at", np.atleast_1d(require_array(self.at, "point at")))
 
     @property
     def dim(self) -> int:
@@ -160,26 +150,20 @@ class ProductSampler:
         return {"kind": "product", "factors": [f.to_spec() for f in self.factors]}
 
 
+_SAMPLERS = {
+    "gaussian": (GaussianSampler, ("mean", "std")),
+    "uniform": (UniformSampler, ("lo", "hi")),
+    "point": (PointSampler, ("at",)),
+    "product": (ProductSampler, ("factors",)),
+}
+
+
 def build_sampler(spec: dict):
     """Construct a sampler from its config dict; rejects unknown keys."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigurationError(f"sampler spec must be a dict with a 'kind': {spec!r}")
-    kind = spec["kind"]
-    extra = set(spec) - {"kind"}
-    if kind == "gaussian":
-        if extra != {"mean", "std"}:
-            raise ConfigurationError(f"gaussian sampler takes keys mean, std; got {sorted(extra)}")
-        return GaussianSampler(mean=spec["mean"], std=float(spec["std"]))
-    if kind == "uniform":
-        if extra != {"lo", "hi"}:
-            raise ConfigurationError(f"uniform sampler takes keys lo, hi; got {sorted(extra)}")
-        return UniformSampler(lo=spec["lo"], hi=spec["hi"])
-    if kind == "point":
-        if extra != {"at"}:
-            raise ConfigurationError(f"point sampler takes key at; got {sorted(extra)}")
-        return PointSampler(at=spec["at"])
+    kind = check_kind(spec, "sampler", _SAMPLERS)
+    cls, keys = _SAMPLERS[kind]
+    check_keys(spec, f"{kind} sampler", ("kind", *keys))
+    args = {k: spec[k] for k in keys}
     if kind == "product":
-        if extra != {"factors"}:
-            raise ConfigurationError(f"product sampler takes key factors; got {sorted(extra)}")
-        return ProductSampler(factors=tuple(build_sampler(s) for s in spec["factors"]))
-    raise ConfigurationError(f"unknown sampler kind {kind!r}")
+        args["factors"] = tuple(build_sampler(s) for s in require_list(args["factors"], "product factors"))
+    return cls(**args)

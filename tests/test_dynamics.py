@@ -71,6 +71,12 @@ class TestCenteredRate:
         vt = bf.centered_rate(mixture_3c, ens)
         assert abs(vt.sum()) <= 1e-10 * max(1.0, np.abs(vt).max())
 
+    def test_weighted_ensemble_rejected(self, quad_1d):
+        # the unweighted mean would give rates whose weighted sum is not zero
+        ens = make_ensemble([[0.0], [1.0]], weights=[0.5, 1.5])
+        with pytest.raises(bf.ConfigurationError, match="unit weights"):
+            bf.centered_rate(quad_1d, ens)
+
 
 class TestBernoulliPhase:
     def test_zero_rates_no_events(self):
@@ -175,6 +181,20 @@ class TestFVariant:
             assert np.array_equal(a.thetas, b.thetas)
             assert np.array_equal(a.birth_ids, b.birth_ids)
 
+    def test_f_read_only_by_fvariant(self, mixture_frozen):
+        # a sweep over the variant carries f into its gd-bd cell, which must stay plain gd-bd
+        init = bf.GaussianSampler(mean=[0.0], std=2.0)
+        base_cfg = bf.DynamicsConfig(variant="gd-bd", dt=0.02, alpha=1.0)
+        f_cfg = bf.DynamicsConfig(variant="gd-bd", dt=0.02, alpha=1.0,
+                                  f_spec=bf.FVariant(kind="tanh", beta=3.0))
+        a = bf.init_from_sampler(init, 48, 1, seed=10)
+        b = bf.init_from_sampler(init, 48, 1, seed=10)
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(25):
+            assert bf.run_step(mixture_frozen, a, base_cfg, rng_a) == bf.run_step(mixture_frozen, b, f_cfg, rng_b)
+            assert np.array_equal(a.thetas, b.thetas)
+            assert np.array_equal(a.birth_ids, b.birth_ids)
+
     def test_tanh_preserves_odd_pairs(self, quad_1d):
         ens = make_ensemble([[2.0], [0.0]])  # vt = (1, -1)
         r = bf.fvariant_rate(quad_1d, ens, bf.FVariant(kind="tanh", beta=1.0))
@@ -191,6 +211,8 @@ class TestFVariant:
             bf.FVariant(kind="tanh", beta=-1.0)
         with pytest.raises(bf.ConfigurationError):
             bf.FVariant(kind="sigmoid")
+        with pytest.raises(bf.ConfigurationError):
+            bf.FVariant(kind="tanh", beta="abc")
 
 
 class TestReinjection:
@@ -457,6 +479,15 @@ class TestDynamicsConfig:
             bf.DynamicsConfig(variant="gd-bd-fvariant", dt=0.1)
         with pytest.raises(bf.ConfigurationError):
             bf.DynamicsConfig(variant="gd-bd-reinjection", dt=0.1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"dt": np.inf}, {"alpha": np.nan}, {"dt": "abc"}, {"dt": True}, {"alpha": -1.0},
+        {"variant": "proximal", "proximal_inner_iters": 0}, {"proximal_inner_iters": 2.5},
+        {"tau": 0.0},
+    ], ids=str)
+    def test_malformed_fields_rejected(self, kwargs):
+        with pytest.raises(bf.ConfigurationError):
+            bf.DynamicsConfig(**{"variant": "gd-bd", "dt": 0.1, **kwargs})
 
     def test_proximal_default_tau(self):
         cfg = bf.DynamicsConfig(variant="proximal", dt=0.01, alpha=2.0)

@@ -48,8 +48,16 @@ def mixture_config(**overrides):
     return data
 
 
+# valid with quad_config()'s 1-D point init, before one field is broken
+COMPONENT = {"c": 1.0, "y": [0.0], "sigma": 0.6}
+MIXTURE = {"kind": "gaussian-mixture", "components": [COMPONENT], "sigma": 0.4,
+           "amplitude_mode": "frozen"}
+RELU = {"model": {"kind": "relu-student-teacher", "input_dim": 1},
+        "init": {"kind": "point", "at": [0.0, 0.0]}}
+
 # each entry breaks one field of quad_config(); dotted keys reach into objects.
-# The first three once escaped as raw ValueError/TypeError (CLI exit 1).
+# The first three, the inverted rate_fit window and the model/init entries once
+# reached the CLI as raw exceptions (exit 1), except teacher_units: true, which ran.
 MALFORMED = [
     {"dynamics.dt": "abc"},
     {"snapshot_times": ["x"]},
@@ -60,12 +68,22 @@ MALFORMED = [
     {"snapshot_times": 1.0},
     {"rate_fit": {"window": [0.0, "x"], "form": "exponential"}},
     {"rate_fit": {"window": [0.0, 1.0], "form": "linear"}},
+    {"rate_fit": {"window": [1.0, 0.5], "form": "exponential"}},
+    {"model.hessian": "abc"},
+    {"model.minimizer": [float("nan")]},
+    {**RELU, "model.batch_size": "x"},
+    {**RELU, "model.teacher_units": True},
+    {"model": {**MIXTURE, "sigma": "abc"}},
+    {"model": {k: v for k, v in MIXTURE.items() if k != "sigma"}},
+    {"model": {**MIXTURE, "components": [{**COMPONENT, "c": "x"}]}},
+    {"init": {"kind": "gaussian", "mean": [0.0], "std": "abc"}},
+    {"init": {"kind": "gaussian", "mean": "a", "std": 1.0}},
 ]
 
 
 def malformed_config(overrides):
-    data = quad_config()
-    for path, value in overrides.items():
+    data = json.loads(json.dumps(quad_config()))
+    for path, value in json.loads(json.dumps(overrides)).items():
         *parents, leaf = path.split(".")
         node = data
         for key in parents:
@@ -111,6 +129,18 @@ class TestConfigParsing:
     def test_malformed_values_rejected(self, overrides):
         with pytest.raises(bf.ConfigurationError):
             parse_config(malformed_config(overrides))
+
+    def test_model_built_once(self, tmp_path, monkeypatch):
+        built = []
+        post_init = bf.QuadraticWellModel.__post_init__
+
+        def counting_post_init(model):
+            built.append(model)
+            post_init(model)
+
+        monkeypatch.setattr(bf.QuadraticWellModel, "__post_init__", counting_post_init)
+        run_experiment(parse_config(quad_config()), output_dir=tmp_path)
+        assert len(built) == 1
 
     def test_echo_round_trips(self):
         cfg = parse_config(mixture_config())
@@ -279,7 +309,7 @@ class TestCli:
         report = json.loads((tmp_path / "sw/sweep.json").read_text())
         assert report["values"] == [2, 4]
 
-    @pytest.mark.parametrize("overrides", MALFORMED[:3], ids=[str(m) for m in MALFORMED[:3]])
+    @pytest.mark.parametrize("overrides", MALFORMED, ids=[str(m) for m in MALFORMED])
     def test_malformed_config_exit_code(self, tmp_path, overrides):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(malformed_config(overrides)))
@@ -293,6 +323,17 @@ class TestCli:
                          "--seeds", "1", "--jobs", "1", "--out", str(tmp_path / "sw"), "--quiet"])
         assert code == 2
         assert not (tmp_path / "sw" / "sweep.json").exists()
+
+    @pytest.mark.parametrize("axis,values", [("dynamics.dt", "0.1,-1"),
+                                             ("dynamics.variant", "gd-bd,warp")])
+    def test_sweep_invalid_cell_exit_code(self, tmp_path, axis, values):
+        # the first cell is valid, but no cell may run once any cell's config is bad
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(quad_config()))
+        code = cli_main(["sweep", "--config", str(path), "--axis", axis, "--values", values,
+                         "--seeds", "1", "--jobs", "1", "--out", str(tmp_path / "sw"), "--quiet"])
+        assert code == 2
+        assert not list(tmp_path.glob("sw/value_*"))
 
     def test_teacher_dump(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -1,12 +1,20 @@
 """Property tests of run_step over random ensembles and every variant each
 model supports: exact population conservation, unit mean weight, centered
-rates summing to zero, and the f = identity variant reproducing gd-bd bitwise."""
+rates summing to zero, and the f = identity variant reproducing gd-bd bitwise.
+Also: a committed config with any one value replaced by a malformed one either
+parses, and then round-trips through its echo, or raises ConfigurationError."""
+
+import copy
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bdflow as bf
+from bdflow.harness import parse_config
 
 MODELS = {
     "quadratic": bf.QuadraticWellModel(minimizer=[0.5], hessian=1.5),
@@ -99,3 +107,36 @@ def test_identity_transform_is_bitwise_gd_bd(name, n, seed, dt, alpha):
         assert np.array_equal(a.thetas, b.thetas)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.birth_ids, b.birth_ids)
+
+
+CONFIGS = {p.stem: json.loads(p.read_text())
+           for p in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))}
+MUTANTS = ["x", None, True, math.nan, 2.5, [], {}]
+
+
+def node_paths(node, prefix=()):
+    """Paths to every value below the root: object members and list items."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from node_paths(child, prefix + (key,))
+
+
+PATHS = [(name, path) for name, data in CONFIGS.items() for path in node_paths(data)]
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(target=st.sampled_from(PATHS), mutant=st.sampled_from(MUTANTS))
+def test_mutated_config_parses_or_raises_configuration_error(target, mutant):
+    name, path = target
+    data = copy.deepcopy(CONFIGS[name])
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = copy.deepcopy(mutant)
+    try:
+        cfg = parse_config(data)
+    except bf.ConfigurationError:
+        return
+    echo = cfg.normalized()
+    assert parse_config(json.loads(json.dumps(echo))).normalized() == echo
