@@ -14,6 +14,7 @@ from .meanfield import GridStepper, grid_from_sampler
 from .potentials import PotentialModel, field, potential
 
 RATE_FIT_FORMS = ("power-law", "exponential")
+RATE_FIT_MIN_RECORDS = 10
 
 
 @dataclass
@@ -38,12 +39,13 @@ TRAJECTORY_COLUMNS = tuple(f.name for f in fields(TrajectoryRecord))
 
 
 def ensemble_energy(model: PotentialModel, ens: Ensemble) -> float:
-    """E = n^-1 sum w_i F_i + (2 n^2)^-1 sum_ij w_i w_j K_ij."""
+    """E = n^-1 sum w_i F_i + (2 n^2)^-1 sum_ij w_i w_j K_ij; an interacting
+    model reads the pair term as (2n)^-1 sum_i w_i (V_i - F_i) from `field`."""
     n = ens.n
-    e = float(ens.weights @ model.F(ens.thetas)) / n
+    f = model.F(ens.thetas)
+    e = float(ens.weights @ f) / n
     if model.is_interacting:
-        vsum = model.kernel_mean(ens.thetas, ens.thetas, ens.weights)
-        e += 0.5 * float(ens.weights @ vsum) / n**2
+        e += 0.5 * float(ens.weights @ (field(model, ens)[0] - f)) / n
     return e
 
 
@@ -186,10 +188,10 @@ def fluctuation_scaling(model: PotentialModel, cfg: DynamicsConfig, init_sampler
 
 @dataclass
 class FitResult:
+    form: str
     coefficient: float
     exponent: float  # power-law exponent or exponential rate
     r_squared: float
-    form: str
     window: tuple
     count: int
 
@@ -201,8 +203,8 @@ def rate_fit(records, window, form: str) -> FitResult:
         raise ConfigurationError(f"form must be power-law or exponential, got {form!r}")
     t0, t1 = window
     sel = [r for r in records if t0 <= r.time <= t1]
-    if len(sel) < 10:
-        raise FitError(f"need >= 10 records in window, found {len(sel)}")
+    if len(sel) < RATE_FIT_MIN_RECORDS:
+        raise FitError(f"need >= {RATE_FIT_MIN_RECORDS} records in window, found {len(sel)}")
     t = np.array([r.time for r in sel])
     e = np.array([r.energy for r in sel])
     if np.any(e <= 0):

@@ -20,6 +20,10 @@ centered rate vt = V - mean(V) is positive, and duplicated with probability
 rates frozen at the start of the pass and are independent Bernoulli draws;
 the kinetic Monte Carlo path recomputes rates after every event instead.
 
+For interacting exact models a step makes one pairwise pass: the rates read
+(V, grad V) from ``potentials.field`` after transport, the birth-death pass
+carries them to its new rows, and the next transport step reuses them.
+
 RNG draw order per step is fixed (minibatch, then Bernoulli uniforms, then
 population-control picks) so trajectories reproduce bitwise from a seed.
 """
@@ -40,7 +44,7 @@ from .errors import (
     require_int,
     require_number,
 )
-from .potentials import PotentialModel, potential
+from .potentials import PotentialModel, field, potential
 
 VARIANTS = (
     "gd-only",
@@ -196,10 +200,7 @@ def gd_step(model: PotentialModel, ens: Ensemble, dt: float, batch: np.ndarray |
     if not dt > 0:
         raise ConfigurationError(f"dt must be > 0, got {dt}")
     if model.is_exact:
-        vel = model.grad_F(ens.thetas)
-        if model.is_interacting:
-            _, fsum = model.kernel_weighted_sums(ens.thetas, ens.thetas, ens.weights)
-            vel = vel + fsum / ens.n
+        vel = field(model, ens)[1] if model.is_interacting else model.grad_F(ens.thetas)
     else:
         if batch is None:
             raise ConfigurationError("batch models need a minibatch for gradient steps")
@@ -234,9 +235,11 @@ def _birth_death_pass(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
     """One Bernoulli kill/duplicate pass on frozen rates, then exact head-count
     control: excess is removed uniformly, and a deficit is refilled by uniform
     cloning or, when `prior` is given, by zero-amplitude rows whose positions
-    are drawn from it."""
+    are drawn from it.  A field carried on the ensemble is carried to the new
+    rows."""
     if rates is None:
         rates = _effective_rates(model, ens, cfg)
+    carried = ens._carried_field(model)
     kill, dup = bernoulli_phase(rates, cfg.alpha, cfg.dt, rng)
     n0 = ens.n
     surv = np.flatnonzero(~kill)
@@ -246,34 +249,60 @@ def _birth_death_pass(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
     report = StepReport(births=int(dup_idx.size), deaths=int(n0 - surv.size))
     report.max_rate = float(cfg.alpha * np.max(np.abs(rates), initial=0.0) * cfg.dt)
 
-    idx = np.concatenate([surv, dup_idx])
-    thetas = ens.thetas[idx]
-    weights = ens.weights[idx]
+    src = np.concatenate([surv, dup_idx])  # source row of each new row; -1 if reinjected
     bids = np.concatenate([ens.birth_ids[surv], ens.claim_birth_ids(dup_idx.size)])
 
-    n1 = idx.size
+    n1 = src.size
     report.population_corrections = abs(n1 - n0)
     if n1 > n0:
         drop = rng.choice(n1, size=n1 - n0, replace=False)
         keep = np.ones(n1, dtype=bool)
         keep[drop] = False
-        thetas, weights, bids = thetas[keep], weights[keep], bids[keep]
+        src, bids = src[keep], bids[keep]
     elif n1 < n0:
         deficit = n0 - n1
         if prior is None:
-            parents = rng.choice(n1, size=deficit, replace=True)
-            new_rows = thetas[parents]
-            new_w = weights[parents]
+            src = np.concatenate([src, src[rng.choice(n1, size=deficit, replace=True)]])
         else:
-            new_rows = np.zeros((deficit, ens.theta_dim))
-            new_rows[:, 1:] = prior.sample(rng, deficit)
-            new_w = np.ones(deficit)
-        thetas = np.vstack([thetas, new_rows])
-        weights = np.concatenate([weights, new_w])
+            src = np.concatenate([src, np.full(deficit, -1)])
         bids = np.concatenate([bids, ens.claim_birth_ids(deficit)])
 
+    old_thetas, old_weights = ens.thetas, ens.weights
+    fresh = np.flatnonzero(src < 0)
+    thetas, weights = old_thetas[src], old_weights[src]  # fresh rows are filled below
+    if fresh.size:
+        thetas[fresh] = 0.0
+        thetas[fresh, 1:] = prior.sample(rng, fresh.size)
+        weights[fresh] = 1.0
     ens.thetas, ens.weights, ens.birth_ids = thetas, weights, bids
+    if carried is not None:
+        ens._carry_field(model, *_carry_across(model, ens, src, old_thetas, old_weights, *carried))
     return report
+
+
+def _carry_across(model, ens, src, old_thetas, old_weights, v, grad):
+    """(V, grad V) after a birth-death pass: a kept or cloned row takes its
+    source's values plus the kernel sums against the old rows whose count
+    changed (weight w * (count - 1)) and the reinjected rows, which are
+    evaluated afresh.  Costs n pair evaluations per changed or reinjected row."""
+    n = ens.n
+    fresh = src < 0
+    kept = np.flatnonzero(~fresh)
+    count = np.bincount(src[kept], minlength=old_thetas.shape[0])
+    changed = np.flatnonzero(count != 1)
+    v, grad = v[src], grad[src]  # rows with source -1 are overwritten below
+    if changed.size or fresh.any():
+        b = np.vstack([old_thetas[changed], ens.thetas[fresh]])
+        w = np.concatenate([old_weights[changed] * (count[changed] - 1), ens.weights[fresh]])
+        vsum, fsum = model.kernel_weighted_sums(ens.thetas[kept], b, w)
+        v[kept] += vsum / n
+        grad[kept] += fsum / n
+    if fresh.any():
+        rows = ens.thetas[fresh]
+        vsum, fsum = model.kernel_weighted_sums(rows, ens.thetas, ens.weights)
+        v[fresh] = model.F(rows) + vsum / n
+        grad[fresh] = model.grad_F(rows) + fsum / n
+    return v, grad
 
 
 def birth_death_step(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
@@ -397,7 +426,7 @@ def proximal_weight_update(model: PotentialModel, ens: Ensemble, tau: float,
     grows = 0
     for _ in range(max(1, inner_iters)):
         if model.is_interacting:
-            v = f_vals + model.kernel_mean(thetas, thetas, w) / ens.n
+            v = f_vals + model.kernel_weighted_sums(thetas, thetas, w)[0] / ens.n
         else:
             v = f_vals
         raw = base * np.exp(-tau * (v - v.min()))

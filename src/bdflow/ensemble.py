@@ -33,6 +33,8 @@ class Ensemble:
     step_count: int = 0
     time: float = 0.0
     next_birth_id: int = field(default=0)
+    # (model, thetas copy, weights copy, V, grad V) carried by potentials.field
+    _field: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.thetas = np.asarray(self.thetas, dtype=float)
@@ -86,6 +88,21 @@ class Ensemble:
         mean_w = float(self.weights.mean())
         if abs(mean_w - 1.0) > WEIGHT_MEAN_RTOL * max(1.0, abs(mean_w)):
             raise ConfigurationError(f"mean weight must be 1, got {mean_w!r}")
+
+    def _carried_field(self, model):
+        """(V, grad V) if carried for `model` at exactly these rows and weights;
+        a carry that does not match is dropped, so no stale copy is held."""
+        c = self._field
+        if (c is not None and c[0] is model and np.array_equal(c[1], self.thetas)
+                and np.array_equal(c[2], self.weights)):
+            return c[3], c[4]
+        self._field = None
+        return None
+
+    def _carry_field(self, model, v: np.ndarray, grad: np.ndarray) -> None:
+        """Carry (V, grad V) for these rows and weights, read-only as it is shared."""
+        v.flags.writeable = grad.flags.writeable = False
+        self._field = (model, self.thetas.copy(), self.weights.copy(), v, grad)
 
     def claim_birth_ids(self, count: int) -> np.ndarray:
         ids = np.arange(self.next_birth_id, self.next_birth_id + count, dtype=np.int64)

@@ -8,10 +8,11 @@ all defaults filled in; parsing that echo reproduces the config exactly.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..diagnostics import RATE_FIT_FORMS
+from ..diagnostics import RATE_FIT_FORMS, RATE_FIT_MIN_RECORDS
 from ..dynamics import DynamicsConfig, FVariant, check_model_support
 from ..errors import (
     ConfigurationError,
@@ -70,12 +71,30 @@ class ExperimentConfig:
                 raise ConfigurationError(f"rate_fit window must be [t0, t1] with t0 < t1, got {window}")
             if self.rate_fit["form"] not in RATE_FIT_FORMS:
                 raise ConfigurationError(f"rate_fit form must be one of {RATE_FIT_FORMS}")
+            if self.rate_fit["form"] == "power-law" and not window[0] > 0:
+                raise ConfigurationError("a power-law rate_fit window needs t0 > 0: the record at t = 0 has no log")
+            held = self._records_in(*window)
+            if held < RATE_FIT_MIN_RECORDS:
+                raise ConfigurationError(f"rate_fit window {window.tolist()} holds {held} records at this "
+                                         f"steps, dt and record_every; the fit needs {RATE_FIT_MIN_RECORDS}")
         if self.init.dim != self.model.theta_dim:
             raise ConfigurationError(
                 f"init sampler dimension {self.init.dim} does not match the model's "
                 f"parameter dimension {self.model.theta_dim}"
             )
         check_model_support(self.model, self.dynamics.variant, self.dynamics.reinjection_prior)
+
+    def _records_in(self, t0: float, t1: float) -> int:
+        """Records a run puts in [t0, t1] (step 0, every record_every-th step,
+        the last), at the times the run computes for them."""
+        per_step = self.dynamics.proximal_gd_steps if self.dynamics.variant == "proximal" else 1
+
+        def time_of(step):
+            return step * per_step * self.dynamics.dt
+
+        steps = range(0, self.steps + 1, self.record_every)
+        last = self.steps % self.record_every != 0 and t0 <= time_of(self.steps) <= t1
+        return bisect_right(steps, t1, key=time_of) - bisect_left(steps, t0, key=time_of) + last
 
     def normalized(self) -> dict:
         """Canonical config echo; parsing it reproduces this config."""

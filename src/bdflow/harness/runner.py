@@ -15,6 +15,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from ..diagnostics import TRAJECTORY_COLUMNS, TrajectoryRecord, ensemble_energy, rate_fit
 from ..dynamics import run_step
 from ..ensemble import init_from_sampler, write_snapshot_csv
-from ..errors import ConfigurationError, ExtinctionError, NumericError, StepSizeError
+from ..errors import ConfigurationError, ExtinctionError, FitError, NumericError, StepSizeError
 from ..potentials import field
 from .config import ExperimentConfig, parse_config
 
@@ -126,15 +127,10 @@ def run_experiment(config: ExperimentConfig, output_dir=None, quiet: bool = True
     _write_trajectory(out / "trajectory.csv", records)
     fit = None
     if config.rate_fit is not None and status == "ok":
-        res = rate_fit(records, tuple(config.rate_fit["window"]), config.rate_fit["form"])
-        fit = {
-            "form": res.form,
-            "coefficient": res.coefficient,
-            "exponent": res.exponent,
-            "r_squared": res.r_squared,
-            "window": list(res.window),
-            "count": res.count,
-        }
+        try:
+            fit = asdict(rate_fit(records, tuple(config.rate_fit["window"]), config.rate_fit["form"]))
+        except FitError as exc:
+            fit = {"error": f"FitError: {exc}"}
     last = records[-1]
     summary = {
         "schema_version": 1,

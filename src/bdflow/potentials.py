@@ -97,11 +97,6 @@ class PotentialModel:
         a = self._check(a)
         return np.zeros(a.shape[0]), np.zeros((a.shape[0], self.theta_dim))
 
-    def kernel_mean(self, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """sum_j w_j K(a_i, b_j) alone (cheaper than the force variant)."""
-        a = self._check(a)
-        return np.zeros(a.shape[0])
-
 
 @dataclass
 class QuadraticWellModel(PotentialModel):
@@ -282,19 +277,8 @@ class GaussianMixtureModel(PotentialModel):
                 fsum[rows, 0] = base
             mom = n_mat @ wcy  # (rows, d)
             fsum[rows, off:] = (ca[rows] / var)[:, None] * (mom - ya[rows] * base[:, None])
+            del n_mat  # freed before the next chunk is built, so one chunk is alive at a time
         return vsum, fsum
-
-    def kernel_mean(self, a, b, w):
-        a, b = self._check(a), self._check(b)
-        ca, ya = self._split(a)
-        cb, yb = self._split(b)
-        wc = np.asarray(w, dtype=float) * cb
-        var = 2.0 * self.sigma**2
-        vsum = np.empty(a.shape[0])
-        for rows in _row_chunks(a.shape[0], b.shape[0]):
-            vsum[rows] = _gauss_block(ya[rows], yb, var) @ wc
-        vsum *= ca
-        return vsum
 
     # -- exact squared-error loss -------------------------------------------
     @property
@@ -354,9 +338,6 @@ class ReLUStudentTeacherModel(PotentialModel):
         raise UnsupportedOperationError("relu-student-teacher has no exact K; use batch estimates")
 
     def kernel_weighted_sums(self, a, b, w):
-        raise UnsupportedOperationError("relu-student-teacher has no exact K; use batch estimates")
-
-    def kernel_mean(self, a, b, w):
         raise UnsupportedOperationError("relu-student-teacher has no exact K; use batch estimates")
 
     # -- batch machinery -----------------------------------------------------
@@ -422,23 +403,32 @@ class ReLUStudentTeacherModel(PotentialModel):
 def potential(model: PotentialModel, ens, points=None) -> np.ndarray:
     """V(x) = F(x) + n^-1 sum_j w_j K(x, theta_j) against the empirical measure.
 
-    `points` are parameter rows to evaluate at; they default to the particles.
+    `points` are parameter rows to evaluate at; they default to the particles,
+    where an interacting model reads V from `field`.
     """
+    if points is None and model.is_interacting:
+        return field(model, ens)[0]
     x = ens.thetas if points is None else np.atleast_2d(np.asarray(points, dtype=float))
     v = model.F(x)
     if model.is_interacting:
-        v += model.kernel_mean(x, ens.thetas, ens.weights) / ens.n
+        v += model.kernel_weighted_sums(x, ens.thetas, ens.weights)[0] / ens.n
     return v
 
 
 def field(model: PotentialModel, ens) -> tuple[np.ndarray, np.ndarray]:
-    """(V, grad V) at every particle from a single pairwise pass."""
+    """(V, grad V) at every particle from a single pairwise pass.  An
+    interacting model's result is carried on the ensemble and returned without
+    a pass while the model is the same object and the rows and weights equal
+    the stored copies; the birth-death pass carries it to its new rows."""
+    if (carried := ens._carried_field(model)) is not None:
+        return carried
     v = model.F(ens.thetas)
     grad = model.grad_F(ens.thetas)
     if model.is_interacting:
         vsum, fsum = model.kernel_weighted_sums(ens.thetas, ens.thetas, ens.weights)
         v += vsum / ens.n
         grad = grad + fsum / ens.n
+        ens._carry_field(model, v, grad)
     return v, grad
 
 
@@ -449,7 +439,7 @@ def exact_mixture_loss(model: GaussianMixtureModel, ens) -> float:
     n = ens.n
     w = ens.weights
     single = float(w @ model.F(ens.thetas)) / n
-    pair = 0.5 * float(w @ model.kernel_mean(ens.thetas, ens.thetas, w)) / n**2
+    pair = 0.5 * float(w @ model.kernel_weighted_sums(ens.thetas, ens.thetas, w)[0]) / n**2
     return model.target_self_energy + single + pair
 
 

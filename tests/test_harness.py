@@ -57,7 +57,8 @@ RELU = {"model": {"kind": "relu-student-teacher", "input_dim": 1},
 
 # each entry breaks one field of quad_config(); dotted keys reach into objects.
 # The first three, the inverted rate_fit window and the model/init entries once
-# reached the CLI as raw exceptions (exit 1), except teacher_units: true, which ran.
+# reached the CLI as raw exceptions (exit 1), except teacher_units: true, which ran;
+# the [5, 9] window once ran and then failed its fit with exit 1 and no summary.
 MALFORMED = [
     {"dynamics.dt": "abc"},
     {"snapshot_times": ["x"]},
@@ -69,6 +70,8 @@ MALFORMED = [
     {"rate_fit": {"window": [0.0, "x"], "form": "exponential"}},
     {"rate_fit": {"window": [0.0, 1.0], "form": "linear"}},
     {"rate_fit": {"window": [1.0, 0.5], "form": "exponential"}},
+    {"rate_fit": {"window": [5.0, 9.0], "form": "exponential"}},  # no record after t = 1
+    {"rate_fit": {"window": [0.0, 1.0], "form": "power-law"}},  # log t at the t = 0 record
     {"model.hessian": "abc"},
     {"model.minimizer": [float("nan")]},
     {**RELU, "model.batch_size": "x"},
@@ -192,6 +195,31 @@ class TestRunExperiment:
         # theta(t) = 0.9^(10 t) so E decays at rate 2 ln(0.9)/dt
         expected = 2.0 * np.log(0.9) / 0.1
         assert summary["rate_fit"]["exponent"] == pytest.approx(expected, rel=1e-9)
+
+    # each window holds exactly ten records, and moving t0 past one leaves nine
+    @pytest.mark.parametrize("overrides,window", [
+        ({}, [0.05, 1.05]),  # a record every step
+        ({"steps": 29, "record_every": 3}, [0.25, 2.95]),  # the last step is recorded too
+        ({"dynamics": {"variant": "proximal", "dt": 0.1, "tau": 0.3}}, [0.25, 3.05]),  # 3 substeps
+    ])
+    def test_rate_fit_window_needs_ten_records(self, tmp_path, overrides, window):
+        fit = {"window": window, "form": "exponential"}
+        summary = run_experiment(parse_config(quad_config(**overrides, rate_fit=fit)),
+                                 output_dir=tmp_path)
+        assert summary["rate_fit"]["count"] == 10
+        fit["window"] = [window[0] + 0.1, window[1]]
+        with pytest.raises(bf.ConfigurationError, match="holds 9 records"):
+            parse_config(quad_config(**overrides, rate_fit=fit))
+
+    def test_rate_fit_error_recorded_in_summary(self, tmp_path):
+        # every particle sits at the minimum, so every energy is 0 and the fit fails
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(quad_config(init={"kind": "point", "at": [0.0]},
+                                               rate_fit={"window": [0.0, 1.0], "form": "exponential"})))
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        summary = json.loads((tmp_path / "out/summary.json").read_text())
+        assert summary["status"] == "ok"
+        assert summary["rate_fit"] == {"error": "FitError: nonpositive energies in the fit window"}
 
     def test_relu_records_batch_loss(self, tmp_path):
         cfg = parse_config(

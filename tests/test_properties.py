@@ -1,8 +1,10 @@
 """Property tests of run_step over random ensembles and every variant each
 model supports: exact population conservation, unit mean weight, centered
 rates summing to zero, and the f = identity variant reproducing gd-bd bitwise.
-Also: a committed config with any one value replaced by a malformed one either
-parses, and then round-trips through its echo, or raises ConfigurationError."""
+After a step, an interacting model's carried (V, grad V) matches a fresh
+evaluation, and an edited ensemble is evaluated afresh.  Also: a committed
+config with any one value replaced by a malformed one either parses, and then
+round-trips through its echo, or raises ConfigurationError."""
 
 import copy
 import json
@@ -140,3 +142,65 @@ def test_mutated_config_parses_or_raises_configuration_error(target, mutant):
         return
     echo = cfg.normalized()
     assert parse_config(json.loads(json.dumps(echo))).normalized() == echo
+
+
+# The field carried across a step must be the field of the rows the step left.
+CARRY_MODELS = {
+    "mixture": MODELS["mixture"],
+    "mixture-frozen": MODELS["mixture-frozen"],
+    "mixture-2d": bf.GaussianMixtureModel(
+        target_c=[1.0, -0.5], target_y=[[-1.0, 0.5], [1.0, -0.5]], target_sigma=[0.7, 0.7],
+        sigma=0.4,
+    ),
+    "mixture-2d-frozen": bf.GaussianMixtureModel(
+        target_c=[1.0, 1.0], target_y=[[-1.0, 0.0], [1.0, 0.0]], target_sigma=[0.7, 0.7],
+        sigma=0.5, amplitude_mode="frozen",
+    ),
+}
+CARRY_CASES = [(m, v) for m in sorted(CARRY_MODELS)
+               for v in ("gd-bd", "gd-bd-fvariant", "gd-bd-reinjection")
+               if v != "gd-bd-reinjection" or CARRY_MODELS[m].has_amplitude]
+
+
+def assert_close(carried, fresh):
+    for c, f in zip(carried, fresh):
+        assert np.abs(c - f).max() <= 1e-12 * np.abs(f).max()
+
+
+@PROPERTY_SETTINGS
+@given(case=st.sampled_from(CARRY_CASES), n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       spread=st.floats(0.2, 3.0), dt=st.floats(0.01, 0.1), alpha=st.floats(0.5, 20.0))
+def test_carried_field_matches_fresh_field(case, n, seed, spread, dt, alpha):
+    name, variant = case
+    model = CARRY_MODELS[name]
+    cfg = bf.DynamicsConfig(variant=variant, dt=dt, alpha=alpha,
+                            f_spec=bf.FVariant(kind="tanh", beta=1.0),
+                            reinjection_prior=bf.GaussianSampler(mean=[0.0] * model.position_dim,
+                                                                 std=spread))
+    rng = np.random.default_rng(seed)
+    ens = random_ensemble(model, n, rng)
+    ens.thetas *= spread
+    for _ in range(3):
+        bf.run_step(model, ens, cfg, rng)
+        carried = ens._carried_field(model)
+        assert carried is not None
+        assert_close(carried, bf.field(model, ens.copy()))
+
+
+def test_edited_ensemble_is_evaluated_afresh():
+    model = CARRY_MODELS["mixture-2d"]
+    cfg = bf.DynamicsConfig(variant="gd-bd", dt=0.05, alpha=10.0)
+    rng = np.random.default_rng(0)
+    ens = random_ensemble(model, 30, rng)
+    bf.run_step(model, ens, cfg, rng)
+    carried = ens._carried_field(model)
+    assert carried is not None and bf.field(model, ens)[0] is carried[0]
+    ens.thetas[0, 1] += 0.25  # in place: the rows no longer match the carried copy
+    v, grad = bf.field(model, ens)
+    fresh = bf.field(model, ens.copy())
+    assert np.array_equal(v, fresh[0]) and np.array_equal(grad, fresh[1])
+    assert v[0] != carried[0][0]
+    ens.weights[:2] = [0.5, 1.5]  # a reweight with the same mean
+    v, _ = bf.field(model, ens)
+    assert np.array_equal(v, bf.field(model, ens.copy())[0])
+    assert ens._carried_field(copy.deepcopy(model)) is None  # an equal model is not the same one

@@ -58,3 +58,41 @@ def test_traced_steps_reach_every_phase():
         assert metrics[name] > 0, name
     assert metrics["dynamics.step_samples.gd-bd"] == 3
     assert metrics["dynamics.step_samples.gd-bd-reinjection"] == 3
+
+
+def test_one_pairwise_pass_per_step():
+    """A birth-death step makes one n^2 pass plus n pair evaluations per changed or
+    reinjected row; an observation right after a step makes none."""
+    frozen = bf.GaussianMixtureModel(
+        target_c=[1.0, 1.0], target_y=[[-1.5], [1.5]], target_sigma=[0.8, 0.8], sigma=0.5,
+        amplitude_mode="frozen",
+    )
+    dynamic = bf.GaussianMixtureModel(
+        target_c=[1.0, -0.5], target_y=[[-1.0], [1.0]], target_sigma=[0.6, 0.6], sigma=0.4
+    )
+    prior = bf.GaussianSampler(mean=[0.0], std=2.0)
+    amp_init = bf.ProductSampler(factors=(bf.GaussianSampler(mean=[0.0], std=1.0), prior))
+    n, steps = 400, 20
+    for model, init, variant in ((frozen, prior, "gd-bd"),
+                                 (dynamic, amp_init, "gd-bd-reinjection")):
+        cfg = bf.DynamicsConfig(variant=variant, dt=0.05, alpha=1.0, reinjection_prior=prior)
+        ens = bf.init_from_sampler(init, n, 1, seed=0, has_amplitude=model.has_amplitude)
+        rng = np.random.default_rng(1)
+        tracer = load_tracer_class()(bf)
+        tracer.install()
+        try:
+            for _ in range(steps):
+                bf.run_step(model, ens, cfg, rng)
+            stepped = tracer.counts["pair_evals"]
+            bf.ensemble_energy(model, ens)
+            bf.field(model, ens)
+            observed = tracer.counts["pair_evals"] - stepped
+        finally:
+            tracer.remove()
+        c = tracer.counts
+        # reinjected rows refill a deficit, so there are at most as many as corrections
+        reinjected = c["population_corrections"] if variant == "gd-bd-reinjection" else 0
+        events = c["births"] + c["deaths"] + c["population_corrections"] + reinjected
+        assert c["births"] + c["deaths"] > 0
+        assert stepped <= (steps + 1) * n**2 + n * events, variant
+        assert observed == 0
