@@ -49,14 +49,17 @@ def ensemble_energy(model: PotentialModel, ens: Ensemble) -> float:
     return e
 
 
+def field_moments(ens: Ensemble, v: np.ndarray, grad: np.ndarray) -> tuple[float, float, float]:
+    """(Vbar, integral (V - Vbar)^2 dmu, integral |grad V|^2 dmu) over the
+    weighted empirical measure."""
+    n, w = ens.n, ens.weights
+    vbar = float(w @ v) / n
+    return vbar, float(w @ (v - vbar) ** 2) / n, float(w @ np.sum(grad**2, axis=1)) / n
+
+
 def energy_decay_terms(model: PotentialModel, ens: Ensemble) -> tuple[float, float]:
     """(integral |grad V|^2 dmu, integral (V - Vbar)^2 dmu), both nonnegative."""
-    n = ens.n
-    w = ens.weights
-    v, grad = field(model, ens)
-    grad_term = float(w @ np.sum(grad**2, axis=1)) / n
-    vbar = float(w @ v) / n
-    var_term = float(w @ (v - vbar) ** 2) / n
+    _, var_term, grad_term = field_moments(ens, *field(model, ens))
     return grad_term, var_term
 
 
@@ -102,8 +105,7 @@ class FluctuationReport:
 def fluctuation_scaling(model: PotentialModel, cfg: DynamicsConfig, init_sampler,
                         n_list, seeds: int, test_fns, *,
                         checkpoints=(0.2, 1.0, 5.0), slope_checkpoint: float = 1.0,
-                        grid_cells: int = 8192, grid_dt: float | None = None,
-                        seed: int = 0) -> FluctuationReport:
+                        grid_cells: int = 8192, seed: int = 0) -> FluctuationReport:
     """Root-mean-square gap between particle and grid moments across seeds.
 
     For every population size the same grid solution serves as reference;
@@ -122,15 +124,12 @@ def fluctuation_scaling(model: PotentialModel, cfg: DynamicsConfig, init_sampler
     if slope_checkpoint not in checkpoints:
         raise ConfigurationError("slope_checkpoint must be one of the checkpoints")
 
-    # deterministic grid reference
+    # deterministic grid reference, stepped at CFL 0.45 of the initial field
     grid = grid_from_sampler(init_sampler, grid_cells)
-    if grid_dt is None:
-        stepper0 = GridStepper(model, grid.copy(), cfg)
-        v0 = stepper0.potential()
-        vmax = float(np.max(np.abs(np.diff(v0))) / grid.dx)
-        grid_dt = min(cfg.dt, 0.45 * grid.dx / max(vmax, 1e-12))
-    g_cfg = DynamicsConfig(variant=cfg.variant, dt=grid_dt, alpha=cfg.alpha)
-    stepper = GridStepper(model, grid, g_cfg)
+    stepper = GridStepper(model, grid, cfg)
+    vmax = float(np.max(np.abs(np.diff(stepper.potential()))) / grid.dx)
+    stepper.cfg = DynamicsConfig(variant=cfg.variant, alpha=cfg.alpha,
+                                 dt=min(cfg.dt, 0.45 * grid.dx / max(vmax, 1e-12)))
     grid_moments = np.empty((len(checkpoints), len(test_fns)))
     for ci, t in enumerate(checkpoints):
         stepper.run_until(t)

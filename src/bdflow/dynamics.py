@@ -57,6 +57,7 @@ VARIANTS = (
 )
 
 RATE_SUM_ATOL = 1e-10
+PROXIMAL_TOL = 1e-10  # max weight change that ends the proximal fixed-point sweeps
 
 
 @dataclass(frozen=True)
@@ -157,13 +158,7 @@ def centered_rate(model: PotentialModel, ens: Ensemble, batch: np.ndarray | None
     The mean is unweighted, so the ensemble must carry unit weights."""
     if not np.all(ens.weights == 1.0):
         raise ConfigurationError("centered rates take the unweighted mean and need unit weights")
-    if model.is_exact:
-        v = potential(model, ens)
-    else:
-        if batch is None:
-            raise ConfigurationError("batch models need a minibatch to evaluate rates")
-        vhat = model.batch_potential_hat(ens.thetas, ens.weights, batch)
-        v = ens.thetas[:, 0] * vhat
+    v = potential(model, ens, batch=batch)
     if not np.all(np.isfinite(v)):
         bad = int(np.flatnonzero(~np.isfinite(v))[0])
         raise NumericError(f"non-finite potential at particle {bad}")
@@ -199,12 +194,8 @@ def gd_step(model: PotentialModel, ens: Ensemble, dt: float, batch: np.ndarray |
     """Synchronous forward-Euler update theta_i <- theta_i - grad V(theta_i) dt."""
     if not dt > 0:
         raise ConfigurationError(f"dt must be > 0, got {dt}")
-    if model.is_exact:
-        vel = field(model, ens)[1] if model.is_interacting else model.grad_F(ens.thetas)
-    else:
-        if batch is None:
-            raise ConfigurationError("batch models need a minibatch for gradient steps")
-        vel = model.batch_grad_V(ens.thetas, ens.weights, batch)
+    # a non-interacting model needs only grad F, not the V that `field` also forms
+    vel = field(model, ens, batch)[1] if model.is_interacting else model.grad_F(ens.thetas)
     if not np.all(np.isfinite(vel)):
         bad = int(np.flatnonzero(~np.isfinite(vel).all(axis=1))[0])
         raise NumericError(f"non-finite gradient at particle {bad}")
@@ -322,14 +313,10 @@ def reinjection_step(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
 # ---------------------------------------------------------------------------
 # exact-event simulation (no transport)
 
-KMC_KILL = 0  # event particle killed, uniform survivor duplicated
-KMC_DUP = 1  # event particle duplicated, uniform other killed
-
 
 @dataclass
 class KMCLog:
     times: np.ndarray
-    kinds: np.ndarray
     mean_energy: np.ndarray  # population mean of F after each event
     initial_mean: float
     horizon: float
@@ -339,7 +326,8 @@ class KMCLog:
         return self.times.size
 
     def mean_energy_at(self, t: float) -> float:
-        """Population mean energy at absolute log time t (piecewise constant)."""
+        """Population mean energy at time t since the start of the run
+        (piecewise constant)."""
         i = int(np.searchsorted(self.times, t, side="right"))
         return self.initial_mean if i == 0 else float(self.mean_energy[i - 1])
 
@@ -361,7 +349,7 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
     if not np.all(np.isfinite(f_vals)):
         raise NumericError("non-finite potential in kmc_run")
     initial_mean = float(f_vals.mean())
-    times, kinds, means = [], [], []
+    times, means = [], []
     t = 0.0
     while True:
         vt = f_vals - f_vals.mean()
@@ -378,24 +366,17 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
         j = int(rng.integers(n - 1))
         if j >= i:
             j += 1
-        if vt[i] > 0:
-            # kill i; duplicate the uniform survivor j into its slot
-            f_vals[i] = f_vals[j]
-            ens.thetas[i] = ens.thetas[j]
-            ens.birth_ids[i] = ens.claim_birth_ids(1)[0]
-            kinds.append(KMC_KILL)
-        else:
-            # duplicate i; kill the uniform other j
-            f_vals[j] = f_vals[i]
-            ens.thetas[j] = ens.thetas[i]
-            ens.birth_ids[j] = ens.claim_birth_ids(1)[0]
-            kinds.append(KMC_DUP)
+        # kill i and duplicate the uniform survivor j into its slot, or
+        # duplicate i into the slot of the uniform other j
+        dst, src = (i, j) if vt[i] > 0 else (j, i)
+        f_vals[dst] = f_vals[src]
+        ens.thetas[dst] = ens.thetas[src]
+        ens.birth_ids[dst] = ens.claim_birth_ids(1)[0]
         times.append(t)
         means.append(float(f_vals.mean()))
     ens.time += horizon
     return KMCLog(
         times=np.asarray(times),
-        kinds=np.asarray(kinds, dtype=np.int8),
         mean_energy=np.asarray(means),
         initial_mean=initial_mean,
         horizon=horizon,
@@ -407,7 +388,7 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
 
 
 def proximal_weight_update(model: PotentialModel, ens: Ensemble, tau: float,
-                           inner_iters: int = 100, tol: float = 1e-10) -> Ensemble:
+                           inner_iters: int = 100) -> Ensemble:
     """Implicit multiplicative weight update solved by fixed-point sweeps.
 
     Solves w_i = C^-1 w_i^prev exp(-tau V_i(w)) with V recomputed from the
@@ -436,7 +417,7 @@ def proximal_weight_update(model: PotentialModel, ens: Ensemble, tau: float,
         w_new = raw / mean_raw
         change = float(np.max(np.abs(w_new - w)))
         w = w_new
-        if change < tol:
+        if change < PROXIMAL_TOL:
             break
         if change > prev_change:
             grows += 1

@@ -15,7 +15,10 @@ bit-for-bit given a seed.
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -138,6 +141,20 @@ def init_from_sampler(sampler, n: int, k: int, seed: int, has_amplitude: bool = 
     return ens
 
 
+@contextmanager
+def atomic_open(path):
+    """Text file handle on a sibling temp file that replaces `path` once the
+    block completes; if the block raises, `path` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 SNAPSHOT_HEADER = ["id", "birth_id", "weight", "amplitude"]
 
 
@@ -146,10 +163,11 @@ def write_snapshot_csv(ens: Ensemble, path) -> None:
 
     Reals carry 17 significant digits so float64 values round-trip exactly.
     The amplitude column is left empty for models without that channel.
+    The file is replaced atomically.
     """
     k = ens.dimension
     header = SNAPSHOT_HEADER + [f"theta_{j}" for j in range(k)]
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         amps = ens.amplitudes

@@ -2,10 +2,11 @@
 
 Outputs per run: ``trajectory.csv`` (one row per recorded step),
 ``summary.json`` (status, final observables, config echo, wall time), and
-``snapshot_t*.csv`` population dumps at the requested times.  Files are
-written atomically (temp file + rename).  All randomness descends from the
-config seed through ``numpy.random.SeedSequence`` spawning, in the fixed
-order (init, dynamics, evaluation).
+``snapshot_t*.csv`` population dumps at the requested times.  These files
+and a sweep's ``sweep.json`` are written atomically (temp file + rename).
+All randomness descends from the config seed through
+``numpy.random.SeedSequence`` spawning, in the fixed order (init, dynamics,
+evaluation).
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..diagnostics import TRAJECTORY_COLUMNS, TrajectoryRecord, ensemble_energy, rate_fit
+from ..diagnostics import TRAJECTORY_COLUMNS, TrajectoryRecord, ensemble_energy, field_moments, rate_fit
 from ..dynamics import run_step
-from ..ensemble import init_from_sampler, write_snapshot_csv
+from ..ensemble import atomic_open, init_from_sampler, write_snapshot_csv
 from ..errors import ConfigurationError, ExtinctionError, FitError, NumericError, StepSizeError
 from ..potentials import field
 from .config import ExperimentConfig, parse_config
@@ -30,28 +31,15 @@ from .config import ExperimentConfig, parse_config
 RUN_ERRORS = (NumericError, ExtinctionError, StepSizeError)
 
 
-def _atomic_write(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def observe(model, ens, births: int, deaths: int, eval_rng) -> TrajectoryRecord:
     """One trajectory record; batch models use a fresh evaluation minibatch
     drawn from the dedicated eval stream so the dynamics stream is untouched."""
-    n = ens.n
-    w = ens.weights
     if model.is_exact:
-        energy = ensemble_energy(model, ens)
-        v, grad = field(model, ens)
+        batch, energy = None, ensemble_energy(model, ens)
     else:
         batch = model.sample_batch(eval_rng)
-        energy = model.batch_loss(ens.thetas, w, batch)
-        v = ens.thetas[:, 0] * model.batch_potential_hat(ens.thetas, w, batch)
-        grad = model.batch_grad_V(ens.thetas, w, batch)
-    mean_v = float(w @ v) / n
-    var_v = float(w @ (v - mean_v) ** 2) / n
-    grad_sq = float(w @ np.sum(grad**2, axis=1)) / n
+        energy = model.batch_loss(ens.thetas, ens.weights, batch)
+    mean_v, var_v, grad_sq = field_moments(ens, *field(model, ens, batch))
     return TrajectoryRecord(
         step=ens.step_count,
         time=ens.time,
@@ -61,19 +49,17 @@ def observe(model, ens, births: int, deaths: int, eval_rng) -> TrajectoryRecord:
         grad_norm_sq=grad_sq,
         births=births,
         deaths=deaths,
-        n=n,
+        n=ens.n,
     )
 
 
 def _write_trajectory(path: Path, records):
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write("# schema_version=1\n")
         w = csv.writer(fh)
         w.writerow(TRAJECTORY_COLUMNS)
         for r in records:
             w.writerow(r.to_row())
-    os.replace(tmp, path)
 
 
 def run_experiment(config: ExperimentConfig, output_dir=None, quiet: bool = True) -> dict:
@@ -148,7 +134,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None, quiet: bool = True
         "wall_time_s": wall,
         "config": config.normalized(),
     }
-    _atomic_write(out / "summary.json", json.dumps(summary, indent=2))
+    with atomic_open(out / "summary.json") as fh:
+        json.dump(summary, fh, indent=2)
     if not quiet:
         print(f"[{status}] steps={last.step} time={last.time:g} energy={last.energy:.6g} -> {out}")
     return summary
@@ -251,5 +238,6 @@ def run_sweep(config: ExperimentConfig, axis: str, values, seeds: int,
         "base_seed": config.seed,
         "cells": cells,
     }
-    _atomic_write(out / "sweep.json", json.dumps(report, indent=2))
+    with atomic_open(out / "sweep.json") as fh:
+        json.dump(report, fh, indent=2)
     return report

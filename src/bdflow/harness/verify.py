@@ -9,10 +9,10 @@ checkout, since the tests directory is not installed with the package.
 from __future__ import annotations
 
 import json
-import os
 import re
 from pathlib import Path
 
+from ..ensemble import atomic_open
 from ..errors import ConfigurationError
 
 CRITERIA = {
@@ -58,13 +58,8 @@ class _Collector:
                 self.outcomes.setdefault(int(m.group(1)), []).append("deselected")
 
 
-def _find_tests_dir(explicit=None) -> Path:
-    candidates = []
-    if explicit is not None:
-        candidates.append(Path(explicit))
-    candidates.append(Path.cwd() / "tests")
-    candidates.append(Path(__file__).resolve().parents[3] / "tests")
-    for c in candidates:
+def _find_tests_dir() -> Path:
+    for c in (Path.cwd() / "tests", Path(__file__).resolve().parents[3] / "tests"):
         if (c / "test_acceptance.py").is_file():
             return c
     raise ConfigurationError(
@@ -72,14 +67,13 @@ def _find_tests_dir(explicit=None) -> Path:
     )
 
 
-def run_verify(level: str = "full", report_path=None, tests_dir=None,
-               quiet: bool = False) -> tuple[int, dict]:
+def run_verify(level: str = "full", report_path=None, quiet: bool = False) -> tuple[int, dict]:
     """Run the acceptance suite; returns (exit_code, verdict dict)."""
     import pytest
 
     if level not in ("fast", "full"):
         raise ConfigurationError(f"level must be fast or full, got {level!r}")
-    tests = _find_tests_dir(tests_dir)
+    tests = _find_tests_dir()
     collector = _Collector()
     args = [str(tests / "test_acceptance.py"), "-q", "-p", "no:cacheprovider"]
     if level == "fast":
@@ -89,18 +83,9 @@ def run_verify(level: str = "full", report_path=None, tests_dir=None,
     code = pytest.main(args, plugins=[collector])
 
     criteria = []
-    any_fail = False
     for num in sorted(CRITERIA):
-        outcomes = collector.outcomes.get(num, ["deselected"])
-        if "fail" in outcomes:
-            status = "fail"
-            any_fail = True
-        elif all(o == "deselected" for o in outcomes):
-            status = "skipped"
-        elif "pass" in outcomes:
-            status = "pass"
-        else:
-            status = "skipped"
+        outcomes = collector.outcomes.get(num, [])
+        status = "fail" if "fail" in outcomes else "pass" if "pass" in outcomes else "skipped"
         criteria.append(
             {
                 "criterion": num,
@@ -109,6 +94,7 @@ def run_verify(level: str = "full", report_path=None, tests_dir=None,
                 "measured": collector.measured.get(num, {}),
             }
         )
+    any_fail = any(c["status"] == "fail" for c in criteria)
     # a nonzero pytest code with no mapped failure still fails the verdict
     exit_code = 1 if (any_fail or code not in (0, 5)) else 0
     verdict = {"schema_version": 1, "level": level, "exit_code": exit_code, "criteria": criteria}
@@ -119,7 +105,6 @@ def run_verify(level: str = "full", report_path=None, tests_dir=None,
     if report_path is not None:
         p = Path(report_path)
         p.parent.mkdir(parents=True, exist_ok=True)
-        tmp = p.with_name(p.name + ".tmp")
-        tmp.write_text(json.dumps(verdict, indent=2))
-        os.replace(tmp, p)
+        with atomic_open(p) as fh:
+            json.dump(verdict, fh, indent=2)
     return exit_code, verdict

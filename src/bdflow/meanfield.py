@@ -18,7 +18,6 @@ from .errors import ConfigurationError, NumericError, StepSizeError
 from .potentials import PotentialModel
 
 CFL_LIMIT = 0.9
-MASS_ATOL = 1e-8
 CLIP_WARN_MASS = 1e-6
 CLIP_ESCALATE_AFTER = 100
 VARIANCE_FLOOR = 1e-300
@@ -26,6 +25,21 @@ VARIANCE_FLOOR = 1e-300
 
 # ---------------------------------------------------------------------------
 # exact solutions without transport
+
+
+def _reaction_only(f, rho0, alpha: float, t: float, grid):
+    """F on `grid`, its grid minimum, the unnormalized reaction-only density
+    e^{-alpha t (F - min F)} rho0 on `grid`, and its trapezoidal normalizer Z."""
+    if t < 0:
+        raise ConfigurationError("t must be >= 0")
+    grid = np.asarray(grid, dtype=float)
+    fg = np.asarray(f(grid), dtype=float)
+    base = float(fg.min())
+    w = np.exp(-alpha * t * (fg - base)) * np.asarray(rho0(grid), dtype=float)
+    z = np.trapezoid(w, grid)
+    if not np.isfinite(z) or z <= 0:
+        raise NumericError("normalizer of the reaction-only density is degenerate")
+    return fg, base, w, z
 
 
 def pure_bd_density(f, rho0, alpha: float, t: float, theta, grid: np.ndarray):
@@ -36,14 +50,7 @@ def pure_bd_density(f, rho0, alpha: float, t: float, theta, grid: np.ndarray):
     minimum, so the result is invariant under F -> F + const and the
     normalizer cannot underflow.
     """
-    if t < 0:
-        raise ConfigurationError("t must be >= 0")
-    grid = np.asarray(grid, dtype=float)
-    fg = np.asarray(f(grid), dtype=float)
-    base = float(fg.min())
-    z = np.trapezoid(np.exp(-alpha * t * (fg - base)) * np.asarray(rho0(grid), dtype=float), grid)
-    if not np.isfinite(z) or z <= 0:
-        raise NumericError("normalizer of the reaction-only density is degenerate")
+    _, base, _, z = _reaction_only(f, rho0, alpha, t, grid)
     pts = np.asarray(theta, dtype=float)
     out = np.exp(-alpha * t * (np.asarray(f(pts), dtype=float) - base)) * np.asarray(
         rho0(pts), dtype=float
@@ -53,15 +60,7 @@ def pure_bd_density(f, rho0, alpha: float, t: float, theta, grid: np.ndarray):
 
 def pure_bd_mean_energy(f, rho0, alpha: float, t: float, grid: np.ndarray) -> float:
     """Mean energy integral F rho_t under the exact reaction-only solution."""
-    if t < 0:
-        raise ConfigurationError("t must be >= 0")
-    grid = np.asarray(grid, dtype=float)
-    fg = np.asarray(f(grid), dtype=float)
-    base = float(fg.min())
-    w = np.exp(-alpha * t * (fg - base)) * np.asarray(rho0(grid), dtype=float)
-    z = np.trapezoid(w, grid)
-    if not np.isfinite(z) or z <= 0:
-        raise NumericError("normalizer of the reaction-only density is degenerate")
+    fg, _, w, z = _reaction_only(f, rho0, alpha, t, grid)
     return float(np.trapezoid(fg * w, grid) / z)
 
 
@@ -180,10 +179,6 @@ class Grid1D:
             raise NumericError("grid mass is degenerate")
         self.density /= m
 
-    def copy(self) -> "Grid1D":
-        g = Grid1D(self.lo, self.hi, self.density.copy(), self.time)
-        return g
-
     def moment(self, phi) -> float:
         """Integral of phi against the grid density."""
         return float(np.sum(np.asarray(phi(self.centers)) * self.density) * self.dx)
@@ -195,12 +190,20 @@ class Grid1D:
                 fh.write(f"{x:.17g},{r:.17g}\n")
 
 
-def grid_from_sampler(sampler, cells: int, pad_std: float = 8.0) -> Grid1D:
-    """Cell-centered density from a 1D sampler; gaussians are truncated at
-    mean +- pad_std standard deviations, boxes use their own support."""
-    lo, hi = sampler.support_1d(pad_std)
+def grid_from_sampler(sampler, cells: int) -> Grid1D:
+    """Cell-centered density on `sampler.support_1d()`: a gaussian is truncated
+    at mean +- 8 standard deviations, a box uses its own support."""
+    lo, hi = sampler.support_1d()
     centers = lo + (np.arange(cells) + 0.5) * (hi - lo) / cells
     return Grid1D(lo, hi, sampler.pdf(centers[:, None]))
+
+
+def _upwind_stencil(v: np.ndarray, dx: float):
+    """Advection speed a = -dV/dx at the interior interfaces, max |a|, and the
+    donor cell of each interface: the left cell where a > 0, else the right."""
+    a = -np.diff(v) / dx
+    cells = np.arange(a.size)
+    return a, float(np.max(np.abs(a), initial=0.0)), np.where(a > 0, cells, cells + 1)
 
 
 class GridStepper:
@@ -238,11 +241,7 @@ class GridStepper:
                 )
             self._k = model.K_block(grid.centers[:, None], grid.centers[:, None])
         else:
-            # V is static without interactions: freeze the upwind stencil
-            a = -np.diff(self._f) / grid.dx
-            self._a = a
-            self._a_max = float(np.max(np.abs(a), initial=0.0))
-            self._src = np.where(a > 0, np.arange(a.size), np.arange(a.size) + 1)
+            self._stencil = _upwind_stencil(self._f, grid.dx)  # V is static without interactions
         self._flux = np.zeros(grid.cells + 1)  # zero-flux walls stay zero
         self._buf = np.empty(grid.cells)
 
@@ -259,11 +258,10 @@ class GridStepper:
         rho = g.density
         vbar = None
         if self._k is None:
-            v, a, a_max = self._f, self._a, self._a_max
+            v, (a, a_max, src) = self._f, self._stencil
         else:
             v = self.potential()
-            a = -np.diff(v) / g.dx  # advection speed at interior interfaces
-            a_max = float(np.max(np.abs(a), initial=0.0))
+            a, a_max, src = _upwind_stencil(v, g.dx)
         if self.reaction:
             vbar = float(np.dot(v, rho)) * g.dx  # from the incoming density, like v
         if self.transport:
@@ -273,11 +271,8 @@ class GridStepper:
                     f"CFL violation: dt*max|v|/dx = {cfl:.3g} > {CFL_LIMIT}; reduce dt"
                 )
             flux = self._flux
-            if self._k is None:
-                np.take(rho, self._src, out=flux[1:-1])
-                flux[1:-1] *= a
-            else:
-                flux[1:-1] = a * np.where(a > 0, rho[:-1], rho[1:])
+            np.take(rho, src, out=flux[1:-1])  # donor-cell (upwind) density
+            flux[1:-1] *= a
             np.subtract(flux[1:], flux[:-1], out=self._buf)
             self._buf *= dt / g.dx
             rho = rho - self._buf

@@ -350,21 +350,20 @@ class ReLUStudentTeacherModel(PotentialModel):
     def teacher_eval(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(x @ self.teacher_y.T, 0.0) @ self.teacher_c / self.teacher_units
 
-    def student_eval(self, thetas: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _batch_pass(self, thetas, weights, x):
+        """One forward pass on a batch: (pre-activations x y^T, activations,
+        student-minus-teacher residual)."""
         thetas = self._check(thetas)
-        act = np.maximum(x @ thetas[:, 1:].T, 0.0)  # (P, n)
-        return act @ (weights * thetas[:, 0]) / thetas.shape[0]
-
-    def batch_residual(self, thetas, weights, x):
-        return self.student_eval(thetas, weights, x) - self.teacher_eval(x)
+        if x is None or x.shape[0] < 1:
+            raise ConfigurationError(f"{self.kind} estimates need a batch with at least one sample")
+        pre = x @ thetas[:, 1:].T  # (P, n)
+        act = np.maximum(pre, 0.0)
+        resid = act @ (weights * thetas[:, 0]) / thetas.shape[0] - self.teacher_eval(x)
+        return pre, act, resid
 
     def batch_potential_hat(self, thetas, weights, x) -> np.ndarray:
         """vhat_i = mean_p relu(<y_i, x_p>) * residual(x_p); V_i = c_i vhat_i."""
-        thetas = self._check(thetas)
-        if x.shape[0] < 1:
-            raise ConfigurationError("batch must contain at least one sample")
-        resid = self.batch_residual(thetas, weights, x)
-        act = np.maximum(x @ thetas[:, 1:].T, 0.0)
+        _, act, resid = self._batch_pass(thetas, weights, x)
         return act.T @ resid / x.shape[0]
 
     def batch_grad_V(self, thetas, weights, x) -> np.ndarray:
@@ -374,16 +373,14 @@ class ReLUStudentTeacherModel(PotentialModel):
         layer, times n); the position component is the matching ReLU
         subgradient term.
         """
-        thetas = self._check(thetas)
-        resid = self.batch_residual(thetas, weights, x)
-        pre = x @ thetas[:, 1:].T  # (P, n)
-        act = np.maximum(pre, 0.0)
+        pre, act, resid = self._batch_pass(thetas, weights, x)
         vhat = act.T @ resid / x.shape[0]
-        grad_y = ((pre > 0) * resid[:, None]).T @ x * (thetas[:, 0] / x.shape[0])[:, None]
+        c = self._check(thetas)[:, 0]
+        grad_y = ((pre > 0) * resid[:, None]).T @ x * (c / x.shape[0])[:, None]
         return np.hstack([vhat[:, None], grad_y])
 
     def batch_loss(self, thetas, weights, x) -> float:
-        resid = self.batch_residual(thetas, weights, x)
+        resid = self._batch_pass(thetas, weights, x)[2]
         return 0.5 * float(np.mean(resid**2))
 
     def dump_teacher_csv(self, path) -> None:
@@ -400,12 +397,17 @@ class ReLUStudentTeacherModel(PotentialModel):
 # -- ensemble-level potentials ---------------------------------------------
 
 
-def potential(model: PotentialModel, ens, points=None) -> np.ndarray:
+def potential(model: PotentialModel, ens, points=None, batch=None) -> np.ndarray:
     """V(x) = F(x) + n^-1 sum_j w_j K(x, theta_j) against the empirical measure.
 
     `points` are parameter rows to evaluate at; they default to the particles,
-    where an interacting model reads V from `field`.
+    where an interacting model reads V from `field`.  A minibatch model
+    estimates V = c * vhat at the particles only, on the given `batch`.
     """
+    if not model.is_exact:
+        if points is not None:
+            raise ConfigurationError(f"{model.kind} estimates V only at the particles")
+        return ens.thetas[:, 0] * model.batch_potential_hat(ens.thetas, ens.weights, batch)
     if points is None and model.is_interacting:
         return field(model, ens)[0]
     x = ens.thetas if points is None else np.atleast_2d(np.asarray(points, dtype=float))
@@ -415,11 +417,15 @@ def potential(model: PotentialModel, ens, points=None) -> np.ndarray:
     return v
 
 
-def field(model: PotentialModel, ens) -> tuple[np.ndarray, np.ndarray]:
+def field(model: PotentialModel, ens, batch=None) -> tuple[np.ndarray, np.ndarray]:
     """(V, grad V) at every particle from a single pairwise pass.  An
     interacting model's result is carried on the ensemble and returned without
     a pass while the model is the same object and the rows and weights equal
-    the stored copies; the birth-death pass carries it to its new rows."""
+    the stored copies; the birth-death pass carries it to its new rows.  A
+    minibatch model estimates both from one pass over the given `batch`."""
+    if not model.is_exact:
+        grad = model.batch_grad_V(ens.thetas, ens.weights, batch)
+        return ens.thetas[:, 0] * grad[:, 0], grad
     if (carried := ens._carried_field(model)) is not None:
         return carried
     v = model.F(ens.thetas)

@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import ConfigurationError, check_keys, check_kind, require_array, require_list, require_number
 
+SUPPORT_PAD_STD = 8.0  # a gaussian's 1D support is truncated at mean +- 8 std
+
 
 @dataclass(frozen=True)
 class GaussianSampler:
@@ -39,11 +41,11 @@ class GaussianSampler:
         norm = (2.0 * np.pi * self.std**2) ** (self.dim / 2.0)
         return np.exp(-q) / norm
 
-    def support_1d(self, pad_std: float = 8.0) -> tuple[float, float]:
+    def support_1d(self) -> tuple[float, float]:
         if self.dim != 1:
             raise ConfigurationError("support_1d requires a 1D sampler")
         m = float(self.mean[0])
-        return m - pad_std * self.std, m + pad_std * self.std
+        return m - SUPPORT_PAD_STD * self.std, m + SUPPORT_PAD_STD * self.std
 
     def to_spec(self) -> dict:
         return {"kind": "gaussian", "mean": self.mean.tolist(), "std": self.std}
@@ -79,7 +81,7 @@ class UniformSampler:
         vol = float(np.prod(self.hi - self.lo))
         return inside / vol
 
-    def support_1d(self, pad_std: float = 8.0) -> tuple[float, float]:
+    def support_1d(self) -> tuple[float, float]:
         if self.dim != 1:
             raise ConfigurationError("support_1d requires a 1D sampler")
         return float(self.lo[0]), float(self.hi[0])
@@ -107,7 +109,7 @@ class PointSampler:
     def pdf(self, x: np.ndarray) -> np.ndarray:
         raise ConfigurationError("point-mass sampler has no density")
 
-    def support_1d(self, pad_std: float = 8.0) -> tuple[float, float]:
+    def support_1d(self) -> tuple[float, float]:
         raise ConfigurationError("point-mass sampler has zero-width support")
 
     def to_spec(self) -> dict:
@@ -141,10 +143,10 @@ class ProductSampler:
             off += f.dim
         return out
 
-    def support_1d(self, pad_std: float = 8.0) -> tuple[float, float]:
+    def support_1d(self) -> tuple[float, float]:
         if self.dim != 1:
             raise ConfigurationError("support_1d requires a 1D sampler")
-        return self.factors[0].support_1d(pad_std)
+        return self.factors[0].support_1d()
 
     def to_spec(self) -> dict:
         return {"kind": "product", "factors": [f.to_spec() for f in self.factors]}

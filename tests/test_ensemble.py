@@ -155,3 +155,20 @@ class TestSnapshotCsv:
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert all(r[3] == "" for r in rows[1:])
+
+    def test_failed_write_leaves_existing_snapshot_unchanged(self, tmp_path):
+        ens = bf.init_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 4, 1, seed=7)
+        path = tmp_path / "snap.csv"
+        bf.write_snapshot_csv(ens, path)
+        before = path.read_bytes()
+
+        class FailsAfterHeader(bf.Ensemble):
+            @property
+            def positions(self):
+                raise RuntimeError("write interrupted")
+
+        moved = FailsAfterHeader(thetas=ens.thetas + 1.0, weights=ens.weights, birth_ids=ens.birth_ids)
+        with pytest.raises(RuntimeError, match="write interrupted"):
+            bf.write_snapshot_csv(moved, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.csv"]  # no temp file left

@@ -170,6 +170,43 @@ class TestGridStepper:
             prev = e
 
 
+def reference_step(v, rho, dx, dt, alpha, transport, reaction):
+    """One explicit step written out: donor-cell upwind fluxes between zero-flux
+    walls, Euler reaction on V - Vbar, clipping, then unit mass."""
+    new = rho.copy()
+    if transport:
+        flux = np.zeros(rho.size + 1)
+        for i in range(1, rho.size):  # the interface between cells i - 1 and i
+            a = -(v[i] - v[i - 1]) / dx
+            flux[i] = a * (rho[i - 1] if a > 0 else rho[i])
+        new = new - dt / dx * (flux[1:] - flux[:-1])
+    if reaction:
+        vbar = float(np.sum(v * rho)) * dx
+        new = new * (1.0 - alpha * dt * (v - vbar))
+    new = np.maximum(new, 0.0)
+    return new / (new.sum() * dx)
+
+
+class TestGridStepReference:
+    @pytest.mark.parametrize("variant", ["gd-only", "bd-only", "gd-bd"])
+    @pytest.mark.parametrize("model_name", ["mixture_frozen", "quad_1d"])
+    def test_step_matches_written_out_update(self, request, model_name, variant):
+        # the frozen mixture takes the interacting path, the quadratic well the frozen stencil
+        model = request.getfixturevalue(model_name)
+        g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.5], std=1.5), 200)
+        dt, alpha = 0.005, 0.7
+        st = bf.GridStepper(model, g, bf.DynamicsConfig(variant=variant, dt=dt, alpha=alpha))
+        centers = g.centers[:, None]
+        rho = g.density.copy()
+        for _ in range(3):
+            v = model.F(centers)
+            if model.is_interacting:
+                v = v + model.K_block(centers, centers) @ rho * g.dx
+            rho = reference_step(v, rho, g.dx, dt, alpha, variant != "bd-only", variant != "gd-only")
+            st.step()
+            np.testing.assert_allclose(g.density, rho, rtol=1e-12, atol=1e-14 * rho.max())
+
+
 class TestGridSolverVsCharacteristics:
     def test_first_order_convergence(self, quad_1d):
         errs = []

@@ -312,11 +312,12 @@ class TestReluStudentTeacher:
                 fd = n * (m.batch_loss(up, w, x) - m.batch_loss(dn, w, x)) / (2 * h)
                 assert grad[i, d] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
-    def test_empty_batch_rejected(self):
+    @pytest.mark.parametrize("estimate", ["batch_potential_hat", "batch_grad_V", "batch_loss"])
+    def test_empty_batch_rejected(self, estimate):
         m = bf.ReLUStudentTeacherModel(input_dim=2, teacher_units=1, batch_size=4, teacher_seed=7)
         ens = make_ensemble([[1.0, 0.0, 0.0]], has_amplitude=True)
         with pytest.raises(bf.ConfigurationError):
-            m.batch_potential_hat(ens.thetas, ens.weights, np.zeros((0, 2)))
+            getattr(m, estimate)(ens.thetas, ens.weights, np.zeros((0, 2)))
 
     def test_teacher_dump(self, tmp_path):
         m = bf.ReLUStudentTeacherModel(input_dim=3, teacher_units=5, batch_size=4, teacher_seed=8)
@@ -346,3 +347,39 @@ class TestBuildModel:
         m = bf.build_model(spec)
         assert isinstance(m, bf.GaussianMixtureModel)
         assert m.has_amplitude and m.theta_dim == 2
+
+
+class TestMinibatchEntryPoint:
+    """`potential` and `field` on the ReLU model: estimates on a given batch."""
+
+    @pytest.fixture
+    def relu_ens(self):
+        m = bf.ReLUStudentTeacherModel(input_dim=3, teacher_units=2, batch_size=8, teacher_seed=4)
+        rng = np.random.default_rng(5)
+        ens = make_ensemble(np.column_stack([rng.normal(size=6), rng.normal(size=(6, 3))]),
+                            has_amplitude=True)
+        return m, ens, m.sample_batch(rng)
+
+    @pytest.mark.parametrize("call", [
+        lambda m, ens: bf.potential(m, ens),
+        lambda m, ens: bf.field(m, ens),
+        lambda m, ens: bf.centered_rate(m, ens),
+        lambda m, ens: bf.gd_step(m, ens, 0.1),
+    ], ids=["potential", "field", "centered_rate", "gd_step"])
+    def test_missing_batch_rejected(self, relu_ens, call):
+        m, ens, _ = relu_ens
+        with pytest.raises(bf.ConfigurationError):
+            call(m, ens)
+
+    def test_probe_points_rejected(self, relu_ens):
+        m, ens, x = relu_ens
+        with pytest.raises(bf.ConfigurationError):
+            bf.potential(m, ens, points=ens.thetas, batch=x)
+
+    def test_field_is_the_batch_estimates(self, relu_ens):
+        m, ens, x = relu_ens
+        v, grad = bf.field(m, ens, x)
+        vhat = m.batch_potential_hat(ens.thetas, ens.weights, x)
+        assert np.array_equal(v, ens.thetas[:, 0] * vhat)
+        assert np.array_equal(grad, m.batch_grad_V(ens.thetas, ens.weights, x))
+        assert np.array_equal(bf.potential(m, ens, batch=x), v)

@@ -58,12 +58,8 @@ def random_ensemble(model, n, rng):
 
 
 def potential_and_rates(model, ens, cfg, rng):
-    batch = None
-    if model.is_exact:
-        v = bf.potential(model, ens)
-    else:
-        batch = model.sample_batch(rng)
-        v = ens.thetas[:, 0] * model.batch_potential_hat(ens.thetas, ens.weights, batch)
+    batch = None if model.is_exact else model.sample_batch(rng)
+    v = bf.potential(model, ens, batch=batch)
     rates = bf.centered_rate(model, ens, batch)
     if cfg.f_spec is not None:
         rates = bf.fvariant_rate(model, ens, cfg.f_spec, batch)
