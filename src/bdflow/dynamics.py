@@ -20,9 +20,13 @@ centered rate vt = V - mean(V) is positive, and duplicated with probability
 rates frozen at the start of the pass and are independent Bernoulli draws;
 the kinetic Monte Carlo path recomputes rates after every event instead.
 
-For interacting exact models a step makes one pairwise pass: the rates read
-(V, grad V) from ``potentials.field`` after transport, the birth-death pass
-carries them to its new rows, and the next transport step reuses them.
+Every scheme that builds a new population from copies of old particles (the
+birth-death pass, resampling and KMC) only chooses the source row of each new
+row and which rows are copies; ``Ensemble.regroup`` builds the rows, weights
+and birth ids.  For interacting exact models a step makes one pairwise pass:
+the rates read (V, grad V) from ``potentials.field`` after transport,
+``regroup`` carries them to the new rows, and the next transport step reuses
+them.
 
 RNG draw order per step is fixed (minibatch, then Bernoulli uniforms, then
 population-control picks) so trajectories reproduce bitwise from a seed.
@@ -73,9 +77,6 @@ class FVariant:
         object.__setattr__(self, "beta", require_number(self.beta, "f.beta"))
         if self.kind == "tanh" and not self.beta > 0:
             raise ConfigurationError("tanh f variant needs beta > 0")
-        z = np.linspace(-10.0, 10.0, 1000)
-        if np.any(z * self(z) < 0):
-            raise ConfigurationError("f must satisfy z*f(z) >= 0 everywhere")
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "identity":
@@ -226,11 +227,10 @@ def _birth_death_pass(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
     """One Bernoulli kill/duplicate pass on frozen rates, then exact head-count
     control: excess is removed uniformly, and a deficit is refilled by uniform
     cloning or, when `prior` is given, by zero-amplitude rows whose positions
-    are drawn from it.  A field carried on the ensemble is carried to the new
-    rows."""
+    are drawn from it.  `Ensemble.regroup` builds the new rows and carries
+    the field."""
     if rates is None:
         rates = _effective_rates(model, ens, cfg)
-    carried = ens._carried_field(model)
     kill, dup = bernoulli_phase(rates, cfg.alpha, cfg.dt, rng)
     n0 = ens.n
     surv = np.flatnonzero(~kill)
@@ -241,59 +241,25 @@ def _birth_death_pass(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
     report.max_rate = float(cfg.alpha * np.max(np.abs(rates), initial=0.0) * cfg.dt)
 
     src = np.concatenate([surv, dup_idx])  # source row of each new row; -1 if reinjected
-    bids = np.concatenate([ens.birth_ids[surv], ens.claim_birth_ids(dup_idx.size)])
-
     n1 = src.size
+    copies = np.zeros(max(n0, n1), dtype=bool)
+    copies[surv.size:] = True  # clones and refills follow the survivors
+    fresh = None
     report.population_corrections = abs(n1 - n0)
     if n1 > n0:
         drop = rng.choice(n1, size=n1 - n0, replace=False)
         keep = np.ones(n1, dtype=bool)
         keep[drop] = False
-        src, bids = src[keep], bids[keep]
+        src, copies = src[keep], copies[keep]
     elif n1 < n0:
         deficit = n0 - n1
         if prior is None:
             src = np.concatenate([src, src[rng.choice(n1, size=deficit, replace=True)]])
         else:
             src = np.concatenate([src, np.full(deficit, -1)])
-        bids = np.concatenate([bids, ens.claim_birth_ids(deficit)])
-
-    old_thetas, old_weights = ens.thetas, ens.weights
-    fresh = np.flatnonzero(src < 0)
-    thetas, weights = old_thetas[src], old_weights[src]  # fresh rows are filled below
-    if fresh.size:
-        thetas[fresh] = 0.0
-        thetas[fresh, 1:] = prior.sample(rng, fresh.size)
-        weights[fresh] = 1.0
-    ens.thetas, ens.weights, ens.birth_ids = thetas, weights, bids
-    if carried is not None:
-        ens._carry_field(model, *_carry_across(model, ens, src, old_thetas, old_weights, *carried))
+            fresh = np.hstack([np.zeros((deficit, 1)), prior.sample(rng, deficit)])
+    ens.regroup(src, copies, fresh)
     return report
-
-
-def _carry_across(model, ens, src, old_thetas, old_weights, v, grad):
-    """(V, grad V) after a birth-death pass: a kept or cloned row takes its
-    source's values plus the kernel sums against the old rows whose count
-    changed (weight w * (count - 1)) and the reinjected rows, which are
-    evaluated afresh.  Costs n pair evaluations per changed or reinjected row."""
-    n = ens.n
-    fresh = src < 0
-    kept = np.flatnonzero(~fresh)
-    count = np.bincount(src[kept], minlength=old_thetas.shape[0])
-    changed = np.flatnonzero(count != 1)
-    v, grad = v[src], grad[src]  # rows with source -1 are overwritten below
-    if changed.size or fresh.any():
-        b = np.vstack([old_thetas[changed], ens.thetas[fresh]])
-        w = np.concatenate([old_weights[changed] * (count[changed] - 1), ens.weights[fresh]])
-        vsum, fsum = model.kernel_weighted_sums(ens.thetas[kept], b, w)
-        v[kept] += vsum / n
-        grad[kept] += fsum / n
-    if fresh.any():
-        rows = ens.thetas[fresh]
-        vsum, fsum = model.kernel_weighted_sums(rows, ens.thetas, ens.weights)
-        v[fresh] = model.F(rows) + vsum / n
-        grad[fresh] = model.grad_F(rows) + fsum / n
-    return v, grad
 
 
 def birth_death_step(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
@@ -319,7 +285,6 @@ class KMCLog:
     times: np.ndarray
     mean_energy: np.ndarray  # population mean of F after each event
     initial_mean: float
-    horizon: float
 
     @property
     def n_events(self) -> int:
@@ -339,7 +304,8 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
     Waiting times are exponential with the total rate alpha * sum_i |vt_i|;
     the event particle is chosen proportionally to |vt_i| and rates are
     recomputed after every event.  Requires K = 0 so V depends on a particle
-    only through F.
+    only through F.  Each event records the source row of the overwritten
+    slot; the population is rebuilt from those once, at the end.
     """
     check_model_support(model, "kmc-bd")
     if horizon < 0:
@@ -349,6 +315,7 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
     if not np.all(np.isfinite(f_vals)):
         raise NumericError("non-finite potential in kmc_run")
     initial_mean = float(f_vals.mean())
+    origin, copied = np.arange(n), np.zeros(n, dtype=bool)
     times, means = [], []
     t = 0.0
     while True:
@@ -370,17 +337,12 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
         # duplicate i into the slot of the uniform other j
         dst, src = (i, j) if vt[i] > 0 else (j, i)
         f_vals[dst] = f_vals[src]
-        ens.thetas[dst] = ens.thetas[src]
-        ens.birth_ids[dst] = ens.claim_birth_ids(1)[0]
+        origin[dst], copied[dst] = origin[src], True
         times.append(t)
         means.append(float(f_vals.mean()))
+    ens.regroup(origin, copied)
     ens.time += horizon
-    return KMCLog(
-        times=np.asarray(times),
-        mean_energy=np.asarray(means),
-        initial_mean=initial_mean,
-        horizon=horizon,
-    )
+    return KMCLog(times=np.asarray(times), mean_energy=np.asarray(means), initial_mean=initial_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +412,10 @@ def resample_weights(ens: Ensemble, rng: np.random.Generator) -> StepReport:
     idx = np.searchsorted(cum, pos, side="right")
     np.clip(idx, 0, n - 1, out=idx)
     counts = np.bincount(idx, minlength=n)
-
-    rep = np.repeat(np.arange(n), counts)
-    new_bids = ens.birth_ids[rep].copy()
-    starts = np.cumsum(counts) - counts
-    first = np.zeros(rep.size, dtype=bool)
-    first[starts[counts > 0]] = True
-    new_bids[~first] = ens.claim_birth_ids(int((~first).sum()))
-
-    ens.thetas = ens.thetas[rep]
+    copies = np.concatenate([[False], idx[1:] == idx[:-1]])  # idx is sorted; a source's first row is kept
+    ens.regroup(idx, copies)
     ens.weights = np.ones(n)
-    ens.birth_ids = new_bids
-    return StepReport(births=int((~first).sum()), deaths=int((counts == 0).sum()))
+    return StepReport(births=int(copies.sum()), deaths=int((counts == 0).sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ amplitude ``c`` is stored as column 0 and the remaining ``k`` columns are the
 position; otherwise all ``D = k`` columns are the position.  Each particle
 also carries a nonnegative weight (mean 1 across the population) and a
 monotone birth id assigned at creation, used only for lineage diagnostics.
+`Ensemble.regroup` rebuilds a population from copies of its rows and is the
+only code that assigns new birth ids.
 
 All randomness is drawn from explicitly passed ``numpy.random.Generator``
 instances (PCG64 via ``numpy.random.default_rng``), so runs are reproducible
@@ -107,10 +109,48 @@ class Ensemble:
         v.flags.writeable = grad.flags.writeable = False
         self._field = (model, self.thetas.copy(), self.weights.copy(), v, grad)
 
-    def claim_birth_ids(self, count: int) -> np.ndarray:
-        ids = np.arange(self.next_birth_id, self.next_birth_id + count, dtype=np.int64)
-        self.next_birth_id += count
-        return ids
+    def regroup(self, src: np.ndarray, copies: np.ndarray, fresh: np.ndarray | None = None) -> None:
+        """Rebuild the population from the old rows.  New row i copies old row
+        `src[i]` with its weight or, where `src[i] < 0`, takes the next row of
+        `fresh` with weight 1.  Rows flagged in the boolean `copies`, and fresh
+        rows, get new birth ids in row order; every other row keeps its
+        source's id.  A (V, grad V) carried for the old rows moves to the new
+        ones: a kept or copied row takes its source's values plus the kernel
+        sums against the old rows whose count changed (weight w * (count - 1))
+        and the fresh rows, which are evaluated afresh.  That costs n pair
+        evaluations per changed or fresh row."""
+        model = self._field[0] if self._field is not None else None
+        carried = self._carried_field(model)
+        old_thetas, old_weights = self.thetas, self.weights
+        self.thetas, self.weights, self.birth_ids = old_thetas[src], old_weights[src], self.birth_ids[src]
+        born = copies
+        if fresh is not None:
+            new = src < 0
+            born = copies | new
+            self.thetas[new] = fresh
+            self.weights[new] = 1.0
+        n_born = int(np.count_nonzero(born))
+        self.birth_ids[born] = np.arange(self.next_birth_id, self.next_birth_id + n_born)
+        self.next_birth_id += n_born
+        if carried is None or src.size != old_thetas.shape[0]:
+            return
+        n = self.n
+        kept = slice(None) if fresh is None else np.flatnonzero(~new)
+        count = np.bincount(src[kept], minlength=n)
+        changed = np.flatnonzero(count != 1)
+        b, w = old_thetas[changed], old_weights[changed] * (count[changed] - 1)
+        v, grad = carried[0][src], carried[1][src]  # fresh rows are overwritten below
+        if fresh is not None:
+            b, w = np.vstack([b, fresh]), np.concatenate([w, np.ones(len(fresh))])
+        if b.shape[0]:
+            vsum, fsum = model.kernel_weighted_sums(self.thetas[kept], b, w)
+            v[kept] += vsum / n
+            grad[kept] += fsum / n
+        if fresh is not None:
+            vsum, fsum = model.kernel_weighted_sums(fresh, self.thetas, self.weights)
+            v[new] = model.F(fresh) + vsum / n
+            grad[new] = model.grad_F(fresh) + fsum / n
+        self._carry_field(model, v, grad)
 
 
 def init_from_sampler(sampler, n: int, k: int, seed: int, has_amplitude: bool = False) -> Ensemble:

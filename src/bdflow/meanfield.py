@@ -183,12 +183,6 @@ class Grid1D:
         """Integral of phi against the grid density."""
         return float(np.sum(np.asarray(phi(self.centers)) * self.density) * self.dx)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("theta,density\n")
-            for x, r in zip(self.centers, self.density):
-                fh.write(f"{x:.17g},{r:.17g}\n")
-
 
 def grid_from_sampler(sampler, cells: int) -> Grid1D:
     """Cell-centered density on `sampler.support_1d()`: a gaussian is truncated

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensemble import atomic_open
 from .errors import (
     ConfigurationError,
     UnsupportedOperationError,
@@ -384,7 +385,8 @@ class ReLUStudentTeacherModel(PotentialModel):
         return 0.5 * float(np.mean(resid**2))
 
     def dump_teacher_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        """Teacher units as CSV: unit,amplitude,y_0,...; replaced atomically."""
+        with atomic_open(path) as fh:
             w = csv.writer(fh)
             w.writerow(["unit", "amplitude"] + [f"y_{j}" for j in range(self.input_dim)])
             for j in range(self.teacher_units):
@@ -439,14 +441,13 @@ def field(model: PotentialModel, ens, batch=None) -> tuple[np.ndarray, np.ndarra
 
 
 def exact_mixture_loss(model: GaussianMixtureModel, ens) -> float:
-    """0.5 * integral |target - representation|^2, assembled in closed form."""
+    """0.5 * integral |target - representation|^2: the target's closed-form
+    self-energy plus the particle energy `diagnostics.ensemble_energy`."""
+    from .diagnostics import ensemble_energy  # diagnostics imports this module
+
     if not isinstance(model, GaussianMixtureModel):
         raise ConfigurationError("exact_mixture_loss requires the gaussian-mixture model")
-    n = ens.n
-    w = ens.weights
-    single = float(w @ model.F(ens.thetas)) / n
-    pair = 0.5 * float(w @ model.kernel_weighted_sums(ens.thetas, ens.thetas, w)[0]) / n**2
-    return model.target_self_energy + single + pair
+    return model.target_self_energy + ensemble_energy(model, ens)
 
 
 # -- construction from config ------------------------------------------------

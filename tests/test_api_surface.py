@@ -1,7 +1,10 @@
 """The public names of the `bdflow` package, pinned: adding or removing one is
-an API change that must show up here."""
+an API change that must show up here.  The carried (V, grad V) is private to
+its owner: only `ensemble.py` and `potentials.py` may name it."""
 
+import re
 import types
+from pathlib import Path
 
 import bdflow as bf
 
@@ -27,3 +30,15 @@ def test_public_names_are_pinned():
                    if not n.startswith("_") and not isinstance(v, types.ModuleType))
     assert names == PUBLIC_NAMES
     assert len(names) == 54
+
+
+CARRY_NAMES = re.compile(r"\b(_field|_carried_field|_carry_field)\b")
+CARRY_OWNERS = {"ensemble.py", "potentials.py"}
+
+
+def test_carried_field_is_named_only_by_its_owners():
+    package = Path(bf.__file__).parent
+    modules = {p.relative_to(package).as_posix(): p.read_text() for p in package.rglob("*.py")}
+    offenders = sorted(name for name, text in modules.items()
+                       if name not in CARRY_OWNERS and CARRY_NAMES.search(text))
+    assert offenders == []

@@ -269,18 +269,6 @@ class TestGridEnergy:
         assert stepper_energy(mixture_frozen, g) == pytest.approx(total, rel=1e-10)
 
 
-class TestGridCsv:
-    def test_roundtrip(self, tmp_path):
-        g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 64)
-        path = tmp_path / "grid.csv"
-        g.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "theta,density"
-        vals = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        np.testing.assert_array_equal(vals[:, 0], g.centers)
-        np.testing.assert_array_equal(vals[:, 1], g.density)
-
-
 class TestGridConstruction:
     def test_gaussian_bounds_are_eight_sigmas(self):
         g = bf.grid_from_sampler(bf.GaussianSampler(mean=[1.0], std=0.5), 128)

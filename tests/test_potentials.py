@@ -330,6 +330,22 @@ class TestReluStudentTeacher:
         norms = [np.linalg.norm([float(v) for v in r.split(",")[2:]]) for r in rows[1:]]
         np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
 
+    def test_failed_dump_leaves_existing_file_unchanged(self, tmp_path):
+        path = tmp_path / "teacher.csv"
+        bf.ReLUStudentTeacherModel(input_dim=3, teacher_units=5, teacher_seed=8).dump_teacher_csv(path)
+        before = path.read_bytes()
+
+        class FailsOnRead:
+            def __getitem__(self, j):
+                raise RuntimeError("write interrupted")
+
+        other = bf.ReLUStudentTeacherModel(input_dim=3, teacher_units=5, teacher_seed=9)
+        other.teacher_y = FailsOnRead()  # the header is written, then the first unit fails
+        with pytest.raises(RuntimeError, match="write interrupted"):
+            other.dump_teacher_csv(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["teacher.csv"]  # no temp file left
+
 
 class TestBuildModel:
     def test_unknown_keys_rejected(self):

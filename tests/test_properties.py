@@ -2,9 +2,12 @@
 model supports: exact population conservation, unit mean weight, centered
 rates summing to zero, and the f = identity variant reproducing gd-bd bitwise.
 After a step, an interacting model's carried (V, grad V) matches a fresh
-evaluation, and an edited ensemble is evaluated afresh.  Also: a committed
-config with any one value replaced by a malformed one either parses, and then
-round-trips through its echo, or raises ConfigurationError."""
+evaluation, and an edited ensemble is evaluated afresh.  `Ensemble.regroup`
+moves rows, weights, birth ids and the carried field to any rebuilt
+population, and after exact-event KMC every row is one of the initial rows.
+Also: a committed config with any one value replaced by a malformed one
+either parses, and then round-trips through its echo, or raises
+ConfigurationError."""
 
 import copy
 import json
@@ -200,3 +203,53 @@ def test_edited_ensemble_is_evaluated_afresh():
     v, _ = bf.field(model, ens)
     assert np.array_equal(v, bf.field(model, ens.copy())[0])
     assert ens._carried_field(copy.deepcopy(model)) is None  # an equal model is not the same one
+
+
+# Ensemble.regroup is the one place that rebuilds a population from old rows.
+@PROPERTY_SETTINGS
+@given(name=st.sampled_from(sorted(CARRY_MODELS)), n=st.integers(2, 30),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_regroup_moves_rows_birth_ids_and_carried_field(name, n, seed, data):
+    model = CARRY_MODELS[name]
+    rng = np.random.default_rng(seed)
+    ens = random_ensemble(model, n, rng)
+    ens.weights = rng.uniform(0.2, 2.0, n)
+    ens.birth_ids = rng.permutation(3 * n)[:n]
+    ens.next_birth_id = 3 * n
+    bf.field(model, ens)  # carry (V, grad V) for the old rows
+    old = ens.copy()
+    src = np.array(data.draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n)))
+    copies = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    for i in range(n):  # a valid regroup keeps each source's id in at most one row
+        if src[i] >= 0 and not copies[i] and src[i] in src[:i][~copies[:i]]:
+            copies[i] = True
+    new = src < 0
+    fresh = rng.normal(size=(int(new.sum()), model.theta_dim)) if new.any() else None
+    ens.regroup(src, copies, fresh)
+
+    assert np.array_equal(ens.thetas[~new], old.thetas[src[~new]])
+    assert np.array_equal(ens.weights[~new], old.weights[src[~new]])
+    if fresh is not None:
+        assert np.array_equal(ens.thetas[new], fresh) and np.all(ens.weights[new] == 1.0)
+    kept = ~copies & ~new
+    assert np.array_equal(ens.birth_ids[kept], old.birth_ids[src[kept]])
+    assert len(set(ens.birth_ids.tolist())) == n
+    assert ens.next_birth_id == old.next_birth_id + int(np.count_nonzero(copies | new))
+    carried = ens._carried_field(model)
+    assert carried is not None
+    assert_close(carried, bf.field(model, ens.copy()))
+
+
+@PROPERTY_SETTINGS
+@given(name=st.sampled_from(["quadratic", "double-well"]), n=st.integers(2, 40),
+       seed=st.integers(0, 2**32 - 1), horizon=st.floats(0.0, 3.0), alpha=st.floats(0.1, 5.0))
+def test_kmc_rows_are_initial_rows(name, n, seed, horizon, alpha):
+    model = MODELS[name]
+    rng = np.random.default_rng(seed)
+    ens = random_ensemble(model, n, rng)
+    initial = ens.thetas.copy()
+    bf.kmc_run(model, ens, bf.DynamicsConfig(variant="kmc-bd", dt=1.0, alpha=alpha), horizon, rng)
+    assert all(np.any(np.all(initial == row, axis=1)) for row in ens.thetas)
+    assert len(set(ens.birth_ids.tolist())) == n
+    kept = ens.birth_ids < n  # an initial id stays only on its own, never overwritten, row
+    assert np.array_equal(ens.thetas[kept], initial[ens.birth_ids[kept]])
