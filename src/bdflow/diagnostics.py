@@ -3,12 +3,13 @@ scaling against the grid reference, and rate fits."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import DynamicsConfig, run_step
-from .ensemble import Ensemble, init_from_sampler
+from .dynamics import DynamicsConfig, run_replicas
+from .ensemble import Ensemble
 from .errors import ConfigurationError, FitError
 from .meanfield import GridStepper, grid_from_sampler
 from .potentials import PotentialModel, field, potential
@@ -111,18 +112,18 @@ def fluctuation_scaling(model: PotentialModel, cfg: DynamicsConfig, init_sampler
     For every population size the same grid solution serves as reference;
     the returned slope is the pooled least-squares slope of log RMS against
     log n at `slope_checkpoint`, and quench ratios compare the last
-    checkpoint to the first at the largest population.
+    checkpoint to the first at the largest population.  Every checkpoint
+    must be a whole number of steps dt, so particles and grid meet at it.
     """
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) < 3 or n_list[-1] < 10 * n_list[0]:
         raise ConfigurationError("n_list needs >= 3 sizes spanning at least one decade")
-    if model.has_amplitude or model.theta_dim != 1 or not model.is_exact:
-        raise ConfigurationError("fluctuation scaling needs an exact 1D model")
-    if cfg.variant not in ("gd-only", "bd-only", "gd-bd"):
-        raise ConfigurationError("fluctuation scaling supports gd-only, bd-only, gd-bd")
     checkpoints = sorted(checkpoints)
     if slope_checkpoint not in checkpoints:
         raise ConfigurationError("slope_checkpoint must be one of the checkpoints")
+    steps = [round(t / cfg.dt) for t in checkpoints]
+    if not all(math.isclose(t / cfg.dt, k, rel_tol=1e-9) for t, k in zip(checkpoints, steps)):
+        raise ConfigurationError(f"checkpoints {checkpoints} must be whole numbers of steps dt = {cfg.dt}")
 
     # deterministic grid reference, stepped at CFL 0.45 of the initial field
     grid = grid_from_sampler(init_sampler, grid_cells)
@@ -136,26 +137,16 @@ def fluctuation_scaling(model: PotentialModel, cfg: DynamicsConfig, init_sampler
         for pi, phi in enumerate(test_fns):
             grid_moments[ci, pi] = grid.moment(phi)
 
-    # particle sweeps
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(len(n_list) * seeds)
+    # particle sweeps: each replica's test-function moments at every checkpoint
+    def moments(ens):
+        return [float(ens.weights @ np.asarray(phi(ens.thetas[:, 0]))) / ens.n for phi in test_fns]
+    children = np.random.SeedSequence(seed).spawn(len(n_list) * seeds)
     rms = np.zeros((len(checkpoints), len(test_fns), len(n_list)))
-    steps_per = [round(t / cfg.dt) for t in checkpoints]
     for ni, n in enumerate(n_list):
+        pairs = [c.generate_state(2).tolist() for c in children[ni * seeds:(ni + 1) * seeds]]
         sq_sum = np.zeros((len(checkpoints), len(test_fns)))
-        for si in range(seeds):
-            child = children[ni * seeds + si]
-            init_seed, dyn_seed = (int(s) for s in child.generate_state(2))
-            ens = init_from_sampler(init_sampler, n, 1, init_seed)
-            rng = np.random.default_rng(dyn_seed)
-            done = 0
-            for ci, target in enumerate(steps_per):
-                for _ in range(target - done):
-                    run_step(model, ens, cfg, rng)
-                done = target
-                for pi, phi in enumerate(test_fns):
-                    m = float(ens.weights @ np.asarray(phi(ens.thetas[:, 0]))) / ens.n
-                    sq_sum[ci, pi] += (m - grid_moments[ci, pi]) ** 2
+        for obs in run_replicas(model, cfg, init_sampler, n, pairs, steps, moments):
+            sq_sum += [[(m - g) ** 2 for m, g in zip(*row)] for row in zip(obs, grid_moments)]
         rms[:, :, ni] = np.sqrt(sq_sum / seeds)
 
     slope_idx = checkpoints.index(slope_checkpoint)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import Ensemble
+from .ensemble import Ensemble, init_from_sampler
 from .errors import (
     ConfigurationError,
     ExtinctionError,
@@ -455,3 +455,21 @@ def run_step(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
         raise NumericError(f"population changed from {n0} to {ens.n} within one step")
     ens.validate()
     return report
+
+
+def run_replicas(model: PotentialModel, cfg: DynamicsConfig, init, n: int, seeds, steps,
+                 observe) -> list[list]:
+    """Replica s draws n particles from `init` on `seeds[s][0]` and steps them on its own
+    `default_rng(seeds[s][1])`; its row holds `observe(ens)` after each of the nondecreasing `steps`."""
+    if any(b < a for a, b in zip(steps, steps[1:])):
+        raise ConfigurationError(f"step counts must be nondecreasing, got {list(steps)}")
+    out = []
+    for init_seed, dyn_seed in seeds:
+        ens = init_from_sampler(init, n, model.position_dim, init_seed, has_amplitude=model.has_amplitude)
+        rng = np.random.default_rng(dyn_seed)
+        out.append([])
+        for done, target in zip([0, *steps], steps):
+            for _ in range(target - done):
+                run_step(model, ens, cfg, rng)
+            out[-1].append(observe(ens))
+    return out

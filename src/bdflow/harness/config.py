@@ -62,6 +62,10 @@ class ExperimentConfig:
             require_number(t, "snapshot_times", 0.0)
             for t in require_list(self.snapshot_times, "snapshot_times", 0)
         )
+        end = self._time_of(self.steps)  # a run snapshots t once its time reaches t - dt/2
+        late = [t for t in self.snapshot_times if end < t - 0.5 * self.dynamics.dt]
+        if late:
+            raise ConfigurationError(f"snapshot_times {late} fall after the run ends at t = {end}")
         if not isinstance(self.output_dir, str):
             raise ConfigurationError(f"output_dir must be a string, got {self.output_dir!r}")
         if self.rate_fit is not None:
@@ -84,15 +88,15 @@ class ExperimentConfig:
             )
         check_model_support(self.model, self.dynamics.variant, self.dynamics.reinjection_prior)
 
+    def _time_of(self, step: int) -> float:
+        """The time a run computes for the end of `step` (proximal substeps count)."""
+        per_step = self.dynamics.proximal_gd_steps if self.dynamics.variant == "proximal" else 1
+        return step * per_step * self.dynamics.dt
+
     def _records_in(self, t0: float, t1: float) -> int:
         """Records a run puts in [t0, t1] (step 0, every record_every-th step,
         the last), at the times the run computes for them."""
-        per_step = self.dynamics.proximal_gd_steps if self.dynamics.variant == "proximal" else 1
-
-        def time_of(step):
-            return step * per_step * self.dynamics.dt
-
-        steps = range(0, self.steps + 1, self.record_every)
+        steps, time_of = range(0, self.steps + 1, self.record_every), self._time_of
         last = self.steps % self.record_every != 0 and t0 <= time_of(self.steps) <= t1
         return bisect_right(steps, t1, key=time_of) - bisect_left(steps, t0, key=time_of) + last
 

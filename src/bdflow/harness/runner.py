@@ -24,7 +24,7 @@ import numpy as np
 from ..diagnostics import TRAJECTORY_COLUMNS, TrajectoryRecord, ensemble_energy, field_moments, rate_fit
 from ..dynamics import run_step
 from ..ensemble import atomic_open, init_from_sampler, write_snapshot_csv
-from ..errors import ConfigurationError, ExtinctionError, FitError, NumericError, StepSizeError
+from ..errors import ConfigurationError, ExtinctionError, FitError, NumericError, StepSizeError, require_int
 from ..potentials import field
 from .config import ExperimentConfig, parse_config
 
@@ -185,6 +185,7 @@ def run_sweep(config: ExperimentConfig, axis: str, values, seeds: int,
     numeric failures mark the cell only."""
     if seeds < 1:
         raise ConfigurationError("seeds must be >= 1")
+    n_jobs = (os.cpu_count() or 1) if jobs is None else require_int(jobs, "jobs", 1)
     out = Path(output_dir)
     base = config.normalized()
     tasks = []
@@ -200,7 +201,6 @@ def run_sweep(config: ExperimentConfig, axis: str, values, seeds: int,
             tasks.append(((parse_config(data), str(cell_dir)), vi, si))
     out.mkdir(parents=True, exist_ok=True)
 
-    n_jobs = jobs if jobs else (os.cpu_count() or 1)
     results = {}
     if n_jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:

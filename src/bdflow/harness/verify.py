@@ -34,7 +34,9 @@ _NODE_RE = re.compile(r"test_c(\d{2})")
 
 
 class _Collector:
-    """Pytest plugin recording outcome and measured values per criterion."""
+    """Pytest plugin recording outcome and measured values per criterion, and
+    its wall time: the setup, call and teardown durations of all its tests,
+    so a shared fixture counts where it is set up."""
 
     def __init__(self):
         self.outcomes: dict[int, list] = {}
@@ -45,11 +47,13 @@ class _Collector:
         if not m:
             return
         crit = int(m.group(1))
+        measured = self.measured.setdefault(crit, {})
+        measured["wall_seconds"] = measured.get("wall_seconds", 0.0) + report.duration
         if report.when == "call" or (report.when == "setup" and report.skipped):
             outcome = "skipped" if report.skipped else ("pass" if report.passed else "fail")
             self.outcomes.setdefault(crit, []).append(outcome)
             for key, value in getattr(report, "user_properties", ()):
-                self.measured.setdefault(crit, {})[key] = value
+                measured[key] = value
 
     def pytest_deselected(self, items):
         for item in items:

@@ -182,3 +182,13 @@ class TestFluctuationScaling:
                 quad_1d, cfg, bf.GaussianSampler(mean=[0.0], std=1.0),
                 [100, 200, 400], 4, [lambda x: x],
             )
+
+    def test_checkpoints_must_fall_on_the_step_grid(self, quad_1d):
+        # with dt = 0.03 particles once stopped at t = 0.21, 0.99 and 5.01 and were
+        # compared with the grid at 0.2, 1 and 5
+        cfg = bf.DynamicsConfig(variant="gd-bd", dt=0.03, alpha=1.0)
+        with pytest.raises(bf.ConfigurationError, match="whole numbers of steps"):
+            bf.fluctuation_scaling(
+                quad_1d, cfg, bf.GaussianSampler(mean=[0.0], std=1.0),
+                [30, 100, 300], 4, [lambda x: x], checkpoints=(0.2, 1.0, 5.0),
+            )

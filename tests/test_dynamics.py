@@ -434,11 +434,10 @@ class TestRunStep:
             ("proximal", {"tau": dt, "proximal_inner_iters": 1}),
         ):
             cfg = bf.DynamicsConfig(variant=variant, dt=dt, alpha=1.0, **extra)
-            vals = np.empty(seeds)
-            for s in range(seeds):
-                ens = bf.init_from_sampler(init, n, 1, seed=1000 + s, has_amplitude=True)
-                bf.run_step(mixture_3c, ens, cfg, np.random.default_rng(2000 + s))
-                vals[s] = bf.ensemble_energy(mixture_3c, ens)
+            vals = np.ravel(bf.dynamics.run_replicas(
+                mixture_3c, cfg, init, n, [(1000 + s, 2000 + s) for s in range(seeds)], [1],
+                lambda ens: bf.ensemble_energy(mixture_3c, ens),
+            ))
             means[variant] = (vals.mean(), vals.std(ddof=1))
         gap = abs(means["gd-bd"][0] - means["proximal"][0])
         combined = np.hypot(means["gd-bd"][1], means["proximal"][1]) / np.sqrt(seeds)

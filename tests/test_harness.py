@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import bdflow as bf
 from bdflow.harness import load_config, parse_config, run_experiment, run_sweep
 from bdflow.harness.cli import main as cli_main
+from bdflow.harness.verify import _Collector
 
 
 def quad_config(**overrides):
@@ -58,7 +60,8 @@ RELU = {"model": {"kind": "relu-student-teacher", "input_dim": 1},
 # each entry breaks one field of quad_config(); dotted keys reach into objects.
 # The first three, the inverted rate_fit window and the model/init entries once
 # reached the CLI as raw exceptions (exit 1), except teacher_units: true, which ran;
-# the [5, 9] window once ran and then failed its fit with exit 1 and no summary.
+# the [5, 9] window once ran and then failed its fit with exit 1 and no summary;
+# the snapshot after the run's end at t = 1 was once dropped from a run that ended ok.
 MALFORMED = [
     {"dynamics.dt": "abc"},
     {"snapshot_times": ["x"]},
@@ -81,6 +84,7 @@ MALFORMED = [
     {"model": {**MIXTURE, "components": [{**COMPONENT, "c": "x"}]}},
     {"init": {"kind": "gaussian", "mean": [0.0], "std": "abc"}},
     {"init": {"kind": "gaussian", "mean": "a", "std": 1.0}},
+    {"snapshot_times": [2.0]},
 ]
 
 
@@ -363,6 +367,16 @@ class TestCli:
         assert code == 2
         assert not list(tmp_path.glob("sw/value_*"))
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_jobs_below_one_exit_code(self, tmp_path, jobs):
+        # -3 once ran serially and 0 once used every core, both exiting 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(quad_config()))
+        code = cli_main(["sweep", "--config", str(path), "--axis", "n", "--values", "2",
+                         "--seeds", "1", "--jobs", jobs, "--out", str(tmp_path / "sw"), "--quiet"])
+        assert code == 2
+        assert not (tmp_path / "sw" / "sweep.json").exists()
+
     def test_teacher_dump(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
@@ -382,3 +396,29 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(quad_config()))
         assert cli_main(["teacher-dump", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+
+
+class TestVerifyCollector:
+    @staticmethod
+    def report(name, when, duration, outcome="passed", props=()):
+        return SimpleNamespace(nodeid=f"tests/test_acceptance.py::{name}", when=when,
+                               duration=duration, passed=outcome == "passed",
+                               skipped=outcome == "skipped", user_properties=list(props))
+
+    def test_wall_seconds_sum_every_phase_of_every_test(self):
+        collector = _Collector()
+        for report in (
+            self.report("test_c09_a", "setup", 100.0),  # a shared fixture is built here
+            self.report("test_c09_a", "call", 0.5, props=[("bad", 1.0)]),
+            self.report("test_c09_a", "teardown", 0.25),
+            self.report("test_c09_b", "setup", 0.125),
+            self.report("test_c09_b", "call", 2.0, outcome="failed"),
+            self.report("test_c09_b", "teardown", 0.0),
+            self.report("test_c11_c", "setup", 1.5, outcome="skipped"),
+            self.report("test_c11_c", "teardown", 0.5),
+            self.report("test_other", "call", 9.0),
+        ):
+            collector.pytest_runtest_logreport(report)
+        assert collector.measured == {9: {"wall_seconds": 102.875, "bad": 1.0},
+                                      11: {"wall_seconds": 2.0}}
+        assert collector.outcomes == {9: ["pass", "fail"], 11: ["skipped"]}

@@ -2,9 +2,10 @@
 model supports: exact population conservation, unit mean weight, centered
 rates summing to zero, and the f = identity variant reproducing gd-bd bitwise.
 After a step, an interacting model's carried (V, grad V) matches a fresh
-evaluation, and an edited ensemble is evaluated afresh.  `Ensemble.regroup`
-moves rows, weights, birth ids and the carried field to any rebuilt
-population, and after exact-event KMC every row is one of the initial rows.
+evaluation, and an edited ensemble is evaluated afresh.  `run_replicas` equals
+a hand-written loop over seeds bitwise.  `Ensemble.regroup` moves rows,
+weights, birth ids and the carried field to any rebuilt population, and after
+exact-event KMC every row is one of the initial rows.
 Also: a committed config with any one value replaced by a malformed one
 either parses, and then round-trips through its echo, or raises
 ConfigurationError."""
@@ -15,6 +16,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,6 +110,51 @@ def test_identity_transform_is_bitwise_gd_bd(name, n, seed, dt, alpha):
         assert np.array_equal(a.thetas, b.thetas)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.birth_ids, b.birth_ids)
+
+
+def population(ens):
+    """What a replica leaves: rows, weights, birth ids, its clock and one moment."""
+    return (ens.thetas.copy(), ens.weights.copy(), ens.birth_ids.copy(), ens.step_count, ens.time,
+            float(ens.weights @ ens.thetas[:, -1]) / ens.n)
+
+
+@PROPERTY_SETTINGS
+@given(case=st.sampled_from(CASES), n=st.integers(2, 12),
+       seeds=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+                      min_size=1, max_size=3),
+       steps=st.lists(st.integers(0, 4), min_size=1, max_size=4).map(sorted),
+       dt=st.floats(0.002, 0.02), alpha=st.floats(0.1, 3.0))
+def test_run_replicas_is_a_loop_over_seeds(case, n, seeds, steps, dt, alpha):
+    name, variant = case
+    model = MODELS[name]
+    cfg = bf.DynamicsConfig(variant=variant, dt=dt, alpha=alpha,
+                            f_spec=bf.FVariant(kind="tanh"), reinjection_prior=prior_for(model))
+    init = bf.GaussianSampler(mean=[0.0] * model.theta_dim, std=1.0)
+    expected = []
+    for init_seed, dyn_seed in seeds:
+        ens = bf.init_from_sampler(init, n, model.position_dim, init_seed,
+                                   has_amplitude=model.has_amplitude)
+        rng = np.random.default_rng(dyn_seed)
+        done, observed = 0, []
+        for target in steps:
+            while done < target:
+                bf.run_step(model, ens, cfg, rng)
+                done += 1
+            observed.append(population(ens))
+        expected.append(observed)
+    got = bf.dynamics.run_replicas(model, cfg, init, n, seeds, steps, population)
+    assert len(got) == len(expected)
+    for replica, hand in zip(got, expected):
+        assert len(replica) == len(hand) == len(steps)
+        for a, b in zip(replica, hand):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_run_replicas_rejects_decreasing_step_counts():
+    model = MODELS["quadratic"]
+    cfg = bf.DynamicsConfig(variant="gd-bd", dt=0.01)
+    with pytest.raises(bf.ConfigurationError, match="nondecreasing"):
+        bf.dynamics.run_replicas(model, cfg, prior_for(model), 4, [(0, 1)], [2, 1], population)
 
 
 CONFIGS = {p.stem: json.loads(p.read_text())

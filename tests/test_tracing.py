@@ -96,3 +96,21 @@ def test_one_pairwise_pass_per_step():
         assert c["births"] + c["deaths"] > 0
         assert stepped <= (steps + 1) * n**2 + n * events, variant
         assert observed == 0
+
+
+def test_traced_replicas_record_every_step():
+    """Replicas initialise and step through the wrapped functions: one init per
+    seed pair and one run_step span per step, up to the last count."""
+    model = bf.QuadraticWellModel(minimizer=[0.5], hessian=1.0)
+    cfg = bf.DynamicsConfig(variant="gd-bd", dt=0.05, alpha=1.0)
+    seeds, steps = [(0, 1), (2, 3), (4, 5)], [0, 2, 2, 5]
+    tracer = load_tracer_class()(bf)
+    tracer.install()
+    try:
+        bf.dynamics.run_replicas(model, cfg, bf.GaussianSampler(mean=[0.0], std=1.0), 8, seeds,
+                                 steps, lambda ens: ens.n)
+    finally:
+        tracer.remove()
+    calls = tracer.call_counts()
+    assert calls["dynamics.run_step"] == len(seeds) * steps[-1]
+    assert calls["ensemble.init"] == len(seeds)
