@@ -124,9 +124,9 @@ class DynamicsConfig:
             raise ConfigurationError("gd-bd-reinjection requires reinjection_prior")
 
     @property
-    def proximal_gd_steps(self) -> int:
-        """Transport steps per proximal cycle, from tau = alpha * m * dt."""
-        if self.alpha <= 0:
+    def substeps(self) -> int:
+        """Transport steps per step: 1, or for proximal the m of tau = alpha * m * dt."""
+        if self.variant != "proximal" or self.alpha <= 0:
             return 1
         return max(1, round(self.tau / (self.alpha * self.dt)))
 
@@ -308,8 +308,7 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
     slot; the population is rebuilt from those once, at the end.
     """
     check_model_support(model, "kmc-bd")
-    if horizon < 0:
-        raise ConfigurationError("horizon must be >= 0")
+    horizon = require_number(horizon, "horizon", 0.0)
     n = ens.n
     f_vals = model.F(ens.thetas)
     if not np.all(np.isfinite(f_vals)):
@@ -431,9 +430,8 @@ def run_step(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
     check_model_support(model, variant, cfg.reinjection_prior)
     batch = None if model.is_exact else model.sample_batch(rng)
 
-    substeps = cfg.proximal_gd_steps if variant == "proximal" else 1
     if variant not in ("bd-only", "kmc-bd"):
-        for _ in range(substeps):
+        for _ in range(cfg.substeps):
             gd_step(model, ens, cfg.dt, batch)
 
     if variant == "gd-only":
@@ -449,7 +447,7 @@ def run_step(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
         bd_pass = reinjection_step if variant == "gd-bd-reinjection" else birth_death_step
         report = bd_pass(model, ens, cfg, rng, rates=rates)
 
-    ens.step_count += substeps
+    ens.step_count += cfg.substeps
     ens.time = ens.step_count * cfg.dt  # exact, no float accumulation drift
     if ens.n != n0:
         raise NumericError(f"population changed from {n0} to {ens.n} within one step")

@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 
-from ..errors import ConfigurationError, ExtinctionError, NumericError, StepSizeError
+from ..errors import ConfigurationError
+from .config import load_config
+from .runner import RUN_ERRORS, run_experiment, run_sweep
+from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1
@@ -32,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="cross product of one config axis and seeds")
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--axis", required=True, help="dotted config path, e.g. dynamics.alpha or n")
-    sweep.add_argument("--values", required=True, help="comma-separated axis values")
+    sweep.add_argument("--values", required=True, help="comma-separated axis values, each read as JSON")
     sweep.add_argument("--seeds", type=int, default=1)
     sweep.add_argument("--jobs", type=int, default=None, help="worker processes (default: cores)")
     sweep.add_argument("--out", required=True)
@@ -50,14 +54,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_values(raw: str):
+    """Each comma-separated item as a JSON value (the config file's grammar),
+    or as the stripped string when it is not JSON."""
     vals = []
     for item in raw.split(","):
-        item = item.strip()
         try:
-            num = float(item)
-            vals.append(int(num) if num.is_integer() and "." not in item and "e" not in item.lower() else num)
-        except ValueError:
-            vals.append(item)
+            vals.append(json.loads(item))
+        except json.JSONDecodeError:
+            vals.append(item.strip())
     return vals
 
 
@@ -65,9 +69,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            from .config import load_config
-            from .runner import run_experiment
-
             cfg = load_config(args.config)
             if args.seed is not None:
                 cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -75,9 +76,6 @@ def main(argv=None) -> int:
             return EXIT_OK if summary["status"] == "ok" else EXIT_NUMERIC
 
         if args.command == "sweep":
-            from .config import load_config
-            from .runner import run_sweep
-
             cfg = load_config(args.config)
             report = run_sweep(
                 cfg,
@@ -96,14 +94,10 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "verify":
-            from .verify import run_verify
-
             code, _ = run_verify(level=args.level, report_path=args.out, quiet=args.quiet)
             return EXIT_ACCEPTANCE if code else EXIT_OK
 
         if args.command == "teacher-dump":
-            from .config import load_config
-
             model = load_config(args.config).model
             if model.kind != "relu-student-teacher":
                 raise ConfigurationError("teacher-dump needs a relu-student-teacher model")
@@ -112,7 +106,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericError, ExtinctionError, StepSizeError) as exc:
+    except RUN_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

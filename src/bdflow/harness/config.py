@@ -33,6 +33,11 @@ _TOP_KEYS = (("model", "init", "dynamics", "n", "steps", "seed"),
 _DYNAMICS_KEYS = (("variant", "dt"), ("alpha", "f", "tau", "proximal_inner_iters", "reinjection"))
 
 
+def snapshot_name(t: float) -> str:
+    """The file a run writes its snapshot at time `t` to."""
+    return f"snapshot_t{t:g}.csv"
+
+
 @dataclass
 class ExperimentConfig:
     """One run: the model, init sampler and dynamics built from a config, the
@@ -62,6 +67,9 @@ class ExperimentConfig:
             require_number(t, "snapshot_times", 0.0)
             for t in require_list(self.snapshot_times, "snapshot_times", 0)
         )
+        names = [snapshot_name(t) for t in self.snapshot_times]
+        if len(set(names)) < len(names):
+            raise ConfigurationError(f"snapshot_times {list(self.snapshot_times)} repeat a file name in {names}")
         end = self._time_of(self.steps)  # a run snapshots t once its time reaches t - dt/2
         late = [t for t in self.snapshot_times if end < t - 0.5 * self.dynamics.dt]
         if late:
@@ -90,8 +98,7 @@ class ExperimentConfig:
 
     def _time_of(self, step: int) -> float:
         """The time a run computes for the end of `step` (proximal substeps count)."""
-        per_step = self.dynamics.proximal_gd_steps if self.dynamics.variant == "proximal" else 1
-        return step * per_step * self.dynamics.dt
+        return step * self.dynamics.substeps * self.dynamics.dt
 
     def _records_in(self, t0: float, t1: float) -> int:
         """Records a run puts in [t0, t1] (step 0, every record_every-th step,

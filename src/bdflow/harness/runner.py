@@ -26,7 +26,7 @@ from ..dynamics import run_step
 from ..ensemble import atomic_open, init_from_sampler, write_snapshot_csv
 from ..errors import ConfigurationError, ExtinctionError, FitError, NumericError, StepSizeError, require_int
 from ..potentials import field
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig, parse_config, snapshot_name
 
 RUN_ERRORS = (NumericError, ExtinctionError, StepSizeError)
 
@@ -90,7 +90,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None, quiet: bool = True
     def take_snapshots():
         while pending and ens.time >= pending[0] - 0.5 * dyn.dt:
             t_snap = pending.pop(0)
-            path = out / f"snapshot_t{t_snap:g}.csv"
+            path = out / snapshot_name(t_snap)
             write_snapshot_csv(ens, path)
             snapshots.append(path.name)
 
@@ -158,14 +158,7 @@ def _set_axis(data: dict, axis: str, value):
     old = node[leaf]
     if isinstance(old, bool) or not isinstance(old, (int, float, str)):
         raise ConfigurationError(f"axis {axis!r} must point at a numeric or enum field")
-    if isinstance(old, str):
-        node[leaf] = str(value)
-        return
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"axis {axis!r} takes numbers, got {value!r}")
-    if isinstance(old, int) and not float(value).is_integer():
-        raise ConfigurationError(f"axis {axis!r} takes integers, got {value!r}")
-    node[leaf] = type(old)(value)
+    node[leaf] = value  # parse_config judges the value as it judges the config file
 
 
 def _run_cell(args):
@@ -183,8 +176,7 @@ def run_sweep(config: ExperimentConfig, axis: str, values, seeds: int,
     report.  Every cell's config is parsed before any cell runs, so a bad axis
     value raises ConfigurationError; cells then run in a process pool and
     numeric failures mark the cell only."""
-    if seeds < 1:
-        raise ConfigurationError("seeds must be >= 1")
+    seeds = require_int(seeds, "seeds", 1)
     n_jobs = (os.cpu_count() or 1) if jobs is None else require_int(jobs, "jobs", 1)
     out = Path(output_dir)
     base = config.normalized()

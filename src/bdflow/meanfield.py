@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import DynamicsConfig
-from .errors import ConfigurationError, NumericError, StepSizeError
+from .errors import ConfigurationError, NumericError, StepSizeError, require_array, require_number
 from .potentials import PotentialModel
 
 CFL_LIMIT = 0.9
@@ -74,18 +74,13 @@ class RateFormulas:
     alpha: float
 
     def __post_init__(self):
-        h = np.atleast_2d(np.asarray(self.hessian, dtype=float))
+        h = np.atleast_2d(require_array(self.hessian, "hessian", (0, 1, 2)))
         if h.shape[0] != h.shape[1] or not np.allclose(h, h.T, atol=1e-12):
             raise ConfigurationError("hessian must be square and symmetric")
         if np.linalg.eigvalsh(h).min() <= 0:
             raise ConfigurationError("hessian must be positive definite")
-        if not self.alpha > 0:
-            raise ConfigurationError("alpha must be > 0")
         object.__setattr__(self, "hessian", h)
-
-    @property
-    def dimension(self) -> int:
-        return self.hessian.shape[0]
+        object.__setattr__(self, "alpha", require_number(self.alpha, "alpha", 0.0, exclusive=True))
 
 
 def transport_bd_asymptote(formulas: RateFormulas, t):

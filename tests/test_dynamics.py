@@ -287,6 +287,14 @@ class TestKMC:
             bf.kmc_run(mixture_frozen, ens, bf.DynamicsConfig(variant="kmc-bd", dt=1.0), 1.0,
                        np.random.default_rng(20))
 
+    @pytest.mark.parametrize("horizon", [float("nan"), "x"])
+    def test_malformed_horizon_rejected(self, quad_1d, horizon):
+        # a NaN horizon once ran to fixation and left ens.time = nan; "x" raised TypeError
+        ens = bf.init_from_sampler(bf.GaussianSampler(mean=[1.0], std=1.0), 50, 1, seed=21)
+        with pytest.raises(bf.ConfigurationError, match="horizon"):
+            bf.kmc_run(quad_1d, ens, bf.DynamicsConfig(variant="kmc-bd", dt=1.0), horizon,
+                       np.random.default_rng(22))
+
 
 class TestProximalWeights:
     def test_uniform_potential_leaves_weights(self, quad_1d):
@@ -414,7 +422,7 @@ class TestRunStep:
             factors=(bf.GaussianSampler(mean=[0.0], std=1.0), bf.GaussianSampler(mean=[0.0], std=2.0))
         )
         cfg = bf.DynamicsConfig(variant="proximal", dt=0.01, alpha=1.0, tau=0.1)
-        assert cfg.proximal_gd_steps == 10
+        assert cfg.substeps == 10
         ens = bf.init_from_sampler(init, 16, 1, seed=33, has_amplitude=True)
         bf.run_step(mixture_3c, ens, cfg, np.random.default_rng(34))
         assert ens.step_count == 10
@@ -491,4 +499,4 @@ class TestDynamicsConfig:
     def test_proximal_default_tau(self):
         cfg = bf.DynamicsConfig(variant="proximal", dt=0.01, alpha=2.0)
         assert cfg.tau == pytest.approx(2.0 * 10 * 0.01)
-        assert cfg.proximal_gd_steps == 10
+        assert cfg.substeps == 10

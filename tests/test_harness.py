@@ -61,7 +61,8 @@ RELU = {"model": {"kind": "relu-student-teacher", "input_dim": 1},
 # The first three, the inverted rate_fit window and the model/init entries once
 # reached the CLI as raw exceptions (exit 1), except teacher_units: true, which ran;
 # the [5, 9] window once ran and then failed its fit with exit 1 and no summary;
-# the snapshot after the run's end at t = 1 was once dropped from a run that ended ok.
+# the snapshot after the run's end at t = 1 was once dropped from a run that ended ok;
+# the last two snapshot lists, whose times share a file name, once ran and wrote one file.
 MALFORMED = [
     {"dynamics.dt": "abc"},
     {"snapshot_times": ["x"]},
@@ -85,6 +86,8 @@ MALFORMED = [
     {"init": {"kind": "gaussian", "mean": [0.0], "std": "abc"}},
     {"init": {"kind": "gaussian", "mean": "a", "std": 1.0}},
     {"snapshot_times": [2.0]},
+    {"snapshot_times": [0.5, 0.5]},
+    {"snapshot_times": [0.1, 0.1000001]},
 ]
 
 
@@ -290,6 +293,14 @@ class TestRunSweep:
         with pytest.raises(bf.ConfigurationError, match="axis"):
             run_sweep(cfg, axis="dynamics.warp", values=[1], seeds=1, output_dir=tmp_path)
 
+    @pytest.mark.parametrize("seeds", [1.5, True])
+    def test_seeds_must_be_an_integer(self, tmp_path, seeds):
+        # 1.5 once raised TypeError from range; True ran and wrote "seeds": true
+        cfg = parse_config(quad_config())
+        with pytest.raises(bf.ConfigurationError, match="seeds"):
+            run_sweep(cfg, axis="n", values=[2], seeds=seeds, output_dir=tmp_path, jobs=1)
+        assert not (tmp_path / "sweep.json").exists()
+
 
 class TestCommittedConfigs:
     def test_example_configs_parse_and_echo(self):
@@ -352,6 +363,25 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(quad_config()))
         code = cli_main(["sweep", "--config", str(path), "--axis", axis, "--values", "1.5",
+                         "--seeds", "1", "--jobs", "1", "--out", str(tmp_path / "sw"), "--quiet"])
+        assert code == 2
+        assert not (tmp_path / "sw" / "sweep.json").exists()
+
+    def test_sweep_values_typed_like_the_config_file(self, tmp_path):
+        # an integer literal in the config once fixed the axis to integers ("takes integers")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(quad_config(model={"kind": "quadratic-well", "hessian": 1})))
+        code = cli_main(["sweep", "--config", str(path), "--axis", "model.hessian", "--values", "0.5,2",
+                         "--seeds", "1", "--jobs", "1", "--out", str(tmp_path / "sw"), "--quiet"])
+        assert code == 0
+        assert json.loads((tmp_path / "sw/sweep.json").read_text())["values"] == [0.5, 2]
+
+    @pytest.mark.parametrize("values", ["2.0", "1e3"])
+    def test_sweep_integral_float_on_integer_axis_exit_code(self, tmp_path, values):
+        # the config file rejects "n": 2.0; the sweep once truncated it to 2 and ran
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(quad_config()))
+        code = cli_main(["sweep", "--config", str(path), "--axis", "n", "--values", values,
                          "--seeds", "1", "--jobs", "1", "--out", str(tmp_path / "sw"), "--quiet"])
         assert code == 2
         assert not (tmp_path / "sw" / "sweep.json").exists()

@@ -82,6 +82,12 @@ class TestTransportAsymptote:
         with pytest.raises(bf.ConfigurationError):
             bf.RateFormulas(hessian=np.diag([1.0, -1.0]), alpha=1.0)
 
+    @pytest.mark.parametrize("kwargs", [{"hessian": "abc"}, {"alpha": "x"}], ids=str)
+    def test_malformed_fields_rejected(self, kwargs):
+        # these once raised ValueError and TypeError
+        with pytest.raises(bf.ConfigurationError):
+            bf.RateFormulas(**{"hessian": 1.0, "alpha": 1.0, **kwargs})
+
 
 class TestCharacteristicsDensity:
     def test_time_zero_is_initial_gaussian(self):
