@@ -6,7 +6,6 @@ from .diagnostics import (
     FitResult,
     FluctuationReport,
     TrajectoryRecord,
-    energy_decay_terms,
     ensemble_energy,
     euler_lagrange_residual,
     fluctuation_scaling,

@@ -1,4 +1,4 @@
-"""Observables: energies, decay terms, optimality residuals, fluctuation
+"""Observables: energies, field moments, optimality residuals, fluctuation
 scaling against the grid reference, and rate fits."""
 
 from __future__ import annotations
@@ -56,12 +56,6 @@ def field_moments(ens: Ensemble, v: np.ndarray, grad: np.ndarray) -> tuple[float
     n, w = ens.n, ens.weights
     vbar = float(w @ v) / n
     return vbar, float(w @ (v - vbar) ** 2) / n, float(w @ np.sum(grad**2, axis=1)) / n
-
-
-def energy_decay_terms(model: PotentialModel, ens: Ensemble) -> tuple[float, float]:
-    """(integral |grad V|^2 dmu, integral (V - Vbar)^2 dmu), both nonnegative."""
-    _, var_term, grad_term = field_moments(ens, *field(model, ens))
-    return grad_term, var_term
 
 
 def euler_lagrange_residual(model: PotentialModel, ens: Ensemble,

@@ -118,6 +118,11 @@ class DynamicsConfig:
             self.tau = self.alpha * 10 * self.dt
         if self.tau is not None:
             self.tau = require_number(self.tau, "tau", 0.0, exclusive=True)
+        if self.variant == "proximal":  # the rule fluctuation_scaling applies to checkpoints
+            m = self.tau / (self.alpha * self.dt) if self.alpha * self.dt > 0 else 0.0
+            if not (math.isfinite(m) and round(m) >= 1 and math.isclose(m, round(m), rel_tol=1e-9)):
+                raise ConfigurationError(f"proximal tau must be alpha * m * dt for a whole m >= 1, "
+                                         f"got tau = {self.tau}, alpha = {self.alpha}, dt = {self.dt}")
         if self.variant == "gd-bd-fvariant" and self.f_spec is None:
             raise ConfigurationError("gd-bd-fvariant requires f_spec")
         if self.variant == "gd-bd-reinjection" and self.reinjection_prior is None:
@@ -126,9 +131,7 @@ class DynamicsConfig:
     @property
     def substeps(self) -> int:
         """Transport steps per step: 1, or for proximal the m of tau = alpha * m * dt."""
-        if self.variant != "proximal" or self.alpha <= 0:
-            return 1
-        return max(1, round(self.tau / (self.alpha * self.dt)))
+        return round(self.tau / (self.alpha * self.dt)) if self.variant == "proximal" else 1
 
 
 def check_model_support(model: PotentialModel, variant: str, prior=None) -> None:
@@ -352,25 +355,22 @@ def proximal_weight_update(model: PotentialModel, ens: Ensemble, tau: float,
                            inner_iters: int = 100) -> Ensemble:
     """Implicit multiplicative weight update solved by fixed-point sweeps.
 
-    Solves w_i = C^-1 w_i^prev exp(-tau V_i(w)) with V recomputed from the
-    current iterate and C normalizing the mean weight to 1.  The exact loss
-    never increases across a converged update.
+    Solves w_i = C^-1 w_i^prev exp(-tau V_i(w)) with V = `potential` at the
+    current iterate and C normalizing the mean weight to 1.  The sweeps run on
+    a copy, so `ens` is unchanged when they raise.  The exact loss never
+    increases across a converged update.
     """
     if not model.is_exact:
         raise ConfigurationError("proximal weight updates need an exact model")
-    if not tau > 0:
-        raise ConfigurationError(f"tau must be > 0, got {tau}")
-    thetas = ens.thetas
-    f_vals = model.F(thetas)
-    base = ens.weights.copy()
-    w = base.copy()
+    tau = require_number(tau, "tau", 0.0, exclusive=True)
+    inner_iters = require_int(inner_iters, "inner_iters", 1)
+    trial = ens.copy()
+    base = w = trial.weights
     prev_change = math.inf
     grows = 0
-    for _ in range(max(1, inner_iters)):
-        if model.is_interacting:
-            v = f_vals + model.kernel_weighted_sums(thetas, thetas, w)[0] / ens.n
-        else:
-            v = f_vals
+    for _ in range(inner_iters):
+        trial.weights = w
+        v = potential(model, trial, trial.thetas)  # at given points: V without the grad V of `field`
         raw = base * np.exp(-tau * (v - v.min()))
         mean_raw = raw.mean()
         if not np.isfinite(mean_raw) or mean_raw <= 0:

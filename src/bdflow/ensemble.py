@@ -55,15 +55,6 @@ class Ensemble:
         return self.thetas.shape[0]
 
     @property
-    def theta_dim(self) -> int:
-        return self.thetas.shape[1]
-
-    @property
-    def dimension(self) -> int:
-        """Length k of the position vector (amplitude excluded)."""
-        return self.theta_dim - (1 if self.has_amplitude else 0)
-
-    @property
     def positions(self) -> np.ndarray:
         return self.thetas[:, 1:] if self.has_amplitude else self.thetas
 
@@ -205,13 +196,11 @@ def write_snapshot_csv(ens: Ensemble, path) -> None:
     The amplitude column is left empty for models without that channel.
     The file is replaced atomically.
     """
-    k = ens.dimension
-    header = SNAPSHOT_HEADER + [f"theta_{j}" for j in range(k)]
+    amps, pos = ens.amplitudes, ens.positions
+    header = SNAPSHOT_HEADER + [f"theta_{j}" for j in range(pos.shape[1])]
     with atomic_open(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        amps = ens.amplitudes
-        pos = ens.positions
         for i in range(ens.n):
             row = [
                 i,

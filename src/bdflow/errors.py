@@ -65,6 +65,17 @@ def require_number(value, name: str, minimum: float = -math.inf, exclusive: bool
     return x
 
 
+def require_spd(value, name: str) -> np.ndarray:
+    """`value` as a square, symmetric, positive-definite float matrix; a scalar
+    or a length-1 vector is the 1 x 1 matrix."""
+    m = np.atleast_2d(require_array(value, name, (0, 1, 2)))
+    if m.shape[0] != m.shape[1] or not np.allclose(m, m.T, atol=1e-12):
+        raise ConfigurationError(f"{name} must be a square symmetric matrix, got {value!r}")
+    if np.linalg.eigvalsh(m).min() <= 0:
+        raise ConfigurationError(f"{name} must be positive definite, got {value!r}")
+    return m
+
+
 def require_int(value, name: str, minimum: int) -> int:
     """`value` as an int; an integer (not a bool, not an integral float) >= `minimum`."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral) or value < minimum:

@@ -63,9 +63,10 @@ def _write_trajectory(path: Path, records):
 
 
 def run_experiment(config: ExperimentConfig, output_dir=None, quiet: bool = True) -> dict:
-    """Execute one configured run; returns the summary dict (also written to
-    summary.json).  Numeric failures mark the summary failed and keep the
-    last valid record instead of raising."""
+    """Execute one configured run in `output_dir` (default: the config's);
+    returns the summary dict (also written to summary.json, whose config echo
+    names the directory written).  Numeric failures mark the summary failed
+    and keep the last valid record instead of raising."""
     out = Path(output_dir if output_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     model, dyn = config.model, config.dynamics
@@ -132,7 +133,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None, quiet: bool = True
         "snapshots": snapshots,
         "rate_fit": fit,
         "wall_time_s": wall,
-        "config": config.normalized(),
+        "config": {**config.normalized(), "output_dir": str(out)},
     }
     with atomic_open(out / "summary.json") as fh:
         json.dump(summary, fh, indent=2)
@@ -173,9 +174,12 @@ def _run_cell(args):
 def run_sweep(config: ExperimentConfig, axis: str, values, seeds: int,
               output_dir, jobs: int | None = None) -> dict:
     """Cross product of axis values and seeds; per-cell statistics in one
-    report.  Every cell's config is parsed before any cell runs, so a bad axis
-    value raises ConfigurationError; cells then run in a process pool and
-    numeric failures mark the cell only."""
+    report.  Each cell derives its own seed and output directory, so `seed`
+    and `output_dir` are no axes.  Every cell's config is parsed before any
+    cell runs, so a bad axis value raises ConfigurationError; cells then run
+    in a process pool and numeric failures mark the cell only."""
+    if axis in ("seed", "output_dir"):
+        raise ConfigurationError(f"axis {axis!r} is set per cell by the sweep and cannot be swept")
     seeds = require_int(seeds, "seeds", 1)
     n_jobs = (os.cpu_count() or 1) if jobs is None else require_int(jobs, "jobs", 1)
     out = Path(output_dir)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import DynamicsConfig
-from .errors import ConfigurationError, NumericError, StepSizeError, require_array, require_number
+from .errors import ConfigurationError, NumericError, StepSizeError, require_number, require_spd
 from .potentials import PotentialModel
 
 CFL_LIMIT = 0.9
@@ -74,12 +74,7 @@ class RateFormulas:
     alpha: float
 
     def __post_init__(self):
-        h = np.atleast_2d(require_array(self.hessian, "hessian", (0, 1, 2)))
-        if h.shape[0] != h.shape[1] or not np.allclose(h, h.T, atol=1e-12):
-            raise ConfigurationError("hessian must be square and symmetric")
-        if np.linalg.eigvalsh(h).min() <= 0:
-            raise ConfigurationError("hessian must be positive definite")
-        object.__setattr__(self, "hessian", h)
+        object.__setattr__(self, "hessian", require_spd(self.hessian, "hessian"))
         object.__setattr__(self, "alpha", require_number(self.alpha, "alpha", 0.0, exclusive=True))
 
 
@@ -99,20 +94,19 @@ def characteristics_density_quadratic(hessian, minimizer, rho0_mean, rho0_cov,
     keeps everything gaussian: the result has precision
     (alpha/2)(e^{2Ht} - I) + e^{Ht} Cov0^-1 e^{Ht} around a mean that relaxes
     to the minimizer.  Covariance eigenvalues are floored at 1e-300 once the
-    contraction underflows.
+    contraction underflows.  A 1 x 1 `rho0_cov` (a scalar) is isotropic.
     """
-    h = np.atleast_2d(np.asarray(hessian, dtype=float))
+    h = require_spd(hessian, "hessian")
     k = h.shape[0]
     mstar = np.atleast_1d(np.asarray(minimizer, dtype=float))
     m0 = np.atleast_1d(np.asarray(rho0_mean, dtype=float))
-    cov0 = np.atleast_2d(np.asarray(rho0_cov, dtype=float))
-    if cov0.shape == (1, 1) and k > 1:
+    cov0 = require_spd(rho0_cov, "rho0_cov")
+    if cov0.shape == (1, 1):
         cov0 = cov0[0, 0] * np.eye(k)
-    if t < 0:
-        raise ConfigurationError("t must be >= 0")
+    if cov0.shape != h.shape:
+        raise ConfigurationError(f"rho0_cov must be {k} x {k} like the hessian, got {cov0.shape}")
+    alpha, t = require_number(alpha, "alpha", 0.0), require_number(t, "t", 0.0)
     evals, vecs = np.linalg.eigh(h)
-    if evals.min() <= 0:
-        raise ConfigurationError("hessian must be positive definite")
     # clamp the exponent so e^{2 lambda t} cannot overflow; the floored
     # covariance below is the documented behavior at extreme times
     lam_t = np.minimum(evals * t, 350.0)
@@ -245,7 +239,6 @@ class GridStepper:
         dt = self.cfg.dt if dt is None else dt
         g = self.grid
         rho = g.density
-        vbar = None
         if self._k is None:
             v, (a, a_max, src) = self._f, self._stencil
         else:
@@ -281,7 +274,7 @@ class GridStepper:
                         f"clipped mass exceeded {CLIP_WARN_MASS} in more than "
                         f"{CLIP_ESCALATE_AFTER} steps; the solve is unstable"
                     )
-        g.density = rho if rho is not g.density else rho.copy()
+        g.density = rho
         g.renormalize()
         g.time += dt
         self.steps_taken += 1

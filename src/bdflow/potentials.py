@@ -32,6 +32,7 @@ from .errors import (
     require_int,
     require_list,
     require_number,
+    require_spd,
 )
 
 _CHUNK_ELEMS = 1 << 22  # bound pairwise temporaries to ~32 MB of float64
@@ -101,8 +102,8 @@ class PotentialModel:
 
 @dataclass
 class QuadraticWellModel(PotentialModel):
-    """F(theta) = 0.5 <theta - minimizer, hessian (theta - minimizer)>; a scalar
-    hessian means that multiple of the identity."""
+    """F(theta) = 0.5 <theta - minimizer, hessian (theta - minimizer)>; a 1 x 1
+    hessian (a scalar) means that multiple of the identity."""
 
     minimizer: np.ndarray = (0.0,)
     hessian: np.ndarray = 1.0
@@ -112,15 +113,11 @@ class QuadraticWellModel(PotentialModel):
 
     def __post_init__(self):
         self.minimizer = np.atleast_1d(require_array(self.minimizer, "minimizer"))
-        h = require_array(self.hessian, "hessian", ndims=(0, 2))
-        if h.ndim == 0:
-            h = h * np.eye(self.minimizer.size)
+        h = require_spd(self.hessian, "hessian")
+        if h.shape == (1, 1):
+            h = h[0, 0] * np.eye(self.minimizer.size)
         if h.shape != (self.minimizer.size, self.minimizer.size):
             raise ConfigurationError("hessian shape must match the minimizer length")
-        if not np.allclose(h, h.T, atol=1e-12):
-            raise ConfigurationError("hessian must be symmetric")
-        if np.linalg.eigvalsh(h).min() <= 0:
-            raise ConfigurationError("hessian must be positive definite")
         self.hessian = h
         self.theta_dim = self.minimizer.size
 

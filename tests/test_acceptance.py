@@ -404,7 +404,7 @@ def test_c11_population_conserved_every_variant():
         "bd-only": {},
         "gd-bd-fvariant": {"f_spec": bf.FVariant(kind="tanh")},
         "gd-bd-reinjection": {"reinjection_prior": prior},
-        "proximal": {"tau": 0.1},
+        "proximal": {"tau": 0.09},  # alpha * 3 * dt
     }
     for variant, extra in variants.items():
         cfg = bf.DynamicsConfig(variant=variant, dt=0.02, alpha=1.5, **extra)

@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "ReLUStudentTeacherModel", "StepReport", "StepSizeError", "TrajectoryRecord",
     "UniformSampler", "UnsupportedOperationError", "VARIANTS", "bernoulli_phase",
     "birth_death_step", "build_model", "build_sampler", "centered_rate",
-    "characteristics_density_quadratic", "energy_decay_terms", "ensemble_energy",
+    "characteristics_density_quadratic", "ensemble_energy",
     "euler_lagrange_residual", "exact_mixture_loss", "field", "fluctuation_scaling",
     "fvariant_rate", "gd_step", "grid_from_sampler", "init_from_sampler", "kmc_run", "potential",
     "proximal_weight_update", "pure_bd_density", "pure_bd_mean_energy", "rate_fit",
@@ -29,7 +29,7 @@ def test_public_names_are_pinned():
     names = sorted(n for n, v in vars(bf).items()
                    if not n.startswith("_") and not isinstance(v, types.ModuleType))
     assert names == PUBLIC_NAMES
-    assert len(names) == 54
+    assert len(names) == 53
 
 
 CARRY_NAMES = re.compile(r"\b(_field|_carried_field|_carry_field)\b")

@@ -32,13 +32,17 @@ class TestEnsembleEnergy:
 
 
 class TestEnergyDecayTerms:
+    """The decay terms integral |grad V|^2 dmu and integral (V - Vbar)^2 dmu,
+    as `field_moments` computes them for the trajectory's grad_norm_sq and var_V."""
+
     def test_zero_at_common_critical_point(self, quad_1d):
         ens = make_ensemble([[0.0], [0.0]])
-        assert bf.energy_decay_terms(quad_1d, ens) == (0.0, 0.0)
+        _, var_term, grad_term = bf.diagnostics.field_moments(ens, *bf.field(quad_1d, ens))
+        assert (grad_term, var_term) == (0.0, 0.0)
 
     def test_symmetric_pair_has_unit_gradient_term(self, quad_1d):
         ens = make_ensemble([[1.0], [-1.0]])
-        grad_term, var_term = bf.energy_decay_terms(quad_1d, ens)
+        _, var_term, grad_term = bf.diagnostics.field_moments(ens, *bf.field(quad_1d, ens))
         assert grad_term == pytest.approx(1.0, rel=1e-14)
         assert var_term == pytest.approx(0.0, abs=1e-14)
 
@@ -46,7 +50,7 @@ class TestEnergyDecayTerms:
         rng = np.random.default_rng(1)
         for _ in range(20):
             ens = make_ensemble(rng.normal(size=(8, 2)), has_amplitude=True)
-            grad_term, var_term = bf.energy_decay_terms(mixture_3c, ens)
+            _, var_term, grad_term = bf.diagnostics.field_moments(ens, *bf.field(mixture_3c, ens))
             assert grad_term >= 0.0 and var_term >= 0.0
 
     def test_predicts_energy_drop_of_combined_step(self, mixture_3c):
@@ -55,7 +59,7 @@ class TestEnergyDecayTerms:
         rng = np.random.default_rng(2)
         alpha = 1.0
         ens0 = make_ensemble(rng.normal(size=(12, 2)), has_amplitude=True)
-        grad_term, var_term = bf.energy_decay_terms(mixture_3c, ens0)
+        _, var_term, grad_term = bf.diagnostics.field_moments(ens0, *bf.field(mixture_3c, ens0))
         expected_rate = grad_term + alpha * var_term
         gaps = []
         for dt in (2e-3, 1e-3):

@@ -337,6 +337,15 @@ class TestProximalWeights:
         ens = make_ensemble(thetas, has_amplitude=True)
         with pytest.raises(bf.StepSizeError, match="tau"):
             bf.proximal_weight_update(gm, ens, tau=2.0, inner_iters=400)
+        np.testing.assert_array_equal(ens.weights, 1.0)  # the failed sweeps ran on a copy
+
+    @pytest.mark.parametrize("kwargs", [{"inner_iters": 0}, {"inner_iters": 2.5}, {"tau": "x"}],
+                             ids=str)
+    def test_malformed_arguments_rejected(self, quad_1d, kwargs):
+        # inner_iters=0 once ran one sweep; 2.5 and "x" raised TypeError
+        ens = make_ensemble([[1.0], [0.0]])
+        with pytest.raises(bf.ConfigurationError):
+            bf.proximal_weight_update(quad_1d, ens, **{"tau": 1.0, **kwargs})
 
 
 class TestResampleWeights:
@@ -491,6 +500,10 @@ class TestDynamicsConfig:
         {"dt": np.inf}, {"alpha": np.nan}, {"dt": "abc"}, {"dt": True}, {"alpha": -1.0},
         {"variant": "proximal", "proximal_inner_iters": 0}, {"proximal_inner_iters": 2.5},
         {"tau": 0.0},
+        # tau must be alpha * m * dt: the first once took 3 transport steps but
+        # reweighted for 3.33 of them, the second moved weights with no transport
+        {"variant": "proximal", "tau": 0.1, "alpha": 1.5, "dt": 0.02},
+        {"variant": "proximal", "tau": 0.5, "alpha": 0.0},
     ], ids=str)
     def test_malformed_fields_rejected(self, kwargs):
         with pytest.raises(bf.ConfigurationError):

@@ -257,6 +257,7 @@ class TestRunSweep:
         report = run_sweep(cfg, axis="dynamics.dt", values=[0.1], seeds=1,
                            output_dir=tmp_path, jobs=1)
         cell_summary = json.loads((tmp_path / "value_00/seed_000/summary.json").read_text())
+        assert cell_summary["config"]["output_dir"] == str(tmp_path / "value_00/seed_000")
         direct = run_experiment(
             parse_config(quad_config(seed=cell_summary["seed"])), output_dir=tmp_path / "direct"
         )
@@ -335,6 +336,16 @@ class TestCli:
         path.write_text(json.dumps(quad_config(dynamics={"variant": "gd-only", "dt": 10.0}, steps=500)))
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 3
 
+    def test_echo_names_the_out_directory(self, tmp_path):
+        # the echo once named the config's output_dir, not the --out directory written
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(quad_config(output_dir="elsewhere")))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        echo = json.loads((out / "summary.json").read_text())["config"]
+        assert echo["output_dir"] == str(out)
+        assert parse_config(echo).normalized() == echo
+
     def test_seed_override(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(mixture_config()))
@@ -387,9 +398,11 @@ class TestCli:
         assert not (tmp_path / "sw" / "sweep.json").exists()
 
     @pytest.mark.parametrize("axis,values", [("dynamics.dt", "0.1,-1"),
-                                             ("dynamics.variant", "gd-bd,warp")])
+                                             ("dynamics.variant", "gd-bd,warp"),
+                                             ("seed", "1,1"), ("output_dir", "a,b")])
     def test_sweep_invalid_cell_exit_code(self, tmp_path, axis, values):
-        # the first cell is valid, but no cell may run once any cell's config is bad
+        # the first cell is valid, but no cell may run once any cell's config is bad;
+        # every cell sets its own seed and output_dir, so those axes once ran and were ignored
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(quad_config()))
         code = cli_main(["sweep", "--config", str(path), "--axis", axis, "--values", values,

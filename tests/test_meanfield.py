@@ -113,6 +113,33 @@ class TestCharacteristicsDensity:
                                                    np.array([0.0, 0.0]))
         assert np.isscalar(val) and val > 0
 
+    @pytest.mark.parametrize("hessian,cov", [
+        (np.eye(2), 0.5), (np.eye(2), [[0.5]]), (2.0, 0.5), ([2.0], [[0.5]]), (np.diag([1.0, 2.0]), np.eye(2)),
+    ], ids=["2d-scalar-cov", "2d-1x1-cov", "scalars", "vector-1x1", "2d-matrices"])
+    def test_accepted_shapes(self, hessian, cov):
+        # a 1 x 1 rho0_cov is isotropic in every dimension
+        k = np.atleast_2d(hessian).shape[0]
+        val = bf.characteristics_density_quadratic(hessian, [0.0] * k, [0.1] * k, cov, 1.0, 0.5, [0.2] * k)
+        iso = bf.characteristics_density_quadratic(hessian, [0.0] * k, [0.1] * k, 0.5 * np.eye(k), 1.0, 0.5,
+                                                   [0.2] * k)
+        assert val > 0
+        if np.size(cov) == 1:
+            assert val == iso
+
+    @pytest.mark.parametrize("kwargs", [
+        {"hessian": [[1.0, 5.0], [0.0, 1.0]]},  # not symmetric: once gave a density of 0.57
+        {"hessian": "abc"},  # once raised ValueError
+        {"rho0_cov": -1.0},  # once raised NumericError
+        {"rho0_cov": np.eye(3)},
+        {"alpha": -1.0},  # once gave a density of 0.30
+        {"t": float("nan")},  # once gave nan
+    ], ids=["non-symmetric", "string", "negative-cov", "cov-shape", "negative-alpha", "nan-t"])
+    def test_malformed_inputs_rejected(self, kwargs):
+        args = {"hessian": np.eye(2), "minimizer": [0.0, 0.0], "rho0_mean": [0.0, 0.0],
+                "rho0_cov": np.eye(2), "alpha": 1.0, "t": 0.5, "theta": [0.0, 0.0]}
+        with pytest.raises(bf.ConfigurationError):
+            bf.characteristics_density_quadratic(**{**args, **kwargs})
+
     def test_extreme_time_hits_variance_floor_without_overflow(self):
         val = bf.characteristics_density_quadratic(np.eye(1), [0.0], [0.0], np.eye(1), 1.0, 500.0,
                                                    np.array([1.0]))
