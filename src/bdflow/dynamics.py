@@ -316,13 +316,15 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
     f_vals = model.F(ens.thetas)
     if not np.all(np.isfinite(f_vals)):
         raise NumericError("non-finite potential in kmc_run")
-    initial_mean = float(f_vals.mean())
+    initial_mean = mean = float(f_vals.mean())
     origin, copied = np.arange(n), np.zeros(n, dtype=bool)
+    vt, rates, cum = np.empty(n), np.empty(n), np.empty(n)
     times, means = [], []
     t = 0.0
     while True:
-        vt = f_vals - f_vals.mean()
-        rates = cfg.alpha * np.abs(vt)
+        np.subtract(f_vals, mean, out=vt)
+        np.abs(vt, out=rates)
+        rates *= cfg.alpha
         total = float(rates.sum())
         if total <= 0.0:
             break
@@ -330,7 +332,7 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
         if t + wait > horizon:
             break
         t += wait
-        cum = np.cumsum(rates)
+        np.cumsum(rates, out=cum)
         i = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), n - 1)
         j = int(rng.integers(n - 1))
         if j >= i:
@@ -340,8 +342,9 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
         dst, src = (i, j) if vt[i] > 0 else (j, i)
         f_vals[dst] = f_vals[src]
         origin[dst], copied[dst] = origin[src], True
+        mean = float(f_vals.mean())  # after the overwrite: logged, and centers the next event
         times.append(t)
-        means.append(float(f_vals.mean()))
+        means.append(mean)
     ens.regroup(origin, copied)
     ens.time += horizon
     return KMCLog(times=np.asarray(times), mean_energy=np.asarray(means), initial_mean=initial_mean)

@@ -265,6 +265,8 @@ class TestKMC:
         assert ens.n == 500
         assert log.n_events > 50
         assert log.mean_energy_at(2.0) < e0
+        # the mean is carried from event to event; a stale one would be logged here
+        assert log.mean_energy[-1] == quad_1d.F(ens.thetas).mean()
 
     def test_first_event_time_is_exponential(self, quad_1d):
         # two frozen particles: total rate alpha * (|1| + |-1|) = 2

@@ -133,12 +133,23 @@ class TestCharacteristicsDensity:
         {"rho0_cov": np.eye(3)},
         {"alpha": -1.0},  # once gave a density of 0.30
         {"t": float("nan")},  # once gave nan
-    ], ids=["non-symmetric", "string", "negative-cov", "cov-shape", "negative-alpha", "nan-t"])
+        {"minimizer": [0.0, 0.0, 0.0]},  # once raised ValueError from broadcasting
+        {"rho0_mean": [0.0, 0.0, 0.0]},
+        {"minimizer": [float("nan"), 0.0]},  # once gave nan
+        {"minimizer": [0.0, float("inf")]},
+        {"rho0_mean": [float("nan"), 0.0]},
+        {"rho0_mean": [0.0, float("-inf")]},
+    ], ids=["non-symmetric", "string", "negative-cov", "cov-shape", "negative-alpha", "nan-t",
+            "minimizer-length", "mean-length", "minimizer-nan", "minimizer-inf", "mean-nan", "mean-inf"])
     def test_malformed_inputs_rejected(self, kwargs):
         args = {"hessian": np.eye(2), "minimizer": [0.0, 0.0], "rho0_mean": [0.0, 0.0],
                 "rho0_cov": np.eye(2), "alpha": 1.0, "t": 0.5, "theta": [0.0, 0.0]}
         with pytest.raises(bf.ConfigurationError):
             bf.characteristics_density_quadratic(**{**args, **kwargs})
+
+    def test_scalar_vectors_in_one_dimension(self):
+        scalar = bf.characteristics_density_quadratic(1.0, 1.0, 0.5, 1.0, 1.0, 0.5, 0.2)
+        assert scalar == bf.characteristics_density_quadratic(1.0, [1.0], [0.5], 1.0, 1.0, 0.5, 0.2) > 0
 
     def test_extreme_time_hits_variance_floor_without_overflow(self):
         val = bf.characteristics_density_quadratic(np.eye(1), [0.0], [0.0], np.eye(1), 1.0, 500.0,
@@ -182,6 +193,20 @@ class TestGridStepper:
             e = st.energy()
             assert e <= prev + 1e-10 * max(1.0, abs(prev))
             prev = e
+
+    def test_late_regime_holds_no_more_than_the_fresh_subnormal_cells(self, quad_1d):
+        # past t ~ 1 the box's tails underflow; a subnormal cell slows every multiply on it.
+        # Each step flushes them first, so after a step only the cells that underflowed in it,
+        # one per tail, are subnormal (2238 at t = 3 without the flush).
+        # 6144 cells keep the upwind diffusion inside c03's 5% at t = 3 (1024 cells: 23%)
+        g = bf.grid_from_sampler(bf.UniformSampler(lo=[-6.0], hi=[6.0]), 6144)
+        cfg = bf.DynamicsConfig(variant="gd-bd", dt=0.9 * g.dx / 6.0, alpha=1.0)
+        st = bf.GridStepper(quad_1d, g, cfg)
+        while 3.0 - g.time > 1e-12:
+            st.step(min(cfg.dt, 3.0 - g.time))
+            assert np.count_nonzero((g.density > 0.0) & (g.density < np.finfo(float).tiny)) <= 2
+        envelope = bf.transport_bd_asymptote(bf.RateFormulas(hessian=np.eye(1), alpha=1.0), 3.0)
+        assert abs(st.energy() / envelope - 1.0) <= 0.05
 
     def test_cfl_violation_raises(self, quad_1d):
         g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 512)
