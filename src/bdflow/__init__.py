@@ -42,7 +42,6 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .meanfield import (
-    Grid1D,
     GridStepper,
     RateFormulas,
     characteristics_density_quadratic,

@@ -1,11 +1,12 @@
 """Deterministic references: exact solutions without transport, asymptotic
 rate formulas, and a 1D finite-volume solver for the conserved dynamics.
 
-The solver uses first-order upwind fluxes with zero-flux walls for the
-transport term and an explicit Euler reaction update, renormalizing the mass
-to 1 every step.  Each step first sets densities below the smallest normal
-double to 0, since arithmetic on subnormal numbers is several times slower.  It is a law-of-large-numbers reference at desk scale, not a
-production PDE code.
+The solver starts from a 1D gaussian or uniform sampler, uses first-order
+upwind fluxes with zero-flux walls for the transport term and an explicit
+Euler reaction update, and renormalizes the mass to 1 every step.  Each step
+first sets densities below the smallest normal double to 0, since arithmetic
+on subnormal numbers is several times slower.  It is a law-of-large-numbers
+reference at desk scale, not a production PDE code.
 """
 
 from __future__ import annotations
@@ -15,15 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import DynamicsConfig
-from .errors import (ConfigurationError, NumericError, StepSizeError, require_array, require_number,
-                     require_spd)
+from .errors import (ConfigurationError, NumericError, StepSizeError, require_array, require_int,
+                     require_number, require_spd)
 from .potentials import PotentialModel
+from .samplers import GaussianSampler, UniformSampler
 
 CFL_LIMIT = 0.9
 CLIP_WARN_MASS = 1e-6
 CLIP_ESCALATE_AFTER = 100
 VARIANCE_FLOOR = 1e-300
 TINY = np.finfo(float).tiny  # smallest normal double; grid cells below it are flushed to 0
+GAUSSIAN_SUPPORT_STD = 8.0  # a gaussian start is truncated at mean +- 8 std
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +36,7 @@ TINY = np.finfo(float).tiny  # smallest normal double; grid cells below it are f
 def _reaction_only(f, rho0, alpha: float, t: float, grid):
     """F on `grid`, its grid minimum, the unnormalized reaction-only density
     e^{-alpha t (F - min F)} rho0 on `grid`, and its trapezoidal normalizer Z."""
-    if t < 0:
-        raise ConfigurationError("t must be >= 0")
+    alpha, t = require_number(alpha, "alpha", 0.0), require_number(t, "t", 0.0)
     grid = np.asarray(grid, dtype=float)
     fg = np.asarray(f(grid), dtype=float)
     base = float(fg.min())
@@ -117,6 +119,9 @@ def characteristics_density_quadratic(hessian, minimizer, rho0_mean, rho0_cov,
     if cov0.shape != h.shape:
         raise ConfigurationError(f"rho0_cov must be {k} x {k} like the hessian, got {cov0.shape}")
     alpha, t = require_number(alpha, "alpha", 0.0), require_number(t, "t", 0.0)
+    pts = require_array(theta, "theta", (0, 1, 2))
+    if pts.shape[-1:] != (k,) and not (k == 1 and pts.ndim < 2):
+        raise ConfigurationError(f"theta must be points of length {k} like the hessian, got {theta!r}")
     evals, vecs = np.linalg.eigh(h)
     # clamp the exponent so e^{2 lambda t} cannot overflow; the floored
     # covariance below is the documented behavior at extreme times
@@ -132,8 +137,7 @@ def characteristics_density_quadratic(hessian, minimizer, rho0_mean, rho0_cov,
     cov = (pv * cov_evals) @ pv.T
     mean = mstar + cov @ (exp_ht @ prec0 @ (m0 - mstar))
 
-    pts = np.asarray(theta, dtype=float)
-    scalar_in = pts.ndim == 0 or (pts.ndim == 1 and k > 1 and pts.size == k)
+    scalar_in = pts.ndim == 0 or (pts.ndim == 1 and k > 1)
     flat = pts.reshape(-1, k)
     diff = flat - mean
     quad = np.einsum("ij,jk,ik->i", diff, np.linalg.inv(cov), diff)
@@ -185,11 +189,22 @@ class Grid1D:
 
 
 def grid_from_sampler(sampler, cells: int) -> Grid1D:
-    """Cell-centered density on `sampler.support_1d()`: a gaussian is truncated
-    at mean +- 8 standard deviations, a box uses its own support."""
-    lo, hi = sampler.support_1d()
+    """The grid's initial density, renormalized to mass 1: a 1D
+    `UniformSampler` is constant on its box, and a 1D `GaussianSampler` is its
+    normal density at the cell centers of [mean - 8 std, mean + 8 std].  Any
+    other sampler (a point mass, a product, d > 1) raises `ConfigurationError`,
+    as does a `cells` that is not an integer >= 2."""
+    cells = require_int(cells, "cells", 2)
+    if isinstance(sampler, UniformSampler) and sampler.dim == 1:
+        lo, hi = float(sampler.lo[0]), float(sampler.hi[0])
+        return Grid1D(lo, hi, np.full(cells, 1.0 / (hi - lo)))
+    if not (isinstance(sampler, GaussianSampler) and sampler.dim == 1):
+        raise ConfigurationError(f"the grid starts from a 1D gaussian or uniform sampler, got {sampler!r}")
+    m, s = float(sampler.mean[0]), sampler.std
+    lo, hi = m - GAUSSIAN_SUPPORT_STD * s, m + GAUSSIAN_SUPPORT_STD * s
     centers = lo + (np.arange(cells) + 0.5) * (hi - lo) / cells
-    return Grid1D(lo, hi, sampler.pdf(centers[:, None]))
+    q = (centers - m) ** 2 / (2.0 * s**2)
+    return Grid1D(lo, hi, np.exp(-q) / (2.0 * np.pi * s**2) ** 0.5)
 
 
 def _upwind_stencil(v: np.ndarray, dx: float):
@@ -201,7 +216,9 @@ def _upwind_stencil(v: np.ndarray, dx: float):
 
 
 class GridStepper:
-    """Explicit upwind/reaction stepper for one 1D model on one grid.
+    """Explicit upwind/reaction stepper for one 1D model without amplitude
+    channel on one `grid_from_sampler` grid.  An interacting model caches the
+    cells x cells kernel matrix, so its grid may have at most 3000 cells.
 
     The config variant selects the terms: gd-only (transport), bd-only
     (reaction), gd-bd (both).  V is recomputed from the incoming density each

@@ -86,19 +86,6 @@ class PotentialModel:
     def grad_F(self, thetas: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def K_block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Kernel matrix [K(a_i, b_j)]; identically zero for K = 0 models."""
-        a, b = self._check(a), self._check(b)
-        return np.zeros((a.shape[0], b.shape[0]))
-
-    def kernel_weighted_sums(self, a: np.ndarray, b: np.ndarray, w: np.ndarray):
-        """Return (sum_j w_j K(a_i, b_j), sum_j w_j grad_1 K(a_i, b_j)).
-
-        Zero for non-interacting models (documented behavior, not an error).
-        """
-        a = self._check(a)
-        return np.zeros(a.shape[0]), np.zeros((a.shape[0], self.theta_dim))
-
 
 @dataclass
 class QuadraticWellModel(PotentialModel):
@@ -252,11 +239,13 @@ class GaussianMixtureModel(PotentialModel):
 
     # -- interaction kernel -------------------------------------------------
     def K_block(self, a, b):
+        """Kernel matrix [K(a_i, b_j)]."""
         ca, ya = self._split(self._check(a))
         cb, yb = self._split(self._check(b))
         return (ca[:, None] * cb[None, :]) * _gauss_block(ya, yb, 2.0 * self.sigma**2)
 
     def kernel_weighted_sums(self, a, b, w):
+        """Return (sum_j w_j K(a_i, b_j), sum_j w_j grad_1 K(a_i, b_j))."""
         a, b = self._check(a), self._check(b)
         ca, ya = self._split(a)
         cb, yb = self._split(b)

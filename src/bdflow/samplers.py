@@ -3,7 +3,7 @@
 Four families are supported: isotropic gaussian, uniform box, point mass,
 and coordinate-wise products of the former three.  Every sampler knows its
 dimension, can draw i.i.d. samples from a ``numpy.random.Generator``, and
-(for the absolutely continuous ones) evaluate its density on a 1D grid.
+echoes its config dict with ``to_spec``.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, check_keys, check_kind, require_array, require_list, require_number
-
-SUPPORT_PAD_STD = 8.0  # a gaussian's 1D support is truncated at mean +- 8 std
 
 
 @dataclass(frozen=True)
@@ -34,18 +32,6 @@ class GaussianSampler:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.mean + self.std * rng.standard_normal((n, self.dim))
-
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float).reshape(-1, self.dim))
-        q = np.sum((x - self.mean) ** 2, axis=1) / (2.0 * self.std**2)
-        norm = (2.0 * np.pi * self.std**2) ** (self.dim / 2.0)
-        return np.exp(-q) / norm
-
-    def support_1d(self) -> tuple[float, float]:
-        if self.dim != 1:
-            raise ConfigurationError("support_1d requires a 1D sampler")
-        m = float(self.mean[0])
-        return m - SUPPORT_PAD_STD * self.std, m + SUPPORT_PAD_STD * self.std
 
     def to_spec(self) -> dict:
         return {"kind": "gaussian", "mean": self.mean.tolist(), "std": self.std}
@@ -75,17 +61,6 @@ class UniformSampler:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=(n, self.dim))
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float).reshape(-1, self.dim))
-        inside = np.all((x >= self.lo) & (x <= self.hi), axis=1)
-        vol = float(np.prod(self.hi - self.lo))
-        return inside / vol
-
-    def support_1d(self) -> tuple[float, float]:
-        if self.dim != 1:
-            raise ConfigurationError("support_1d requires a 1D sampler")
-        return float(self.lo[0]), float(self.hi[0])
-
     def to_spec(self) -> dict:
         return {"kind": "uniform", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
 
@@ -105,12 +80,6 @@ class PointSampler:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.tile(self.at, (n, 1))
-
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        raise ConfigurationError("point-mass sampler has no density")
-
-    def support_1d(self) -> tuple[float, float]:
-        raise ConfigurationError("point-mass sampler has zero-width support")
 
     def to_spec(self) -> dict:
         return {"kind": "point", "at": self.at.tolist()}
@@ -133,20 +102,6 @@ class ProductSampler:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.concatenate([f.sample(rng, n) for f in self.factors], axis=1)
-
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float).reshape(-1, self.dim))
-        out = np.ones(x.shape[0])
-        off = 0
-        for f in self.factors:
-            out *= f.pdf(x[:, off : off + f.dim])
-            off += f.dim
-        return out
-
-    def support_1d(self) -> tuple[float, float]:
-        if self.dim != 1:
-            raise ConfigurationError("support_1d requires a 1D sampler")
-        return self.factors[0].support_1d()
 
     def to_spec(self) -> dict:
         return {"kind": "product", "factors": [f.to_spec() for f in self.factors]}

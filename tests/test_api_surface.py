@@ -11,7 +11,7 @@ import bdflow as bf
 PUBLIC_NAMES = [
     "ConfigurationError", "DoubleWellModel", "DynamicsConfig", "Ensemble", "ExtinctionError",
     "FVariant", "FitError", "FitResult", "FluctuationReport", "GaussianMixtureModel",
-    "GaussianSampler", "Grid1D", "GridStepper", "KMCLog", "NumericError", "PointSampler",
+    "GaussianSampler", "GridStepper", "KMCLog", "NumericError", "PointSampler",
     "PotentialModel", "ProductSampler", "QuadraticWellModel", "RateFormulas",
     "ReLUStudentTeacherModel", "StepReport", "StepSizeError", "TrajectoryRecord",
     "UniformSampler", "UnsupportedOperationError", "VARIANTS", "bernoulli_phase",
@@ -29,7 +29,7 @@ def test_public_names_are_pinned():
     names = sorted(n for n, v in vars(bf).items()
                    if not n.startswith("_") and not isinstance(v, types.ModuleType))
     assert names == PUBLIC_NAMES
-    assert len(names) == 53
+    assert len(names) == 52
 
 
 CARRY_NAMES = re.compile(r"\b(_field|_carried_field|_carry_field)\b")

@@ -57,6 +57,22 @@ class TestPureBirthDeath:
         val = bf.pure_bd_mean_energy(f, r0, 1.0, 200.0, grid)
         assert val * 2.0 * 200.0 == pytest.approx(1.0, abs=0.1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha": -1.0},  # once gave a mean energy of 10.67
+        {"alpha": "x"},  # once raised TypeError
+        {"alpha": float("nan")},  # once raised NumericError
+        {"alpha": float("inf")},
+        {"t": -1.0},
+        {"t": float("nan")},
+        {"t": float("inf")},
+    ], ids=["negative-alpha", "string-alpha", "nan-alpha", "inf-alpha", "negative-t", "nan-t", "inf-t"])
+    def test_malformed_inputs_rejected(self, kwargs):
+        args = {"alpha": 1.0, "t": 0.5, **kwargs}
+        with pytest.raises(bf.ConfigurationError):
+            bf.pure_bd_mean_energy(quad_f, std_normal, args["alpha"], args["t"], QGRID)
+        with pytest.raises(bf.ConfigurationError):
+            bf.pure_bd_density(quad_f, std_normal, args["alpha"], args["t"], [0.0], QGRID)
+
 
 class TestTransportAsymptote:
     def test_isotropic_two_dim(self):
@@ -139,8 +155,12 @@ class TestCharacteristicsDensity:
         {"minimizer": [0.0, float("inf")]},
         {"rho0_mean": [float("nan"), 0.0]},
         {"rho0_mean": [0.0, float("-inf")]},
+        {"theta": [0.0, 0.0, 0.0]},  # once raised ValueError from reshape
+        {"theta": "ab"},  # once raised ValueError
+        {"theta": [float("nan"), 0.0]},  # once gave nan
     ], ids=["non-symmetric", "string", "negative-cov", "cov-shape", "negative-alpha", "nan-t",
-            "minimizer-length", "mean-length", "minimizer-nan", "minimizer-inf", "mean-nan", "mean-inf"])
+            "minimizer-length", "mean-length", "minimizer-nan", "minimizer-inf", "mean-nan", "mean-inf",
+            "theta-length", "theta-string", "theta-nan"])
     def test_malformed_inputs_rejected(self, kwargs):
         args = {"hessian": np.eye(2), "minimizer": [0.0, 0.0], "rho0_mean": [0.0, 0.0],
                 "rho0_cov": np.eye(2), "alpha": 1.0, "t": 0.5, "theta": [0.0, 0.0]}
@@ -337,9 +357,24 @@ class TestGridConstruction:
         assert (g.lo, g.hi) == (-2.0, 3.0)
         np.testing.assert_allclose(g.density, 0.2, rtol=1e-12)
 
-    def test_point_sampler_rejected(self):
+    @pytest.mark.parametrize("sampler", [
+        bf.PointSampler(at=[0.0]),
+        bf.GaussianSampler(mean=[0.0, 0.0], std=1.0),
+        bf.UniformSampler(lo=[-1.0, -1.0], hi=[1.0, 1.0]),
+        bf.ProductSampler(factors=(bf.GaussianSampler(mean=[0.0], std=1.0),)),  # once built a grid
+    ], ids=["point", "gaussian-2d", "box-2d", "product-1d"])
+    def test_point_sampler_rejected(self, sampler):
+        # the grid starts only from a 1D gaussian or a 1D box
         with pytest.raises(bf.ConfigurationError):
-            bf.grid_from_sampler(bf.PointSampler(at=[0.0]), 64)
+            bf.grid_from_sampler(sampler, 64)
+
+    @pytest.mark.parametrize("cells", [2.5, True, "8", 1], ids=str)
+    def test_malformed_cells_rejected(self, cells):
+        # 2.5 once built a 3-cell grid from densities at a 2.5-cell spacing,
+        # and "8" raised TypeError
+        for sampler in (bf.GaussianSampler(mean=[0.0], std=1.0), bf.UniformSampler(lo=[0.0], hi=[1.0])):
+            with pytest.raises(bf.ConfigurationError):
+                bf.grid_from_sampler(sampler, cells)
 
     def test_amplitude_models_rejected(self, mixture_3c):
         g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 64)
