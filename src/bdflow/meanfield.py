@@ -35,9 +35,13 @@ GAUSSIAN_SUPPORT_STD = 8.0  # a gaussian start is truncated at mean +- 8 std
 
 def _reaction_only(f, rho0, alpha: float, t: float, grid):
     """F on `grid`, its grid minimum, the unnormalized reaction-only density
-    e^{-alpha t (F - min F)} rho0 on `grid`, and its trapezoidal normalizer Z."""
+    e^{-alpha t (F - min F)} rho0 on `grid`, and its trapezoidal normalizer Z.
+    The grid must be a finite, strictly increasing vector of at least 2 points."""
     alpha, t = require_number(alpha, "alpha", 0.0), require_number(t, "t", 0.0)
-    grid = np.asarray(grid, dtype=float)
+    grid = require_array(grid, "grid", (1,))
+    if grid.size < 2 or np.any(np.diff(grid) <= 0):
+        raise ConfigurationError(
+            f"grid must be strictly increasing with at least 2 points, got {grid!r}")
     fg = np.asarray(f(grid), dtype=float)
     base = float(fg.min())
     w = np.exp(-alpha * t * (fg - base)) * np.asarray(rho0(grid), dtype=float)
@@ -56,7 +60,7 @@ def pure_bd_density(f, rho0, alpha: float, t: float, theta, grid: np.ndarray):
     normalizer cannot underflow.
     """
     _, base, _, z = _reaction_only(f, rho0, alpha, t, grid)
-    pts = np.asarray(theta, dtype=float)
+    pts = require_array(theta, "theta")
     out = np.exp(-alpha * t * (np.asarray(f(pts), dtype=float) - base)) * np.asarray(
         rho0(pts), dtype=float
     ) / z

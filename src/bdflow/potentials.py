@@ -35,7 +35,7 @@ from .errors import (
     require_spd,
 )
 
-_CHUNK_ELEMS = 1 << 22  # bound pairwise temporaries to ~32 MB of float64
+_TILE = 256  # pairwise tiles are 256 x 256: 512 KB of float64, resident in L2
 
 
 def _gauss_block(a: np.ndarray, b: np.ndarray, var: float) -> np.ndarray:
@@ -51,12 +51,6 @@ def _gauss_block(a: np.ndarray, b: np.ndarray, var: float) -> np.ndarray:
     np.exp(d2, out=d2)
     d2 *= (2.0 * np.pi * var) ** (-d / 2.0)
     return d2
-
-
-def _row_chunks(n_rows: int, n_cols: int):
-    step = max(1, min(n_rows, _CHUNK_ELEMS // max(1, n_cols)))
-    for lo in range(0, n_rows, step):
-        yield slice(lo, min(lo + step, n_rows))
 
 
 class PotentialModel:
@@ -245,27 +239,44 @@ class GaussianMixtureModel(PotentialModel):
         return (ca[:, None] * cb[None, :]) * _gauss_block(ya, yb, 2.0 * self.sigma**2)
 
     def kernel_weighted_sums(self, a, b, w):
-        """Return (sum_j w_j K(a_i, b_j), sum_j w_j grad_1 K(a_i, b_j))."""
-        a, b = self._check(a), self._check(b)
+        """Return (sum_j w_j K(a_i, b_j), sum_j w_j grad_1 K(a_i, b_j)).
+
+        The pairs are visited in tiles of `_TILE` rows of `a` by `_TILE` rows
+        of `b`, so a call with at most `_TILE` rows on each side is one tile.
+        When `b is a` the kernel matrix is symmetric and only the tiles on and
+        above the diagonal are built; each off-diagonal tile also serves its
+        mirror image.
+        """
+        sym = b is a
+        a = self._check(a)
+        b = a if sym else self._check(b)
+        w = np.asarray(w, dtype=float)
+        if w.shape != (b.shape[0],):
+            raise ConfigurationError(
+                f"expected {b.shape[0]} weights, one per row of b, got shape {w.shape}")
         ca, ya = self._split(a)
         cb, yb = self._split(b)
-        w = np.asarray(w, dtype=float)
         var = 2.0 * self.sigma**2
         wc = w * cb
         wcy = wc[:, None] * yb
-        vsum = np.empty(a.shape[0])
+        base = np.zeros(a.shape[0])  # sum_j w_j c_j N_ij
+        mom = np.zeros(ya.shape)  # sum_j w_j c_j N_ij y_j
+        for i0 in range(0, a.shape[0], _TILE):
+            rows = slice(i0, i0 + _TILE)
+            for j0 in range(i0 if sym else 0, b.shape[0], _TILE):
+                cols = slice(j0, j0 + _TILE)
+                blk = _gauss_block(ya[rows], yb[cols], var)
+                base[rows] += blk @ wc[cols]
+                mom[rows] += blk @ wcy[cols]
+                if sym and j0 != i0:  # the mirror tile N[cols, rows] is blk.T
+                    base[cols] += wc[rows] @ blk
+                    mom[cols] += blk.T @ wcy[rows]
         fsum = np.empty((a.shape[0], self.theta_dim))
         off = 1 if self.has_amplitude else 0
-        for rows in _row_chunks(a.shape[0], b.shape[0]):
-            n_mat = _gauss_block(ya[rows], yb, var)
-            base = n_mat @ wc  # sum_j w_j c_j N_ij
-            vsum[rows] = ca[rows] * base
-            if self.has_amplitude:
-                fsum[rows, 0] = base
-            mom = n_mat @ wcy  # (rows, d)
-            fsum[rows, off:] = (ca[rows] / var)[:, None] * (mom - ya[rows] * base[:, None])
-            del n_mat  # freed before the next chunk is built, so one chunk is alive at a time
-        return vsum, fsum
+        if self.has_amplitude:
+            fsum[:, 0] = base
+        fsum[:, off:] = (ca / var)[:, None] * (mom - ya * base[:, None])
+        return ca * base, fsum
 
     # -- exact squared-error loss -------------------------------------------
     @property

@@ -73,6 +73,26 @@ class TestPureBirthDeath:
         with pytest.raises(bf.ConfigurationError):
             bf.pure_bd_density(quad_f, std_normal, args["alpha"], args["t"], [0.0], QGRID)
 
+    @pytest.mark.parametrize("theta", ["ab", [float("nan")], [0.0, float("inf")], [[0.0, 1.0]], []],
+                             ids=["string", "nan", "inf", "2d", "empty"])
+    def test_malformed_points_rejected(self, theta):
+        with pytest.raises(bf.ConfigurationError):
+            bf.pure_bd_density(quad_f, std_normal, 1.0, 0.5, theta, QGRID)
+
+    @pytest.mark.parametrize("grid", [
+        [1.0, 0.0, -1.0],  # once raised NumericError
+        [0.0],  # once raised NumericError
+        [0.0, 1.0, 1.0, 2.0],
+        [[-1.0, 0.0, 1.0]],  # once raised "ambiguous truth value"
+        [-1.0, float("nan"), 1.0],
+        "ab",
+    ], ids=["descending", "one-point", "repeated", "2d", "nan", "string"])
+    def test_malformed_grid_rejected(self, grid):
+        with pytest.raises(bf.ConfigurationError):
+            bf.pure_bd_mean_energy(quad_f, std_normal, 1.0, 0.5, grid)
+        with pytest.raises(bf.ConfigurationError):
+            bf.pure_bd_density(quad_f, std_normal, 1.0, 0.5, [0.0], grid)
+
 
 class TestTransportAsymptote:
     def test_isotropic_two_dim(self):

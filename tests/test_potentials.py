@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import bdflow as bf
+from bdflow.potentials import _TILE, _gauss_block
 
 from conftest import at, make_ensemble, numerical_grad_F, numerical_grad_K1
 
@@ -147,6 +150,81 @@ class TestGradientChecks:
             ana = fsum[0]
             num = numerical_grad_K1(mixture_3c, a, b, h=self.H)
             assert np.linalg.norm(num - ana) <= 1e-6 * max(1.0, np.linalg.norm(ana))
+
+
+def single_block_sums(model, a, b, w):
+    """The pairwise sums as one (len(a), len(b)) block: one Gaussian matrix
+    and two mat-vecs, the arithmetic of every tile of `kernel_weighted_sums`."""
+    ca, ya = model._split(a)
+    cb, yb = model._split(b)
+    var = 2.0 * model.sigma**2
+    n_mat = _gauss_block(ya, yb, var)
+    wc = w * cb
+    base = n_mat @ wc
+    mom = n_mat @ (wc[:, None] * yb)
+    fsum = (ca / var)[:, None] * (mom - ya * base[:, None])
+    if model.has_amplitude:
+        fsum = np.hstack([base[:, None], fsum])
+    return ca * base, fsum
+
+
+def per_row_gradient(model, a, b, w):
+    """sum_j w_j grad_1 K(a_i, b_j) one row at a time from `K_block`:
+    K c_i^-1 for the amplitude and K (y_j - y_i) / (2 sigma^2) for the position."""
+    off = 1 if model.has_amplitude else 0
+    out = np.empty((a.shape[0], model.theta_dim))
+    for i in range(a.shape[0]):
+        wk = w * model.K_block(a[i : i + 1], b)[0]
+        out[i, off:] = wk @ (b[:, off:] - a[i, off:]) / (2.0 * model.sigma**2)
+        if model.has_amplitude:
+            unit = np.hstack([1.0, a[i, 1:]])[None]
+            out[i, 0] = w @ model.K_block(unit, b)[0]  # sum_j w_j c_j N_ij
+    return out
+
+
+class TestTiledKernel:
+    """`kernel_weighted_sums` over tiles of `_TILE` rows per side against the
+    dense kernel matrix, with b distinct from a and with b a itself (the
+    upper triangle), across the tile boundaries."""
+
+    MODES = {
+        "frozen": dict(amplitude_mode="frozen", frozen_c=0.7),
+        "dynamic": dict(),
+    }
+
+    @classmethod
+    def model(cls, mode, d):
+        targets = [[-1.0, 0.5], [1.0, 0.0]]
+        return bf.GaussianMixtureModel(
+            target_c=[1.0, -0.5], target_y=[y[:d] for y in targets], target_sigma=[0.6, 0.7],
+            sigma=0.4, **cls.MODES[mode])
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.sampled_from([1, 255, 256, 257, 513, 700]), mode=st.sampled_from(sorted(MODES)),
+           d=st.sampled_from([1, 2]), same=st.booleans(), m=st.sampled_from([1, 200, 256, 300]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_kernel(self, n, mode, d, same, m, seed):
+        model = self.model(mode, d)
+        rng = np.random.default_rng(seed)
+        a = rng.normal(scale=1.5, size=(n, model.theta_dim))
+        b = a if same else rng.normal(scale=1.5, size=(m, model.theta_dim))
+        w = rng.uniform(0.2, 2.0, b.shape[0])
+        vsum, fsum = model.kernel_weighted_sums(a, b, w)
+        dense = model.K_block(a, b) @ w
+        ref = per_row_gradient(model, a, b, w)
+        tol = 1e-12 * max(np.abs(dense).max(), np.abs(ref).max())  # of the largest value
+        assert np.abs(vsum - dense).max() <= tol
+        assert np.abs(fsum - ref).max() <= tol
+        if max(a.shape[0], b.shape[0]) <= _TILE:  # one tile: the single-block arithmetic
+            one_v, one_f = single_block_sums(model, a, b, w)
+            assert np.array_equal(vsum, one_v) and np.array_equal(fsum, one_f)
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (4,), (3, 1), ()], ids=str)
+    def test_weights_must_be_one_per_row_of_b(self, mixture_3c, shape):
+        rng = np.random.default_rng(13)
+        a, b = rng.normal(size=(2, 2)), rng.normal(size=(3, 2))
+        with pytest.raises(bf.ConfigurationError):
+            mixture_3c.kernel_weighted_sums(a, b, np.ones(shape))
 
 
 class TestParticlePotential:
