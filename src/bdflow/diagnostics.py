@@ -67,13 +67,10 @@ def euler_lagrange_residual(model: PotentialModel, ens: Ensemble,
     with probe potentials evaluated against the empirical measure.
     Both vanish at a global minimizer.
     """
-    probes = np.atleast_2d(np.asarray(probe_points, dtype=float))
-    if probes.size == 0:
-        raise ConfigurationError("probe set must be nonempty")
     v = potential(model, ens)
     vbar = float(ens.weights @ v) / ens.n
     support_residual = float(np.max(np.abs(v - vbar)))
-    probe_v = potential(model, ens, probes)
+    probe_v = potential(model, ens, probe_points)
     exterior_violation = max(0.0, vbar - float(probe_v.min()))
     return support_residual, exterior_violation
 

@@ -79,6 +79,9 @@ class Ensemble:
         if not np.all(np.isfinite(self.thetas)):
             bad = int(np.flatnonzero(~np.isfinite(self.thetas).all(axis=1))[0])
             raise NumericError(f"non-finite parameters at particle {bad}")
+        if not np.all(np.isfinite(self.weights)):
+            bad = int(np.flatnonzero(~np.isfinite(self.weights))[0])
+            raise NumericError(f"non-finite weight at particle {bad}")
         if np.any(self.weights < 0):
             raise ConfigurationError("weights must be nonnegative")
         mean_w = float(self.weights.mean())

@@ -36,20 +36,25 @@ from .errors import (
 )
 
 _TILE = 256  # pairwise tiles are 256 x 256: 512 KB of float64, resident in L2
+_scalar_pow = np.frompyfunc(pow, 2, 1)  # x ** y element by element, as scalars
 
 
-def _gauss_block(a: np.ndarray, b: np.ndarray, var: float) -> np.ndarray:
-    """Gaussian density N(a_i; b_j, var*I) as an (na, nb) matrix."""
+def _gauss_block(a: np.ndarray, b: np.ndarray, var) -> np.ndarray:
+    """Gaussian density N(a_i; b_j, var_ij I) as an (na, nb) matrix; `var` is
+    a scalar or broadcasts to (na, nb).  Squared differences are summed per
+    coordinate, so distances are never negative and need no clamp.  The normaliser
+    takes scalar `**` per variance: numpy's SIMD power (AVX-512) rounds it 1 ulp
+    off for about 5% of variances, where the scalar power is correctly rounded."""
     d = a.shape[1]
-    if d == 1:
-        d2 = a[:, 0, None] - b[None, :, 0]
-        np.multiply(d2, d2, out=d2)
-    else:
-        d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-        np.maximum(d2, 0.0, out=d2)
+    d2 = a[:, 0, None] - b[None, :, 0]
+    d2 *= d2
+    for k in range(1, d):
+        diff = a[:, k, None] - b[None, :, k]
+        diff *= diff
+        d2 += diff
     d2 *= -1.0 / (2.0 * var)
     np.exp(d2, out=d2)
-    d2 *= (2.0 * np.pi * var) ** (-d / 2.0)
+    d2 *= np.asarray(_scalar_pow(2.0 * np.pi * var, -d / 2.0), dtype=float)
     return d2
 
 
@@ -75,10 +80,16 @@ class PotentialModel:
         return thetas
 
     def F(self, thetas: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        raise UnsupportedOperationError(f"{self.kind} has no exact F")
 
     def grad_F(self, thetas: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        raise UnsupportedOperationError(f"{self.kind} has no exact grad F")
+
+    def K_block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        raise UnsupportedOperationError(f"{self.kind} has no exact K")
+
+    def kernel_weighted_sums(self, a: np.ndarray, b: np.ndarray, w: np.ndarray):
+        raise UnsupportedOperationError(f"{self.kind} has no exact K")
 
 
 @dataclass
@@ -202,34 +213,26 @@ class GaussianMixtureModel(PotentialModel):
         return np.full(thetas.shape[0], self.frozen_c), thetas
 
     # -- single-particle term ---------------------------------------------
-    def _target_response(self, y: np.ndarray) -> np.ndarray:
-        """(1/m) sum_j cbar_j N(y; ybar_j, (sigma^2+sj^2) I)."""
-        out = np.zeros(y.shape[0])
-        for j in range(self.target_c.size):
-            var = self.sigma**2 + self.target_sigma[j] ** 2
-            out += self.target_c[j] * _gauss_block(y, self.target_y[j : j + 1], var)[:, 0]
-        return out / self.target_c.size
+    def _target_block(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (m, n) block cbar_j N(y_i; ybar_j, (sigma^2 + sj^2) I) and the m
+        variances as a column; components are rows, so each pass runs along n."""
+        var = (self.sigma**2 + self.target_sigma**2)[:, None]
+        return self.target_c[:, None] * _gauss_block(self.target_y, y, var), var
 
     def F(self, thetas):
         c, y = self._split(self._check(thetas))
-        return -c * self._target_response(y)
+        block, _ = self._target_block(y)
+        return -c * (block.sum(axis=0) / self.target_c.size)
 
     def grad_F(self, thetas):
-        thetas = self._check(thetas)
-        c, y = self._split(thetas)
+        c, y = self._split(self._check(thetas))
         m = self.target_c.size
-        grad_y = np.zeros_like(y)
-        resp = np.zeros(y.shape[0])
-        for j in range(m):
-            var = self.sigma**2 + self.target_sigma[j] ** 2
-            g = self.target_c[j] * _gauss_block(y, self.target_y[j : j + 1], var)[:, 0]
-            resp += g
-            grad_y += (g / var)[:, None] * (self.target_y[j] - y)
-        resp /= m
+        block, var = self._target_block(y)
+        grad_y = ((block / var)[:, :, None] * (self.target_y[:, None] - y[None])).sum(axis=0)
         grad_y *= -(c / m)[:, None]
         if not self.has_amplitude:
             return grad_y
-        return np.hstack([-resp[:, None], grad_y])
+        return np.hstack([-(block.sum(axis=0) / m)[:, None], grad_y])
 
     # -- interaction kernel -------------------------------------------------
     def K_block(self, a, b):
@@ -282,17 +285,11 @@ class GaussianMixtureModel(PotentialModel):
     @property
     def target_self_energy(self) -> float:
         """0.5 * integral of the target squared, in closed form."""
-        m = self.target_c.size
-        total = 0.0
-        for j in range(m):
-            for l in range(m):
-                var = self.target_sigma[j] ** 2 + self.target_sigma[l] ** 2
-                total += (
-                    self.target_c[j]
-                    * self.target_c[l]
-                    * _gauss_block(self.target_y[j : j + 1], self.target_y[l : l + 1], var)[0, 0]
-                )
-        return 0.5 * total / m**2
+        c, s2 = self.target_c, self.target_sigma**2
+        terms = (c[:, None] * c[None, :]) * _gauss_block(
+            self.target_y, self.target_y, s2[:, None] + s2[None, :])
+        total = float(np.cumsum(terms)[-1])  # sequential in row order, not np.sum's pairs
+        return 0.5 * total / c.size**2
 
 
 @dataclass
@@ -326,27 +323,10 @@ class ReLUStudentTeacherModel(PotentialModel):
         self.teacher_y = y / np.linalg.norm(y, axis=1, keepdims=True)
         self.theta_dim = self.input_dim + 1
 
-    def F(self, thetas):
-        raise UnsupportedOperationError("relu-student-teacher has no exact F; use batch estimates")
-
-    def grad_F(self, thetas):
-        raise UnsupportedOperationError("relu-student-teacher has no exact grad F; use batch estimates")
-
-    def K_block(self, a, b):
-        raise UnsupportedOperationError("relu-student-teacher has no exact K; use batch estimates")
-
-    def kernel_weighted_sums(self, a, b, w):
-        raise UnsupportedOperationError("relu-student-teacher has no exact K; use batch estimates")
-
     # -- batch machinery -----------------------------------------------------
     def sample_batch(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        p = self.batch_size if size is None else size
-        if p < 1:
-            raise ConfigurationError("batch size must be >= 1")
+        p = self.batch_size if size is None else require_int(size, "batch size", 1)
         return rng.standard_normal((p, self.input_dim))
-
-    def teacher_eval(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x @ self.teacher_y.T, 0.0) @ self.teacher_c / self.teacher_units
 
     def _batch_pass(self, thetas, weights, x):
         """One forward pass on a batch: (pre-activations x y^T, activations,
@@ -356,19 +336,16 @@ class ReLUStudentTeacherModel(PotentialModel):
             raise ConfigurationError(f"{self.kind} estimates need a batch with at least one sample")
         pre = x @ thetas[:, 1:].T  # (P, n)
         act = np.maximum(pre, 0.0)
-        resid = act @ (weights * thetas[:, 0]) / thetas.shape[0] - self.teacher_eval(x)
+        teacher = np.maximum(x @ self.teacher_y.T, 0.0) @ self.teacher_c / self.teacher_units
+        resid = act @ (weights * thetas[:, 0]) / thetas.shape[0] - teacher
         return pre, act, resid
-
-    def batch_potential_hat(self, thetas, weights, x) -> np.ndarray:
-        """vhat_i = mean_p relu(<y_i, x_p>) * residual(x_p); V_i = c_i vhat_i."""
-        _, act, resid = self._batch_pass(thetas, weights, x)
-        return act.T @ resid / x.shape[0]
 
     def batch_grad_V(self, thetas, weights, x) -> np.ndarray:
         """Batch estimate of the field gradient at each particle.
 
-        The amplitude component equals vhat (the loss gradient in the output
-        layer, times n); the position component is the matching ReLU
+        The amplitude component is vhat_i = mean_p relu(<y_i, x_p>) *
+        residual(x_p), the loss gradient in the output layer times n, and
+        V_i = c_i vhat_i; the position component is the matching ReLU
         subgradient term.
         """
         pre, act, resid = self._batch_pass(thetas, weights, x)
@@ -399,17 +376,18 @@ class ReLUStudentTeacherModel(PotentialModel):
 def potential(model: PotentialModel, ens, points=None, batch=None) -> np.ndarray:
     """V(x) = F(x) + n^-1 sum_j w_j K(x, theta_j) against the empirical measure.
 
-    `points` are parameter rows to evaluate at; they default to the particles,
-    where an interacting model reads V from `field`.  A minibatch model
-    estimates V = c * vhat at the particles only, on the given `batch`.
+    `points` are parameter rows to evaluate at, finite numbers of rank 1 (one
+    row) or 2; they default to the particles, where an interacting model reads
+    V from `field`.  `ens.thetas` itself is used uncopied, so the kernel sees
+    `b is a` and builds only the upper triangle.  A minibatch model estimates
+    V = c * vhat at the particles only, from `field` on the given `batch`.
     """
-    if not model.is_exact:
-        if points is not None:
-            raise ConfigurationError(f"{model.kind} estimates V only at the particles")
-        return ens.thetas[:, 0] * model.batch_potential_hat(ens.thetas, ens.weights, batch)
     if points is None and model.is_interacting:
-        return field(model, ens)[0]
-    x = ens.thetas if points is None else np.atleast_2d(np.asarray(points, dtype=float))
+        return field(model, ens, batch)[0]
+    if not model.is_exact:
+        raise ConfigurationError(f"{model.kind} estimates V only at the particles")
+    x = ens.thetas if points is None or points is ens.thetas else np.atleast_2d(
+        require_array(points, "points", (1, 2)))
     v = model.F(x)
     if model.is_interacting:
         v += model.kernel_weighted_sums(x, ens.thetas, ens.weights)[0] / ens.n

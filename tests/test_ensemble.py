@@ -133,6 +133,20 @@ class TestValidation:
         with pytest.raises(bf.NumericError, match="particle 1"):
             ens.validate()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_weights_rejected(self, bad):
+        # a NaN or inf weight makes the mean weight NaN or inf, which every
+        # comparison of the mean check lets through
+        ens = make_ensemble([[0.0], [1.0], [2.0]], weights=[1.0, bad, 2.0])
+        with pytest.raises(bf.NumericError, match="particle 1"):
+            ens.validate()
+
+    def test_gd_only_step_rejects_nan_weight(self, quad_1d):
+        ens = make_ensemble([[0.5], [1.0]], weights=[np.nan, 1.0])
+        with pytest.raises(bf.NumericError, match="weight at particle 0"):
+            bf.run_step(quad_1d, ens, bf.DynamicsConfig(variant="gd-only", dt=0.1),
+                        np.random.default_rng(0))
+
 
 class TestSnapshotCsv:
     def test_header_and_roundtrip(self, tmp_path):

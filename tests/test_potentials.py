@@ -108,6 +108,72 @@ class TestMixtureClosedForms:
             )
 
 
+def component_gauss(y, ybar, var):
+    """N(y_i; ybar, var I) for one component: the squared difference at
+    d = 1, |y|^2 + |ybar|^2 - 2 y.ybar clamped at 0 for d > 1, and a scalar
+    normaliser."""
+    d = y.shape[1]
+    if d == 1:
+        d2 = (y[:, 0] - ybar[0]) ** 2
+    else:
+        d2 = np.maximum(np.sum(y * y, axis=1) + ybar @ ybar - 2.0 * (y @ ybar), 0.0)
+    return np.exp(d2 * (-1.0 / (2.0 * var))) * (2.0 * np.pi * var) ** (-d / 2.0)
+
+
+def loop_target_terms(model, thetas, term=lambda t: t):
+    """(F, grad F, target self-energy) summed one component at a time, in
+    component order.  A width is squared as `s * s`: the vectorised square
+    is exact, where scalar `s ** 2` goes through C `pow`, which can land 1 ulp
+    off (0.07% of random widths on an x86-64 Linux build).  `term=np.abs`
+    sums the magnitudes of the terms instead, the scale of their rounding."""
+    c, y = model._split(thetas)
+    cbar, ybar, s, m = model.target_c, model.target_y, model.target_sigma, model.target_c.size
+    resp, grad_y = np.zeros(y.shape[0]), np.zeros_like(y)
+    for j in range(m):
+        var = model.sigma**2 + s[j] * s[j]
+        g = term(cbar[j] * component_gauss(y, ybar[j], var))
+        resp += g
+        grad_y += term((g / var)[:, None] * (ybar[j] - y))
+    resp /= m
+    grad_y *= -(term(c) / m)[:, None]
+    grad = np.hstack([-resp[:, None], grad_y]) if model.has_amplitude else grad_y
+    total = 0.0
+    for j in range(m):
+        for l in range(m):
+            var = s[j] * s[j] + s[l] * s[l]
+            total += term(cbar[j] * cbar[l] * component_gauss(ybar[j : j + 1], ybar[l], var)[0])
+    return -term(c) * resp, grad, 0.5 * total / m**2
+
+
+class TestTargetBlock:
+    """F, grad F and the target self-energy from one (m, n) Gaussian block
+    against the per-component loops: bitwise with 1D positions, and within
+    the rounding of the loops' expanded squared distance at d = 2."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(m=st.integers(1, 6), d=st.sampled_from([1, 2]), n=st.sampled_from([1, 5, 300]),
+           frozen=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_component_loop(self, m, d, n, frozen, seed):
+        rng = np.random.default_rng(seed)
+        sigma = rng.uniform(0.2, 0.8)
+        model = bf.GaussianMixtureModel(
+            target_c=rng.uniform(-2.0, 2.0, m), target_y=rng.uniform(-2.0, 2.0, (m, d)),
+            target_sigma=sigma * rng.uniform(1.05, 3.0, m), sigma=sigma,
+            amplitude_mode="frozen" if frozen else "dynamic", frozen_c=rng.uniform(-2.0, 2.0))
+        thetas = rng.normal(scale=1.5, size=(n, model.theta_dim))
+        new = (model.F(thetas), model.grad_F(thetas), model.target_self_energy)
+        ref = loop_target_terms(model, thetas)
+        if d == 1:
+            for got, want in zip(new, ref):
+                assert np.array_equal(got, want)
+        else:
+            # the expansion's rounding grows with |y|^2 / var: over 3,000 draws
+            # of n = 300 it lost 2.1e-14 of the summed magnitudes at the 99th
+            # percentile and 5.7e-14 at most
+            for got, want, scale in zip(new, ref, loop_target_terms(model, thetas, np.abs)):
+                assert np.all(np.abs(got - want) <= 2e-13 * np.abs(scale))
+
+
 class TestGradientChecks:
     """Analytic gradients vs central differences (h = 1e-5, rel err < 1e-6)."""
 
@@ -249,6 +315,26 @@ class TestParticlePotential:
             assert v[i] == pytest.approx(direct, rel=1e-12)
             assert bf.potential(mixture_3c, ens, ens.thetas[i])[0] == pytest.approx(v[i], rel=1e-13)
 
+    @pytest.mark.parametrize("points", ["ab", [[np.nan]], [[np.inf]]], ids=["string", "nan", "inf"])
+    def test_malformed_points_rejected(self, mixture_frozen, points):
+        ens = make_ensemble([[-1.0], [1.0]])
+        with pytest.raises(bf.ConfigurationError, match="points"):
+            bf.potential(mixture_frozen, ens, points)
+
+    def test_particles_reach_the_kernel_uncopied(self, mixture_frozen, monkeypatch):
+        # `b is a` is what lets the kernel build only the upper triangle
+        ens = make_ensemble([[-1.0], [0.5], [1.0]])
+        seen = []
+        kernel = bf.GaussianMixtureModel.kernel_weighted_sums
+
+        def spy(self, a, b, w):
+            seen.append((a, b))
+            return kernel(self, a, b, w)
+
+        monkeypatch.setattr(bf.GaussianMixtureModel, "kernel_weighted_sums", spy)
+        bf.potential(mixture_frozen, ens, ens.thetas)
+        assert len(seen) == 1 and seen[0][0] is ens.thetas and seen[0][1] is ens.thetas
+
 
 class TestField:
     MODELS = {
@@ -331,18 +417,31 @@ class TestExactMixtureLoss:
 
 class TestReluStudentTeacher:
     def test_exact_operations_unavailable(self):
-        m = bf.ReLUStudentTeacherModel(input_dim=4, teacher_units=2, batch_size=8, teacher_seed=0)
-        with pytest.raises(bf.UnsupportedOperationError):
-            m.F(np.zeros((1, 5)))
-        with pytest.raises(bf.UnsupportedOperationError):
-            m.K_block(np.zeros((1, 5)), np.zeros((1, 5)))
+        relu = bf.ReLUStudentTeacherModel(input_dim=4, teacher_units=2, batch_size=8, teacher_seed=0)
+        th = np.zeros((1, 5))
+        calls = {"F": (th,), "grad_F": (th,), "K_block": (th, th),
+                 "kernel_weighted_sums": (th, th, np.ones(1))}
+        for name, args in calls.items():
+            with pytest.raises(bf.UnsupportedOperationError, match="relu-student-teacher"):
+                getattr(relu, name)(*args)
+        quad = bf.QuadraticWellModel()  # no interaction kernel
+        with pytest.raises(bf.UnsupportedOperationError, match="quadratic-well"):
+            quad.K_block(th[:, :1], th[:, :1])
+        with pytest.raises(bf.UnsupportedOperationError, match="quadratic-well"):
+            quad.kernel_weighted_sums(th[:, :1], th[:, :1], np.ones(1))
+
+    @pytest.mark.parametrize("size", [2.5, "8", True], ids=["float", "string", "bool"])
+    def test_batch_size_must_be_an_integer(self, size):
+        m = bf.ReLUStudentTeacherModel(input_dim=2, teacher_units=1, batch_size=4, teacher_seed=7)
+        with pytest.raises(bf.ConfigurationError, match="batch size"):
+            m.sample_batch(np.random.default_rng(0), size)
 
     def test_student_equals_teacher_zero_potential(self):
         m = bf.ReLUStudentTeacherModel(input_dim=6, teacher_units=4, batch_size=32, teacher_seed=1)
         thetas = np.column_stack([m.teacher_c, m.teacher_y])
         ens = make_ensemble(thetas, has_amplitude=True)
         x = m.sample_batch(np.random.default_rng(2))
-        vhat = m.batch_potential_hat(ens.thetas, ens.weights, x)
+        vhat = m.batch_grad_V(ens.thetas, ens.weights, x)[:, 0]
         np.testing.assert_allclose(vhat, 0.0, atol=1e-14)
 
     def test_single_sample_hand_value(self):
@@ -354,7 +453,7 @@ class TestReluStudentTeacher:
         f_teacher = cbar * max(0.0, ybar * x0)
         f_student = c * max(0.0, y * x0)
         expected = max(0.0, y * x0) * (f_student - f_teacher)
-        assert m.batch_potential_hat(ens.thetas, ens.weights, x)[0] == pytest.approx(expected, rel=1e-14)
+        assert m.batch_grad_V(ens.thetas, ens.weights, x)[0, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_vhat_is_scaled_amplitude_gradient(self):
         # vhat equals n * d(batch loss)/dc_i on a fixed batch
@@ -364,7 +463,7 @@ class TestReluStudentTeacher:
         thetas = np.column_stack([rng.normal(size=n), rng.normal(size=(n, 5))])
         w = np.ones(n)
         x = m.sample_batch(rng)
-        vhat = m.batch_potential_hat(thetas, w, x)
+        vhat = m.batch_grad_V(thetas, w, x)[:, 0]
         h = 1e-6
         for i in range(n):
             up, dn = thetas.copy(), thetas.copy()
@@ -390,7 +489,7 @@ class TestReluStudentTeacher:
                 fd = n * (m.batch_loss(up, w, x) - m.batch_loss(dn, w, x)) / (2 * h)
                 assert grad[i, d] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
-    @pytest.mark.parametrize("estimate", ["batch_potential_hat", "batch_grad_V", "batch_loss"])
+    @pytest.mark.parametrize("estimate", ["batch_grad_V", "batch_loss"])
     def test_empty_batch_rejected(self, estimate):
         m = bf.ReLUStudentTeacherModel(input_dim=2, teacher_units=1, batch_size=4, teacher_seed=7)
         ens = make_ensemble([[1.0, 0.0, 0.0]], has_amplitude=True)
@@ -473,7 +572,7 @@ class TestMinibatchEntryPoint:
     def test_field_is_the_batch_estimates(self, relu_ens):
         m, ens, x = relu_ens
         v, grad = bf.field(m, ens, x)
-        vhat = m.batch_potential_hat(ens.thetas, ens.weights, x)
+        vhat = m.batch_grad_V(ens.thetas, ens.weights, x)[:, 0]
         assert np.array_equal(v, ens.thetas[:, 0] * vhat)
         assert np.array_equal(grad, m.batch_grad_V(ens.thetas, ens.weights, x))
         assert np.array_equal(bf.potential(m, ens, batch=x), v)
