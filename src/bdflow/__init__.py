@@ -59,7 +59,6 @@ from .potentials import (
     build_model,
     exact_mixture_loss,
     field,
-    potential,
 )
 from .samplers import (
     GaussianSampler,

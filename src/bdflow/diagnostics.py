@@ -12,7 +12,7 @@ from .dynamics import DynamicsConfig, run_replicas
 from .ensemble import Ensemble
 from .errors import ConfigurationError, FitError
 from .meanfield import GridStepper, grid_from_sampler
-from .potentials import PotentialModel, field, potential
+from .potentials import PotentialModel, field
 
 RATE_FIT_FORMS = ("power-law", "exponential")
 RATE_FIT_MIN_RECORDS = 10
@@ -64,13 +64,13 @@ def euler_lagrange_residual(model: PotentialModel, ens: Ensemble,
 
     support_residual: max_i |V(theta_i) - Vbar| over the particles.
     exterior_violation: max(0, Vbar - min V(probe)) over the probe points,
-    with probe potentials evaluated against the empirical measure.
-    Both vanish at a global minimizer.
+    with probe potentials evaluated against the empirical measure by
+    `field` at the probe points.  Both vanish at a global minimizer.
     """
-    v = potential(model, ens)
+    v = field(model, ens)[0]
     vbar = float(ens.weights @ v) / ens.n
     support_residual = float(np.max(np.abs(v - vbar)))
-    probe_v = potential(model, ens, probe_points)
+    probe_v = field(model, ens, points=probe_points)[0]
     exterior_violation = max(0.0, vbar - float(probe_v.min()))
     return support_residual, exterior_violation
 

@@ -48,7 +48,7 @@ from .errors import (
     require_int,
     require_number,
 )
-from .potentials import PotentialModel, field, potential
+from .potentials import PotentialModel, field
 
 VARIANTS = (
     "gd-only",
@@ -159,10 +159,11 @@ def check_model_support(model: PotentialModel, variant: str, prior=None) -> None
 
 def centered_rate(model: PotentialModel, ens: Ensemble, batch: np.ndarray | None = None) -> np.ndarray:
     """vt_i = V(theta_i) - n^-1 sum_j V(theta_j); sums to zero by construction.
-    The mean is unweighted, so the ensemble must carry unit weights."""
+    The mean is unweighted, so the ensemble must carry unit weights.  V is
+    `field`'s, or F alone (no grad F) for a non-interacting model."""
     if not np.all(ens.weights == 1.0):
         raise ConfigurationError("centered rates take the unweighted mean and need unit weights")
-    v = potential(model, ens, batch=batch)
+    v = field(model, ens, batch)[0] if model.is_interacting else model.F(ens.thetas)
     if not np.all(np.isfinite(v)):
         bad = int(np.flatnonzero(~np.isfinite(v))[0])
         raise NumericError(f"non-finite potential at particle {bad}")
@@ -358,7 +359,7 @@ def proximal_weight_update(model: PotentialModel, ens: Ensemble, tau: float,
                            inner_iters: int = 100) -> Ensemble:
     """Implicit multiplicative weight update solved by fixed-point sweeps.
 
-    Solves w_i = C^-1 w_i^prev exp(-tau V_i(w)) with V = `potential` at the
+    Solves w_i = C^-1 w_i^prev exp(-tau V_i(w)) with V from `field` at the
     current iterate and C normalizing the mean weight to 1.  The sweeps run on
     a copy, so `ens` is unchanged when they raise.  The exact loss never
     increases across a converged update.
@@ -373,7 +374,7 @@ def proximal_weight_update(model: PotentialModel, ens: Ensemble, tau: float,
     grows = 0
     for _ in range(inner_iters):
         trial.weights = w
-        v = potential(model, trial, trial.thetas)  # at given points: V without the grad V of `field`
+        v = field(model, trial)[0]
         raw = base * np.exp(-tau * (v - v.min()))
         mean_raw = raw.mean()
         if not np.isfinite(mean_raw) or mean_raw <= 0:

@@ -111,7 +111,7 @@ class Ensemble:
         source's id.  A (V, grad V) carried for the old rows moves to the new
         ones: a kept or copied row takes its source's values plus the kernel
         sums against the old rows whose count changed (weight w * (count - 1))
-        and the fresh rows, which are evaluated afresh.  That costs n pair
+        and the fresh rows, which `field` evaluates as points.  That costs n pair
         evaluations per changed or fresh row."""
         model = self._field[0] if self._field is not None else None
         carried = self._carried_field(model)
@@ -141,9 +141,9 @@ class Ensemble:
             v[kept] += vsum / n
             grad[kept] += fsum / n
         if fresh is not None:
-            vsum, fsum = model.kernel_weighted_sums(fresh, self.thetas, self.weights)
-            v[new] = model.F(fresh) + vsum / n
-            grad[new] = model.grad_F(fresh) + fsum / n
+            from .potentials import field  # potentials imports this module
+
+            v[new], grad[new] = field(model, self, points=fresh)
         self._carry_field(model, v, grad)
 
 

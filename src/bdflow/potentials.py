@@ -72,7 +72,10 @@ class PotentialModel:
         return self.theta_dim - (1 if self.has_amplitude else 0)
 
     def _check(self, thetas: np.ndarray) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=float)
+        """(m, theta_dim) rows; a float64 array passes unscanned and uncopied, so
+        transport's non-finite rows reach the callers' `NumericError` checks."""
+        if not (isinstance(thetas, np.ndarray) and thetas.dtype == np.float64):
+            thetas = require_array(thetas, "parameter rows", (2,))
         if thetas.ndim != 2 or thetas.shape[1] != self.theta_dim:
             raise ConfigurationError(
                 f"expected (m, {self.theta_dim}) parameter rows, got shape {thetas.shape}"
@@ -216,7 +219,7 @@ class GaussianMixtureModel(PotentialModel):
     def _target_block(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (m, n) block cbar_j N(y_i; ybar_j, (sigma^2 + sj^2) I) and the m
         variances as a column; components are rows, so each pass runs along n."""
-        var = (self.sigma**2 + self.target_sigma**2)[:, None]
+        var = (self.sigma * self.sigma + self.target_sigma**2)[:, None]
         return self.target_c[:, None] * _gauss_block(self.target_y, y, var), var
 
     def F(self, thetas):
@@ -239,7 +242,7 @@ class GaussianMixtureModel(PotentialModel):
         """Kernel matrix [K(a_i, b_j)]."""
         ca, ya = self._split(self._check(a))
         cb, yb = self._split(self._check(b))
-        return (ca[:, None] * cb[None, :]) * _gauss_block(ya, yb, 2.0 * self.sigma**2)
+        return (ca[:, None] * cb[None, :]) * _gauss_block(ya, yb, 2.0 * self.sigma * self.sigma)
 
     def kernel_weighted_sums(self, a, b, w):
         """Return (sum_j w_j K(a_i, b_j), sum_j w_j grad_1 K(a_i, b_j)).
@@ -259,7 +262,7 @@ class GaussianMixtureModel(PotentialModel):
                 f"expected {b.shape[0]} weights, one per row of b, got shape {w.shape}")
         ca, ya = self._split(a)
         cb, yb = self._split(b)
-        var = 2.0 * self.sigma**2
+        var = 2.0 * self.sigma * self.sigma
         wc = w * cb
         wcy = wc[:, None] * yb
         base = np.zeros(a.shape[0])  # sum_j w_j c_j N_ij
@@ -373,45 +376,33 @@ class ReLUStudentTeacherModel(PotentialModel):
 # -- ensemble-level potentials ---------------------------------------------
 
 
-def potential(model: PotentialModel, ens, points=None, batch=None) -> np.ndarray:
-    """V(x) = F(x) + n^-1 sum_j w_j K(x, theta_j) against the empirical measure.
+def field(model: PotentialModel, ens, batch=None, points=None) -> tuple[np.ndarray, np.ndarray]:
+    """(V, grad V), V = F + n^-1 sum_j w_j K(., theta_j), from one pairwise pass.
 
-    `points` are parameter rows to evaluate at, finite numbers of rank 1 (one
-    row) or 2; they default to the particles, where an interacting model reads
-    V from `field`.  `ens.thetas` itself is used uncopied, so the kernel sees
-    `b is a` and builds only the upper triangle.  A minibatch model estimates
-    V = c * vhat at the particles only, from `field` on the given `batch`.
+    At the particles `ens.thetas` reaches the kernel uncopied, so it sees
+    `b is a` and builds only the upper triangle, and an interacting model's
+    result is carried on the ensemble and returned while the model is the same
+    object and the rows and weights equal the stored copies; the birth-death
+    pass carries it to new rows.  `points`, finite rows of rank 1 (one row) or
+    2, are evaluated instead, without reading or writing the carry.  A
+    minibatch model estimates both at the particles only, from `batch`.
     """
-    if points is None and model.is_interacting:
-        return field(model, ens, batch)[0]
     if not model.is_exact:
-        raise ConfigurationError(f"{model.kind} estimates V only at the particles")
-    x = ens.thetas if points is None or points is ens.thetas else np.atleast_2d(
-        require_array(points, "points", (1, 2)))
-    v = model.F(x)
-    if model.is_interacting:
-        v += model.kernel_weighted_sums(x, ens.thetas, ens.weights)[0] / ens.n
-    return v
-
-
-def field(model: PotentialModel, ens, batch=None) -> tuple[np.ndarray, np.ndarray]:
-    """(V, grad V) at every particle from a single pairwise pass.  An
-    interacting model's result is carried on the ensemble and returned without
-    a pass while the model is the same object and the rows and weights equal
-    the stored copies; the birth-death pass carries it to its new rows.  A
-    minibatch model estimates both from one pass over the given `batch`."""
-    if not model.is_exact:
+        if points is not None:
+            raise ConfigurationError(f"{model.kind} estimates V only at the particles")
         grad = model.batch_grad_V(ens.thetas, ens.weights, batch)
         return ens.thetas[:, 0] * grad[:, 0], grad
-    if (carried := ens._carried_field(model)) is not None:
+    if points is None and (carried := ens._carried_field(model)) is not None:
         return carried
-    v = model.F(ens.thetas)
-    grad = model.grad_F(ens.thetas)
+    x = ens.thetas if points is None else np.atleast_2d(require_array(points, "points", (1, 2)))
+    v = model.F(x)
+    grad = model.grad_F(x)
     if model.is_interacting:
-        vsum, fsum = model.kernel_weighted_sums(ens.thetas, ens.thetas, ens.weights)
+        vsum, fsum = model.kernel_weighted_sums(x, ens.thetas, ens.weights)
         v += vsum / ens.n
         grad = grad + fsum / ens.n
-        ens._carry_field(model, v, grad)
+        if points is None:
+            ens._carry_field(model, v, grad)
     return v, grad
 
 

@@ -340,7 +340,7 @@ def test_c12_optimality_residuals_at_convergence(mixture_comparison, record_prop
     ys = np.linspace(-4.0, 4.0, 32)
     probes = np.array([[c, y] for c in (-1.0, 1.0) for y in ys])
     support, exterior = bf.euler_lagrange_residual(model, ens, probes)
-    v = bf.potential(model, ens)
+    v = bf.field(model, ens)[0]
     vbar = float(ens.weights @ v) / ens.n
     record_property("support_residual", support)
     record_property("exterior_violation", exterior)
@@ -389,7 +389,7 @@ def test_c11_centered_rates_sum_to_zero():
         ens = bf.Ensemble(thetas=thetas, weights=np.ones(n),
                           birth_ids=np.arange(n, dtype=np.int64), has_amplitude=True)
         vt = bf.centered_rate(model, ens)
-        v = bf.potential(model, ens)
+        v = bf.field(model, ens)[0]
         assert abs(vt.sum()) <= 1e-10 * max(1.0, float(np.abs(v).max()))
         r = bf.fvariant_rate(model, ens, bf.FVariant(kind="tanh"))
         assert abs(r.sum()) <= 1e-10

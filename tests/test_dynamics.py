@@ -241,7 +241,7 @@ class TestReinjection:
         rng = np.random.default_rng(14)
         ens = make_ensemble(rng.normal(size=(6, 2)), has_amplitude=True)
         probes = np.array([[0.0, -1.0], [0.0, 2.0]])
-        np.testing.assert_array_equal(bf.potential(mixture_3c, ens, probes), [0.0, 0.0])
+        np.testing.assert_array_equal(bf.field(mixture_3c, ens, points=probes)[0], [0.0, 0.0])
 
     def test_needs_amplitude_channel(self, mixture_frozen):
         ens = make_ensemble([[0.0], [1.0]])

@@ -56,6 +56,34 @@ class TestDoubleWell:
             m.F(np.zeros((2, 2)))
 
 
+class TestParameterRows:
+    """Model methods take finite numeric rows; a float64 array passes as is."""
+
+    @pytest.mark.parametrize("model, method, rows", [
+        ("quad_1d", "F", [["1"]]),
+        ("quad_1d", "grad_F", [[True]]),
+        ("mixture_frozen", "F", [[np.nan]]),
+        ("quad_1d", "F", "ab"),
+        ("quad_1d", "F", None),
+        ("mixture_frozen", "grad_F", [[0.0], [1.0, 2.0]]),
+    ], ids=["string", "bool", "nan", "text", "none", "ragged"])
+    def test_junk_rows_rejected(self, request, model, method, rows):
+        m = request.getfixturevalue(model)
+        with pytest.raises(bf.ConfigurationError, match="parameter rows"):
+            getattr(m, method)(rows)
+
+    def test_int_rows_accepted(self, quad_1d, mixture_frozen):
+        assert quad_1d.F(np.array([[1]]))[0] == 0.5
+        rows = np.array([[-1], [2]])
+        assert np.array_equal(mixture_frozen.grad_F(rows), mixture_frozen.grad_F(rows.astype(float)))
+
+    def test_float_rows_pass_uncopied(self, mixture_frozen):
+        # non-finite rows from transport reach the callers' NumericError checks
+        rows = np.array([[0.5], [np.nan]])
+        assert mixture_frozen._check(rows) is rows
+        assert np.isnan(mixture_frozen.F(rows)[1])
+
+
 class TestMixtureClosedForms:
     def test_zero_amplitude_zeroes_f(self, mixture_1c):
         assert mixture_1c.F(at([0.0, 1.3]))[0] == 0.0
@@ -130,7 +158,7 @@ def loop_target_terms(model, thetas, term=lambda t: t):
     cbar, ybar, s, m = model.target_c, model.target_y, model.target_sigma, model.target_c.size
     resp, grad_y = np.zeros(y.shape[0]), np.zeros_like(y)
     for j in range(m):
-        var = model.sigma**2 + s[j] * s[j]
+        var = model.sigma * model.sigma + s[j] * s[j]
         g = term(cbar[j] * component_gauss(y, ybar[j], var))
         resp += g
         grad_y += term((g / var)[:, None] * (ybar[j] - y))
@@ -223,7 +251,7 @@ def single_block_sums(model, a, b, w):
     and two mat-vecs, the arithmetic of every tile of `kernel_weighted_sums`."""
     ca, ya = model._split(a)
     cb, yb = model._split(b)
-    var = 2.0 * model.sigma**2
+    var = 2.0 * model.sigma * model.sigma
     n_mat = _gauss_block(ya, yb, var)
     wc = w * cb
     base = n_mat @ wc
@@ -293,33 +321,55 @@ class TestTiledKernel:
             mixture_3c.kernel_weighted_sums(a, b, np.ones(shape))
 
 
+class TestBandwidthSquare:
+    """The unit bandwidth is squared as `sigma * sigma`.  At this sigma C
+    `pow(sigma, 2)` lands 1 ulp off that square on an x86-64 Linux build,
+    which moved a `K_block` value by 1 ulp."""
+
+    SIGMA = 0.8483837238129177
+
+    def test_terms_match_the_exact_square_bitwise(self):
+        model = bf.GaussianMixtureModel(target_c=[1.0, -0.5], target_y=[[-1.0], [1.0]],
+                                        target_sigma=[0.9, 1.1], sigma=self.SIGMA)
+        rng = np.random.default_rng(17)
+        a, b = rng.normal(size=(23, 2)), rng.normal(size=(9, 2))
+        w = rng.uniform(0.5, 1.5, 9)
+        var = 2.0 * self.SIGMA * self.SIGMA
+        gauss = np.column_stack([component_gauss(a[:, 1:], y, var) for y in b[:, 1:]])
+        assert np.array_equal(model.K_block(a, b), (a[:, 0, None] * b[None, :, 0]) * gauss)
+        for got, want in zip(model.kernel_weighted_sums(a, b, w), single_block_sums(model, a, b, w)):
+            assert np.array_equal(got, want)
+        f, grad_f, _ = loop_target_terms(model, a)
+        assert np.array_equal(model.F(a), f) and np.array_equal(model.grad_F(a), grad_f)
+
+
 class TestParticlePotential:
     def test_reduces_to_f_without_interaction(self, quad_1d):
         ens = make_ensemble([[1.0], [3.0]])
-        np.testing.assert_array_equal(bf.potential(quad_1d, ens), quad_1d.F(ens.thetas))
-        assert bf.potential(quad_1d, ens, [[1.0]])[0] == quad_1d.F(at([1.0]))[0]
+        np.testing.assert_array_equal(bf.field(quad_1d, ens)[0], quad_1d.F(ens.thetas))
+        assert bf.field(quad_1d, ens, points=[[1.0]])[0][0] == quad_1d.F(at([1.0]))[0]
 
     def test_single_particle_at_minimum(self, quad_1d):
         ens = make_ensemble([[0.0]])
-        assert bf.potential(quad_1d, ens)[0] == 0.0
+        assert bf.field(quad_1d, ens)[0][0] == 0.0
 
     def test_three_particle_mixture_against_direct_sum(self, mixture_3c):
         rng = np.random.default_rng(7)
         ens = make_ensemble(rng.normal(size=(3, 2)), has_amplitude=True)
-        v = bf.potential(mixture_3c, ens)
+        v = bf.field(mixture_3c, ens)[0]
         for i in range(3):
             direct = mixture_3c.F(at(ens.thetas[i]))[0] + sum(
                 ens.weights[j] * mixture_3c.K_block(at(ens.thetas[i]), at(ens.thetas[j]))[0, 0]
                 for j in range(3)
             ) / 3.0
             assert v[i] == pytest.approx(direct, rel=1e-12)
-            assert bf.potential(mixture_3c, ens, ens.thetas[i])[0] == pytest.approx(v[i], rel=1e-13)
+            assert bf.field(mixture_3c, ens, points=ens.thetas[i])[0][0] == pytest.approx(v[i], rel=1e-13)
 
     @pytest.mark.parametrize("points", ["ab", [[np.nan]], [[np.inf]]], ids=["string", "nan", "inf"])
     def test_malformed_points_rejected(self, mixture_frozen, points):
         ens = make_ensemble([[-1.0], [1.0]])
         with pytest.raises(bf.ConfigurationError, match="points"):
-            bf.potential(mixture_frozen, ens, points)
+            bf.field(mixture_frozen, ens, points=points)
 
     def test_particles_reach_the_kernel_uncopied(self, mixture_frozen, monkeypatch):
         # `b is a` is what lets the kernel build only the upper triangle
@@ -332,7 +382,7 @@ class TestParticlePotential:
             return kernel(self, a, b, w)
 
         monkeypatch.setattr(bf.GaussianMixtureModel, "kernel_weighted_sums", spy)
-        bf.potential(mixture_frozen, ens, ens.thetas)
+        bf.field(mixture_frozen, ens)
         assert len(seen) == 1 and seen[0][0] is ens.thetas and seen[0][1] is ens.thetas
 
 
@@ -350,14 +400,31 @@ class TestField:
     }
 
     @pytest.mark.parametrize("kind", sorted(MODELS))
-    def test_values_bitwise_equal_potential(self, kind):
+    @pytest.mark.parametrize("n", [23, 300])
+    def test_points_at_the_particles_match_the_particle_field(self, kind, n):
+        """Bitwise at n = 23, one tile either way; at n = 300 the particle call
+        builds the upper triangle and adds the mirrored tiles in another order."""
         model = bf.GaussianMixtureModel(**self.MODELS[kind])
         rng = np.random.default_rng(11)
-        w = rng.uniform(0.5, 1.5, 23)
-        ens = make_ensemble(rng.normal(size=(23, model.theta_dim)), weights=w / w.mean(),
+        w = rng.uniform(0.5, 1.5, n)
+        ens = make_ensemble(rng.normal(size=(n, model.theta_dim)), weights=w / w.mean(),
                             has_amplitude=model.has_amplitude)
-        v, _ = bf.field(model, ens)
-        np.testing.assert_array_equal(v, bf.potential(model, ens))
+        particles = bf.field(model, ens)
+        at_points = bf.field(model, ens, points=ens.thetas.copy())
+        for got, want in zip(at_points, particles):
+            if n <= _TILE:
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_points_leave_the_carry_alone(self, mixture_frozen):
+        ens = make_ensemble([[-1.0], [0.5], [1.0]])
+        v, grad = bf.field(mixture_frozen, ens)
+        held = ens._field
+        probe_v, _ = bf.field(mixture_frozen, ens, points=[[0.0], [2.0]])
+        assert probe_v.shape == (2,) and ens._field is held
+        again = bf.field(mixture_frozen, ens)  # the carried arrays themselves, no fresh pass
+        assert again[0] is v and again[1] is grad
 
     @pytest.mark.parametrize("kind", sorted(MODELS))
     def test_gradient_matches_finite_differences(self, kind):
@@ -543,7 +610,7 @@ class TestBuildModel:
 
 
 class TestMinibatchEntryPoint:
-    """`potential` and `field` on the ReLU model: estimates on a given batch."""
+    """`field` on the ReLU model: estimates on a given batch."""
 
     @pytest.fixture
     def relu_ens(self):
@@ -554,11 +621,10 @@ class TestMinibatchEntryPoint:
         return m, ens, m.sample_batch(rng)
 
     @pytest.mark.parametrize("call", [
-        lambda m, ens: bf.potential(m, ens),
         lambda m, ens: bf.field(m, ens),
         lambda m, ens: bf.centered_rate(m, ens),
         lambda m, ens: bf.gd_step(m, ens, 0.1),
-    ], ids=["potential", "field", "centered_rate", "gd_step"])
+    ], ids=["field", "centered_rate", "gd_step"])
     def test_missing_batch_rejected(self, relu_ens, call):
         m, ens, _ = relu_ens
         with pytest.raises(bf.ConfigurationError):
@@ -567,7 +633,7 @@ class TestMinibatchEntryPoint:
     def test_probe_points_rejected(self, relu_ens):
         m, ens, x = relu_ens
         with pytest.raises(bf.ConfigurationError):
-            bf.potential(m, ens, points=ens.thetas, batch=x)
+            bf.field(m, ens, x, points=ens.thetas)
 
     def test_field_is_the_batch_estimates(self, relu_ens):
         m, ens, x = relu_ens
@@ -575,4 +641,4 @@ class TestMinibatchEntryPoint:
         vhat = m.batch_grad_V(ens.thetas, ens.weights, x)[:, 0]
         assert np.array_equal(v, ens.thetas[:, 0] * vhat)
         assert np.array_equal(grad, m.batch_grad_V(ens.thetas, ens.weights, x))
-        assert np.array_equal(bf.potential(m, ens, batch=x), v)
+        assert np.array_equal(bf.field(m, ens, batch=x)[0], v)

@@ -64,7 +64,7 @@ def random_ensemble(model, n, rng):
 
 def potential_and_rates(model, ens, cfg, rng):
     batch = None if model.is_exact else model.sample_batch(rng)
-    v = bf.potential(model, ens, batch=batch)
+    v = bf.field(model, ens, batch)[0]
     rates = bf.centered_rate(model, ens, batch)
     if cfg.f_spec is not None:
         rates = bf.fvariant_rate(model, ens, cfg.f_spec, batch)
