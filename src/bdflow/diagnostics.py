@@ -10,7 +10,7 @@ import numpy as np
 
 from .dynamics import DynamicsConfig, run_replicas
 from .ensemble import Ensemble
-from .errors import ConfigurationError, FitError
+from .errors import ConfigurationError, FitError, require_int
 from .meanfield import GridStepper, grid_from_sampler
 from .potentials import PotentialModel, field
 
@@ -106,7 +106,8 @@ def fluctuation_scaling(model: PotentialModel, cfg: DynamicsConfig, init_sampler
     checkpoint to the first at the largest population.  Every checkpoint
     must be a whole number of steps dt, so particles and grid meet at it.
     """
-    n_list = sorted(int(n) for n in n_list)
+    seeds = require_int(seeds, "seeds", 1)
+    n_list = sorted(require_int(n, "n_list size", 1) for n in n_list)
     if len(n_list) < 3 or n_list[-1] < 10 * n_list[0]:
         raise ConfigurationError("n_list needs >= 3 sizes spanning at least one decade")
     checkpoints = sorted(checkpoints)

@@ -95,16 +95,16 @@ class StepReport:
 @dataclass
 class DynamicsConfig:
     """One dynamics scheme and its step parameters.  `f_spec` is read only by
-    gd-bd-fvariant, `reinjection_prior` only by gd-bd-reinjection, and `tau` and
-    `proximal_inner_iters` only by proximal; every variant carries them
-    unchanged, so one configuration can be swept over the variant."""
+    gd-bd-fvariant, `reinjection_prior` only by gd-bd-reinjection, and
+    `proximal_steps`, the m transport steps of one proximal step, only by
+    proximal; every variant carries them unchanged, so one configuration can
+    be swept over the variant."""
 
     variant: str
     dt: float
     alpha: float = 1.0
     f_spec: FVariant | None = None
-    tau: float | None = None
-    proximal_inner_iters: int = 100
+    proximal_steps: int = 10
     reinjection_prior: object | None = None
 
     def __post_init__(self):
@@ -112,26 +112,23 @@ class DynamicsConfig:
             raise ConfigurationError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         self.dt = require_number(self.dt, "dt", 0.0, exclusive=True)
         self.alpha = require_number(self.alpha, "alpha", 0.0)
-        self.proximal_inner_iters = require_int(self.proximal_inner_iters, "proximal_inner_iters", 1)
-        if self.variant == "proximal" and self.tau is None:
-            # default proximal horizon: 10 transport steps per cycle
-            self.tau = self.alpha * 10 * self.dt
-        if self.tau is not None:
-            self.tau = require_number(self.tau, "tau", 0.0, exclusive=True)
-        if self.variant == "proximal":  # the rule fluctuation_scaling applies to checkpoints
-            m = self.tau / (self.alpha * self.dt) if self.alpha * self.dt > 0 else 0.0
-            if not (math.isfinite(m) and round(m) >= 1 and math.isclose(m, round(m), rel_tol=1e-9)):
-                raise ConfigurationError(f"proximal tau must be alpha * m * dt for a whole m >= 1, "
-                                         f"got tau = {self.tau}, alpha = {self.alpha}, dt = {self.dt}")
+        self.proximal_steps = require_int(self.proximal_steps, "proximal_steps", 1)
+        if self.variant == "proximal" and self.alpha == 0:
+            raise ConfigurationError("proximal needs alpha > 0: its weight update runs for time tau / alpha")
         if self.variant == "gd-bd-fvariant" and self.f_spec is None:
             raise ConfigurationError("gd-bd-fvariant requires f_spec")
         if self.variant == "gd-bd-reinjection" and self.reinjection_prior is None:
             raise ConfigurationError("gd-bd-reinjection requires reinjection_prior")
 
     @property
+    def tau(self) -> float:
+        """The proximal weight update's tau = alpha * m * dt, for m = `proximal_steps`."""
+        return self.alpha * self.proximal_steps * self.dt
+
+    @property
     def substeps(self) -> int:
-        """Transport steps per step: 1, or for proximal the m of tau = alpha * m * dt."""
-        return round(self.tau / (self.alpha * self.dt)) if self.variant == "proximal" else 1
+        """Transport steps per step: 1, or `proximal_steps` for proximal."""
+        return self.proximal_steps if self.variant == "proximal" else 1
 
 
 def check_model_support(model: PotentialModel, variant: str, prior=None) -> None:
@@ -404,8 +401,8 @@ def resample_weights(ens: Ensemble, rng: np.random.Generator) -> StepReport:
     and sum N_i = n exactly; survivor order follows the original index order.
     """
     w = ens.weights
-    if np.any(w < 0):
-        raise ConfigurationError("weights must be nonnegative before resampling")
+    if not np.all(w >= 0):  # NaN fails this too
+        raise ConfigurationError("weights must be nonnegative numbers before resampling")
     total = float(w.sum())
     if total <= 0:
         raise ExtinctionError("all weights are zero; cannot resample")
@@ -444,7 +441,7 @@ def run_step(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
         log = kmc_run(model, ens, cfg, cfg.dt, rng)
         report = StepReport(births=log.n_events, deaths=log.n_events)
     elif variant == "proximal":
-        proximal_weight_update(model, ens, cfg.tau, cfg.proximal_inner_iters)
+        proximal_weight_update(model, ens, cfg.tau)
         report = resample_weights(ens, rng)
     else:
         rates = _effective_rates(model, ens, cfg, batch)
@@ -463,11 +460,12 @@ def run_replicas(model: PotentialModel, cfg: DynamicsConfig, init, n: int, seeds
                  observe) -> list[list]:
     """Replica s draws n particles from `init` on `seeds[s][0]` and steps them on its own
     `default_rng(seeds[s][1])`; its row holds `observe(ens)` after each of the nondecreasing `steps`."""
+    steps = [require_int(s, "step count", 0) for s in steps]
     if any(b < a for a, b in zip(steps, steps[1:])):
-        raise ConfigurationError(f"step counts must be nondecreasing, got {list(steps)}")
+        raise ConfigurationError(f"step counts must be nondecreasing, got {steps}")
     out = []
     for init_seed, dyn_seed in seeds:
-        ens = init_from_sampler(init, n, model.position_dim, init_seed, has_amplitude=model.has_amplitude)
+        ens = init_from_sampler(init, n, model.theta_dim, init_seed)
         rng = np.random.default_rng(dyn_seed)
         out.append([])
         for done, target in zip([0, *steps], steps):

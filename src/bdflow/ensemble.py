@@ -1,10 +1,10 @@
 """Particle population data model.
 
 An :class:`Ensemble` holds the full parameter rows of ``n`` particles in a
-contiguous ``(n, D)`` array.  For models with an output-amplitude channel the
-amplitude ``c`` is stored as column 0 and the remaining ``k`` columns are the
-position; otherwise all ``D = k`` columns are the position.  Each particle
-also carries a nonnegative weight (mean 1 across the population) and a
+contiguous ``(n, D)`` array.  The model owns the row layout: for models with
+an output-amplitude channel the amplitude ``c`` is column 0 and the remaining
+columns are the position; otherwise all ``D`` columns are the position.  Each
+particle also carries a nonnegative weight (mean 1 across the population) and a
 monotone birth id assigned at creation, used only for lineage diagnostics.
 `Ensemble.regroup` rebuilds a population from copies of its rows and is the
 only code that assigns new birth ids.
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ExtinctionError, NumericError
+from .errors import ConfigurationError, ExtinctionError, NumericError, require_int
 
 WEIGHT_MEAN_RTOL = 1e-12
 
@@ -34,7 +34,6 @@ class Ensemble:
     thetas: np.ndarray  # (n, D) full parameter rows
     weights: np.ndarray  # (n,)
     birth_ids: np.ndarray  # (n,) int64
-    has_amplitude: bool = False
     step_count: int = 0
     time: float = 0.0
     next_birth_id: int = field(default=0)
@@ -54,20 +53,11 @@ class Ensemble:
     def n(self) -> int:
         return self.thetas.shape[0]
 
-    @property
-    def positions(self) -> np.ndarray:
-        return self.thetas[:, 1:] if self.has_amplitude else self.thetas
-
-    @property
-    def amplitudes(self) -> np.ndarray | None:
-        return self.thetas[:, 0] if self.has_amplitude else None
-
     def copy(self) -> "Ensemble":
         return Ensemble(
             thetas=self.thetas.copy(),
             weights=self.weights.copy(),
             birth_ids=self.birth_ids.copy(),
-            has_amplitude=self.has_amplitude,
             step_count=self.step_count,
             time=self.time,
             next_birth_id=self.next_birth_id,
@@ -147,30 +137,15 @@ class Ensemble:
         self._carry_field(model, v, grad)
 
 
-def init_from_sampler(sampler, n: int, k: int, seed: int, has_amplitude: bool = False) -> Ensemble:
-    """Draw n i.i.d. particles from `sampler`.
-
-    `k` is the position dimension; for amplitude models the sampler must
-    produce rows of length k+1 with the amplitude first.
-    """
-    if n < 1:
-        raise ConfigurationError(f"population size must be >= 1, got {n}")
-    if k < 1:
-        raise ConfigurationError(f"dimension must be >= 1, got {k}")
-    want = k + (1 if has_amplitude else 0)
-    if sampler.dim != want:
-        raise ConfigurationError(
-            f"sampler dimension {sampler.dim} does not match expected {want} "
-            f"(k={k}, has_amplitude={has_amplitude})"
-        )
+def init_from_sampler(sampler, n: int, k: int, seed: int) -> Ensemble:
+    """Draw n i.i.d. rows of length k (the model's `theta_dim`) from `sampler`."""
+    n = require_int(n, "population size n", 1)
+    k = require_int(k, "row length k", 1)
+    seed = require_int(seed, "seed", 0)
+    if sampler.dim != k:
+        raise ConfigurationError(f"sampler dimension {sampler.dim} does not match the row length {k}")
     rng = np.random.default_rng(seed)
-    thetas = sampler.sample(rng, n)
-    ens = Ensemble(
-        thetas=thetas,
-        weights=np.ones(n),
-        birth_ids=np.arange(n, dtype=np.int64),
-        has_amplitude=has_amplitude,
-    )
+    ens = Ensemble(thetas=sampler.sample(rng, n), weights=np.ones(n), birth_ids=np.arange(n, dtype=np.int64))
     ens.validate()
     return ens
 
@@ -192,14 +167,16 @@ def atomic_open(path):
 SNAPSHOT_HEADER = ["id", "birth_id", "weight", "amplitude"]
 
 
-def write_snapshot_csv(ens: Ensemble, path) -> None:
+def write_snapshot_csv(ens: Ensemble, path, model) -> None:
     """Dump the population as CSV: id,birth_id,weight,amplitude,theta_0,...
 
     Reals carry 17 significant digits so float64 values round-trip exactly.
-    The amplitude column is left empty for models without that channel.
-    The file is replaced atomically.
+    The amplitude is row column 0 when `model.has_amplitude`; without that
+    channel its column is left empty.  The file is replaced atomically.
     """
-    amps, pos = ens.amplitudes, ens.positions
+    if ens.thetas.shape[1] != model.theta_dim:
+        raise ConfigurationError(f"row length {ens.thetas.shape[1]} is not the model's {model.theta_dim}")
+    amps, pos = (ens.thetas[:, 0], ens.thetas[:, 1:]) if model.has_amplitude else (None, ens.thetas)
     header = SNAPSHOT_HEADER + [f"theta_{j}" for j in range(pos.shape[1])]
     with atomic_open(path) as fh:
         w = csv.writer(fh)

@@ -30,7 +30,7 @@ SCHEMA_VERSION = 1
 # (required, optional) keys of the config object and of its dynamics block
 _TOP_KEYS = (("model", "init", "dynamics", "n", "steps", "seed"),
              ("schema_version", "record_every", "snapshot_times", "output_dir", "rate_fit"))
-_DYNAMICS_KEYS = (("variant", "dt"), ("alpha", "f", "tau", "proximal_inner_iters", "reinjection"))
+_DYNAMICS_KEYS = (("variant", "dt"), ("alpha", "f", "proximal_steps", "reinjection"))
 
 
 def snapshot_name(t: float) -> str:
@@ -119,8 +119,7 @@ class ExperimentConfig:
                 "dt": dyn.dt,
                 "alpha": dyn.alpha,
                 "f": None if dyn.f_spec is None else {"kind": dyn.f_spec.kind, "beta": dyn.f_spec.beta},
-                "tau": dyn.tau,
-                "proximal_inner_iters": dyn.proximal_inner_iters,
+                "proximal_steps": dyn.proximal_steps,
                 "reinjection": None if dyn.reinjection_prior is None else dyn.reinjection_prior.to_spec(),
             },
             "n": self.n,

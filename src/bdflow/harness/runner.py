@@ -73,13 +73,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None, quiet: bool = True
 
     root = np.random.SeedSequence(config.seed)
     init_ss, dyn_ss, eval_ss = root.spawn(3)
-    ens = init_from_sampler(
-        config.init,
-        config.n,
-        model.position_dim,
-        seed=int(init_ss.generate_state(1)[0]),
-        has_amplitude=model.has_amplitude,
-    )
+    ens = init_from_sampler(config.init, config.n, model.theta_dim, seed=int(init_ss.generate_state(1)[0]))
     rng = np.random.default_rng(dyn_ss)
     eval_rng = np.random.default_rng(eval_ss)
 
@@ -92,7 +86,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None, quiet: bool = True
         while pending and ens.time >= pending[0] - 0.5 * dyn.dt:
             t_snap = pending.pop(0)
             path = out / snapshot_name(t_snap)
-            write_snapshot_csv(ens, path)
+            write_snapshot_csv(ens, path, model)
             snapshots.append(path.name)
 
     take_snapshots()

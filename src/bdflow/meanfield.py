@@ -272,6 +272,8 @@ class GridStepper:
     def step(self, dt: float | None = None) -> float:
         """Advance one step; returns the mass clipped from negative cells."""
         dt = self.cfg.dt if dt is None else dt
+        if type(dt) is not float or not 0.0 < dt < np.inf:  # require_number costs µs; a solve is ~10^4 steps
+            dt = require_number(dt, "dt", 0.0, exclusive=True)
         g = self.grid
         rho = g.density
         # flush subnormals before any arithmetic reads them; leaving out the
@@ -324,6 +326,7 @@ class GridStepper:
 
     def run_until(self, t_end: float):
         """Step with the configured dt, shortening only the final step."""
+        t_end = require_number(t_end, "t_end")
         while True:
             remaining = t_end - self.grid.time
             if remaining < 1e-12:

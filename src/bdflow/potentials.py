@@ -171,8 +171,9 @@ class GaussianMixtureModel(PotentialModel):
         K(th, th')   = c c' N(y; y', 2 sigma^2 I)
 
     With ``amplitude_mode="frozen"`` the amplitude is pinned to ``frozen_c``
-    and the parameter row is the position alone, which keeps the state 1D for
-    the grid oracle.
+    (1.0 when it is None) and the parameter row is the position alone, which
+    keeps the state 1D for the grid oracle; dynamic amplitudes take no
+    ``frozen_c``.
     """
 
     target_c: np.ndarray
@@ -180,7 +181,7 @@ class GaussianMixtureModel(PotentialModel):
     target_sigma: np.ndarray
     sigma: float
     amplitude_mode: str = "dynamic"
-    frozen_c: float = 1.0
+    frozen_c: float | None = None
 
     kind = "gaussian-mixture"
     is_interacting = True
@@ -192,7 +193,6 @@ class GaussianMixtureModel(PotentialModel):
             self.target_y = self.target_y.T
         self.target_sigma = np.atleast_1d(require_array(self.target_sigma, "component widths sigma"))
         self.sigma = require_number(self.sigma, "sigma")
-        self.frozen_c = require_number(self.frozen_c, "frozen_c")
         m = self.target_c.size
         if self.target_y.shape[0] != m or self.target_sigma.size != m:
             raise ConfigurationError("target component arrays must share one length")
@@ -206,6 +206,10 @@ class GaussianMixtureModel(PotentialModel):
         if self.amplitude_mode not in ("dynamic", "frozen"):
             raise ConfigurationError("amplitude_mode must be 'dynamic' or 'frozen'")
         self.has_amplitude = self.amplitude_mode == "dynamic"
+        if not self.has_amplitude:
+            self.frozen_c = require_number(1.0 if self.frozen_c is None else self.frozen_c, "frozen_c")
+        elif self.frozen_c is not None:
+            raise ConfigurationError("frozen_c applies only to amplitude_mode 'frozen'")
         d = self.target_y.shape[1]
         self.theta_dim = d + (1 if self.has_amplitude else 0)
 

@@ -41,14 +41,11 @@ def mixture_frozen():
     )
 
 
-def make_ensemble(thetas, weights=None, has_amplitude=False):
+def make_ensemble(thetas, weights=None):
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     n = thetas.shape[0]
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    return bf.Ensemble(
-        thetas=thetas, weights=w, birth_ids=np.arange(n, dtype=np.int64),
-        has_amplitude=has_amplitude,
-    )
+    return bf.Ensemble(thetas=thetas, weights=w, birth_ids=np.arange(n, dtype=np.int64))
 
 
 def at(theta):

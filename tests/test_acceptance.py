@@ -271,8 +271,7 @@ def test_c08_proximal_descent_monotone(record_property):
     for _ in range(50):
         n = int(rng.integers(4, 32))
         thetas = np.column_stack([rng.normal(size=n), rng.normal(scale=2.0, size=n)])
-        ens = bf.Ensemble(thetas=thetas, weights=np.ones(n),
-                          birth_ids=np.arange(n, dtype=np.int64), has_amplitude=True)
+        ens = bf.Ensemble(thetas=thetas, weights=np.ones(n), birth_ids=np.arange(n, dtype=np.int64))
         before = bf.exact_mixture_loss(model, ens)
         bf.proximal_weight_update(model, ens, tau=0.2, inner_iters=200)
         after = bf.exact_mixture_loss(model, ens)
@@ -386,8 +385,7 @@ def test_c11_centered_rates_sum_to_zero():
     for _ in range(20):
         n = int(rng.integers(2, 60))
         thetas = np.column_stack([rng.normal(size=n), rng.normal(scale=2.0, size=n)])
-        ens = bf.Ensemble(thetas=thetas, weights=np.ones(n),
-                          birth_ids=np.arange(n, dtype=np.int64), has_amplitude=True)
+        ens = bf.Ensemble(thetas=thetas, weights=np.ones(n), birth_ids=np.arange(n, dtype=np.int64))
         vt = bf.centered_rate(model, ens)
         v = bf.field(model, ens)[0]
         assert abs(vt.sum()) <= 1e-10 * max(1.0, float(np.abs(v).max()))
@@ -404,11 +402,11 @@ def test_c11_population_conserved_every_variant():
         "bd-only": {},
         "gd-bd-fvariant": {"f_spec": bf.FVariant(kind="tanh")},
         "gd-bd-reinjection": {"reinjection_prior": prior},
-        "proximal": {"tau": 0.09},  # alpha * 3 * dt
+        "proximal": {"proximal_steps": 3},
     }
     for variant, extra in variants.items():
         cfg = bf.DynamicsConfig(variant=variant, dt=0.02, alpha=1.5, **extra)
-        ens = bf.init_from_sampler(GOOD_INIT, 48, 1, seed=5, has_amplitude=True)
+        ens = bf.init_from_sampler(GOOD_INIT, 48, 2, seed=5)
         rng = np.random.default_rng(6)
         for _ in range(15):
             bf.run_step(model, ens, cfg, rng)
@@ -459,8 +457,8 @@ def test_c11_identity_transform_reproduces_base_variant_bitwise():
     base = bf.DynamicsConfig(variant="gd-bd", dt=0.02, alpha=1.0)
     ident = bf.DynamicsConfig(variant="gd-bd-fvariant", dt=0.02, alpha=1.0,
                               f_spec=bf.FVariant(kind="identity"))
-    a = bf.init_from_sampler(GOOD_INIT, 40, 1, seed=8, has_amplitude=True)
-    b = bf.init_from_sampler(GOOD_INIT, 40, 1, seed=8, has_amplitude=True)
+    a = bf.init_from_sampler(GOOD_INIT, 40, 2, seed=8)
+    b = bf.init_from_sampler(GOOD_INIT, 40, 2, seed=8)
     rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(30):
         bf.run_step(model, a, base, rng_a)
@@ -474,7 +472,7 @@ def test_c11_determinism_under_fixed_seeds():
                             reinjection_prior=bf.GaussianSampler(mean=[0.0], std=2.0))
     ends = []
     for _ in range(2):
-        ens = bf.init_from_sampler(BAD_INIT, 32, 1, seed=10, has_amplitude=True)
+        ens = bf.init_from_sampler(BAD_INIT, 32, 2, seed=10)
         rng = np.random.default_rng(11)
         for _ in range(40):
             bf.run_step(model, ens, cfg, rng)

@@ -13,13 +13,13 @@ class TestEnsembleEnergy:
 
     def test_single_particle_includes_half_self_interaction(self, mixture_1c):
         theta = np.array([0.8, 0.3])
-        ens = make_ensemble([theta], has_amplitude=True)
+        ens = make_ensemble([theta])
         expected = mixture_1c.F(at(theta))[0] + 0.5 * mixture_1c.K_block(at(theta), at(theta))[0, 0]
         assert bf.ensemble_energy(mixture_1c, ens) == pytest.approx(expected, rel=1e-13)
 
     def test_matches_exact_loss_minus_constant(self, mixture_3c):
         rng = np.random.default_rng(0)
-        ens = make_ensemble(rng.normal(size=(9, 2)), has_amplitude=True)
+        ens = make_ensemble(rng.normal(size=(9, 2)))
         lhs = bf.ensemble_energy(mixture_3c, ens)
         rhs = bf.exact_mixture_loss(mixture_3c, ens) - mixture_3c.target_self_energy
         assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -49,7 +49,7 @@ class TestEnergyDecayTerms:
     def test_both_terms_nonnegative(self, mixture_3c):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            ens = make_ensemble(rng.normal(size=(8, 2)), has_amplitude=True)
+            ens = make_ensemble(rng.normal(size=(8, 2)))
             _, var_term, grad_term = bf.diagnostics.field_moments(ens, *bf.field(mixture_3c, ens))
             assert grad_term >= 0.0 and var_term >= 0.0
 
@@ -58,7 +58,7 @@ class TestEnergyDecayTerms:
         at rate grad_term + alpha * var_term, up to O(dt^2)."""
         rng = np.random.default_rng(2)
         alpha = 1.0
-        ens0 = make_ensemble(rng.normal(size=(12, 2)), has_amplitude=True)
+        ens0 = make_ensemble(rng.normal(size=(12, 2)))
         _, var_term, grad_term = bf.diagnostics.field_moments(ens0, *bf.field(mixture_3c, ens0))
         expected_rate = grad_term + alpha * var_term
         gaps = []
@@ -86,7 +86,7 @@ class TestEulerLagrangeResidual:
 
     def test_displacement_raises_support_residual(self, mixture_3c):
         rng = np.random.default_rng(3)
-        ens = make_ensemble(rng.normal(size=(10, 2)), has_amplitude=True)
+        ens = make_ensemble(rng.normal(size=(10, 2)))
         probes = np.column_stack([np.ones(8), np.linspace(-3, 3, 8)])
         base, _ = bf.euler_lagrange_residual(mixture_3c, ens, probes)
         ens.thetas[0] += np.array([3.0, 2.5])
@@ -185,6 +185,16 @@ class TestFluctuationScaling:
             bf.fluctuation_scaling(
                 quad_1d, cfg, bf.GaussianSampler(mean=[0.0], std=1.0),
                 [100, 200, 400], 4, [lambda x: x],
+            )
+
+    @pytest.mark.parametrize("n_list, seeds", [([30, 100, 300], 0), ([30.7, 100.2, 300.9], 4)], ids=str)
+    def test_counts_must_be_integers(self, quad_1d, n_list, seeds):
+        # seeds=0 once gave NaN RMS with a RuntimeWarning, and int() truncated the sizes
+        cfg = bf.DynamicsConfig(variant="gd-bd", dt=0.02, alpha=1.0)
+        with pytest.raises(bf.ConfigurationError, match="seeds|n_list"):
+            bf.fluctuation_scaling(
+                quad_1d, cfg, bf.GaussianSampler(mean=[0.0], std=1.0),
+                n_list, seeds, [lambda x: x], checkpoints=(0.2,), slope_checkpoint=0.2, grid_cells=64,
             )
 
     def test_checkpoints_must_fall_on_the_step_grid(self, quad_1d):

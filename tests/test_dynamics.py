@@ -21,7 +21,7 @@ class TestGdStep:
     def test_mixture_step_matches_numerical_gradient_update(self, mixture_3c):
         rng = np.random.default_rng(0)
         thetas = rng.normal(size=(3, 2))
-        ens = make_ensemble(thetas.copy(), has_amplitude=True)
+        ens = make_ensemble(thetas.copy())
         dt = 0.05
         bf.gd_step(mixture_3c, ens, dt)
         for i in range(3):
@@ -59,7 +59,7 @@ class TestCenteredRate:
 
     def test_mixture_matches_direct_sum(self, mixture_3c):
         rng = np.random.default_rng(1)
-        ens = make_ensemble(rng.normal(size=(4, 2)), has_amplitude=True)
+        ens = make_ensemble(rng.normal(size=(4, 2)))
         v = mixture_3c.F(ens.thetas) + mixture_3c.K_block(ens.thetas, ens.thetas) @ ens.weights / 4
         np.testing.assert_allclose(
             bf.centered_rate(mixture_3c, ens), v - v.mean(), atol=1e-13
@@ -67,7 +67,7 @@ class TestCenteredRate:
 
     def test_sum_is_zero(self, mixture_3c):
         rng = np.random.default_rng(2)
-        ens = make_ensemble(rng.normal(size=(50, 2)), has_amplitude=True)
+        ens = make_ensemble(rng.normal(size=(50, 2)))
         vt = bf.centered_rate(mixture_3c, ens)
         assert abs(vt.sum()) <= 1e-10 * max(1.0, np.abs(vt).max())
 
@@ -225,7 +225,7 @@ class TestReinjection:
     def test_reinjected_particles_have_zero_amplitude(self, mixture_3c):
         # deterministic deficit: certain kill of particle 0, no duplications
         thetas = np.array([[4.0, -2.0], [0.1, 0.0], [0.1, 0.2], [0.1, -0.2]])
-        ens = make_ensemble(thetas, has_amplitude=True)
+        ens = make_ensemble(thetas)
         cfg = self._config()
         rates = np.array([1e9, -1e-12, -1e-12, -1e-12])
         rng = np.random.default_rng(13)
@@ -239,7 +239,7 @@ class TestReinjection:
 
     def test_zero_amplitude_contributes_zero_potential(self, mixture_3c):
         rng = np.random.default_rng(14)
-        ens = make_ensemble(rng.normal(size=(6, 2)), has_amplitude=True)
+        ens = make_ensemble(rng.normal(size=(6, 2)))
         probes = np.array([[0.0, -1.0], [0.0, 2.0]])
         np.testing.assert_array_equal(bf.field(mixture_3c, ens, points=probes)[0], [0.0, 0.0])
 
@@ -317,7 +317,7 @@ class TestProximalWeights:
         rng = np.random.default_rng(21)
         for _ in range(50):
             n = int(rng.integers(4, 24))
-            ens = make_ensemble(rng.normal(size=(n, 2)), has_amplitude=True)
+            ens = make_ensemble(rng.normal(size=(n, 2)))
             before = bf.exact_mixture_loss(mixture_3c, ens)
             bf.proximal_weight_update(mixture_3c, ens, tau=0.2, inner_iters=200)
             after = bf.exact_mixture_loss(mixture_3c, ens)
@@ -325,7 +325,7 @@ class TestProximalWeights:
 
     def test_mean_weight_stays_one(self, mixture_3c):
         rng = np.random.default_rng(22)
-        ens = make_ensemble(rng.normal(size=(12, 2)), has_amplitude=True)
+        ens = make_ensemble(rng.normal(size=(12, 2)))
         bf.proximal_weight_update(mixture_3c, ens, tau=0.5)
         assert ens.weights.mean() == pytest.approx(1.0, rel=1e-12)
 
@@ -336,7 +336,7 @@ class TestProximalWeights:
             target_c=[1.0], target_y=[[0.5]], target_sigma=[0.3], sigma=0.05
         )
         thetas = np.array([[3.0, 0.0], [3.0, 0.001], [3.0, 1.0], [3.0, 1.001]])
-        ens = make_ensemble(thetas, has_amplitude=True)
+        ens = make_ensemble(thetas)
         with pytest.raises(bf.StepSizeError, match="tau"):
             bf.proximal_weight_update(gm, ens, tau=2.0, inner_iters=400)
         np.testing.assert_array_equal(ens.weights, 1.0)  # the failed sweeps ran on a copy
@@ -378,6 +378,12 @@ class TestResampleWeights:
         sigma = np.sqrt(0.25 / trials)  # per-trial count in {1, 2}
         assert abs(count0 / trials - 1.5) < 3 * sigma
 
+    def test_nan_weight_rejected(self):
+        # np.any(w < 0) let a NaN through, and the pass reported 4 births and 4 deaths
+        ens = make_ensemble([[0.0], [1.0], [2.0], [3.0], [4.0]], weights=[1.0, np.nan, 1.0, 1.0, 1.0])
+        with pytest.raises(bf.ConfigurationError, match="nonnegative"):
+            bf.resample_weights(ens, np.random.default_rng(27))
+
     def test_all_zero_weights_extinct(self):
         ens = make_ensemble([[0.0], [1.0]], weights=[0.0, 0.0])
         with pytest.raises(bf.ExtinctionError):
@@ -403,11 +409,11 @@ class TestRunStep:
             "bd-only": {},
             "gd-bd-fvariant": {"f_spec": bf.FVariant(kind="tanh")},
             "gd-bd-reinjection": {"reinjection_prior": bf.GaussianSampler(mean=[0.0], std=2.0)},
-            "proximal": {"tau": 0.1},
+            "proximal": {"proximal_steps": 10},
         }
         for variant, extra in variants.items():
             cfg = bf.DynamicsConfig(variant=variant, dt=0.01, alpha=1.0, **extra)
-            ens = bf.init_from_sampler(init, 32, 1, seed=29, has_amplitude=True)
+            ens = bf.init_from_sampler(init, 32, 2, seed=29)
             rng = np.random.default_rng(30)
             for _ in range(10):
                 bf.run_step(mixture_3c, ens, cfg, rng)
@@ -421,7 +427,7 @@ class TestRunStep:
         cfg = bf.DynamicsConfig(variant="gd-bd", dt=0.02, alpha=1.0)
         ends = []
         for _ in range(2):
-            ens = bf.init_from_sampler(init, 40, 1, seed=31, has_amplitude=True)
+            ens = bf.init_from_sampler(init, 40, 2, seed=31)
             rng = np.random.default_rng(32)
             for _ in range(30):
                 bf.run_step(mixture_3c, ens, cfg, rng)
@@ -432,9 +438,9 @@ class TestRunStep:
         init = bf.ProductSampler(
             factors=(bf.GaussianSampler(mean=[0.0], std=1.0), bf.GaussianSampler(mean=[0.0], std=2.0))
         )
-        cfg = bf.DynamicsConfig(variant="proximal", dt=0.01, alpha=1.0, tau=0.1)
+        cfg = bf.DynamicsConfig(variant="proximal", dt=0.01, alpha=1.0, proximal_steps=10)
         assert cfg.substeps == 10
-        ens = bf.init_from_sampler(init, 16, 1, seed=33, has_amplitude=True)
+        ens = bf.init_from_sampler(init, 16, 2, seed=33)
         bf.run_step(mixture_3c, ens, cfg, np.random.default_rng(34))
         assert ens.step_count == 10
         assert ens.time == pytest.approx(0.1)
@@ -447,17 +453,22 @@ class TestRunStep:
             factors=(bf.GaussianSampler(mean=[0.0], std=1.0), bf.GaussianSampler(mean=[0.0], std=2.0))
         )
         dt, n, seeds = 0.05, 64, 100
-        means = {}
-        for variant, extra in (
-            ("gd-bd", {}),
-            ("proximal", {"tau": dt, "proximal_inner_iters": 1}),
-        ):
-            cfg = bf.DynamicsConfig(variant=variant, dt=dt, alpha=1.0, **extra)
-            vals = np.ravel(bf.dynamics.run_replicas(
-                mixture_3c, cfg, init, n, [(1000 + s, 2000 + s) for s in range(seeds)], [1],
-                lambda ens: bf.ensemble_energy(mixture_3c, ens),
-            ))
-            means[variant] = (vals.mean(), vals.std(ddof=1))
+        pairs = [(1000 + s, 2000 + s) for s in range(seeds)]
+
+        def proximal_single_sweep(init_seed, dyn_seed):  # run_step's proximal path with one sweep
+            ens = bf.init_from_sampler(init, n, 2, init_seed)
+            bf.gd_step(mixture_3c, ens, dt)
+            bf.proximal_weight_update(mixture_3c, ens, dt, inner_iters=1)  # tau = alpha * 1 * dt
+            bf.resample_weights(ens, np.random.default_rng(dyn_seed))
+            return bf.ensemble_energy(mixture_3c, ens)
+
+        cfg = bf.DynamicsConfig(variant="gd-bd", dt=dt, alpha=1.0)
+        runs = {
+            "gd-bd": np.ravel(bf.dynamics.run_replicas(
+                mixture_3c, cfg, init, n, pairs, [1], lambda ens: bf.ensemble_energy(mixture_3c, ens))),
+            "proximal": np.array([proximal_single_sweep(*p) for p in pairs]),
+        }
+        means = {variant: (vals.mean(), vals.std(ddof=1)) for variant, vals in runs.items()}
         gap = abs(means["gd-bd"][0] - means["proximal"][0])
         combined = np.hypot(means["gd-bd"][1], means["proximal"][1]) / np.sqrt(seeds)
         assert gap <= 3.0 * combined
@@ -468,8 +479,8 @@ class TestRunStep:
             factors=(bf.GaussianSampler(mean=[0.0], std=1.0),
                      bf.GaussianSampler(mean=[0.0] * 3, std=1.0)),
         )
-        ens = bf.init_from_sampler(init, 8, 3, seed=35, has_amplitude=True)
-        cfg = bf.DynamicsConfig(variant="proximal", dt=0.1, tau=1.0)
+        ens = bf.init_from_sampler(init, 8, 4, seed=35)
+        cfg = bf.DynamicsConfig(variant="proximal", dt=0.1)
         with pytest.raises(bf.ConfigurationError):
             bf.run_step(relu, ens, cfg, np.random.default_rng(36))
 
@@ -479,7 +490,7 @@ class TestRunStep:
             factors=(bf.GaussianSampler(mean=[0.0], std=2.0),
                      bf.GaussianSampler(mean=[0.0] * 4, std=0.5)),
         )
-        ens = bf.init_from_sampler(init, 12, 4, seed=37, has_amplitude=True)
+        ens = bf.init_from_sampler(init, 12, 5, seed=37)
         cfg = bf.DynamicsConfig(variant="gd-bd", dt=0.2, alpha=1.0)
         rng = np.random.default_rng(38)
         for _ in range(20):
@@ -500,12 +511,9 @@ class TestDynamicsConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"dt": np.inf}, {"alpha": np.nan}, {"dt": "abc"}, {"dt": True}, {"alpha": -1.0},
-        {"variant": "proximal", "proximal_inner_iters": 0}, {"proximal_inner_iters": 2.5},
-        {"tau": 0.0},
-        # tau must be alpha * m * dt: the first once took 3 transport steps but
-        # reweighted for 3.33 of them, the second moved weights with no transport
-        {"variant": "proximal", "tau": 0.1, "alpha": 1.5, "dt": 0.02},
-        {"variant": "proximal", "tau": 0.5, "alpha": 0.0},
+        {"variant": "proximal", "proximal_steps": 0}, {"proximal_steps": 2.5}, {"proximal_steps": True},
+        # tau = alpha * m * dt would be 0: weights would never move
+        {"variant": "proximal", "alpha": 0.0},
     ], ids=str)
     def test_malformed_fields_rejected(self, kwargs):
         with pytest.raises(bf.ConfigurationError):
@@ -513,5 +521,7 @@ class TestDynamicsConfig:
 
     def test_proximal_default_tau(self):
         cfg = bf.DynamicsConfig(variant="proximal", dt=0.01, alpha=2.0)
-        assert cfg.tau == pytest.approx(2.0 * 10 * 0.01)
+        assert cfg.tau == 2.0 * 10 * 0.01
         assert cfg.substeps == 10
+        with pytest.raises(AttributeError):
+            cfg.tau = 0.3  # derived from alpha, proximal_steps and dt

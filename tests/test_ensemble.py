@@ -38,13 +38,36 @@ class TestInit:
         with pytest.raises(bf.ConfigurationError):
             bf.UniformSampler(lo=[1.0], hi=[1.0])
 
-    def test_amplitude_layout(self):
+    @pytest.mark.parametrize("n, k, seed, steps", [
+        (2.5, 1, 0, None), (True, 1, 0, None), (4, 0, 0, None), (4, 1, -1, None), (4, 1, 1.5, None),
+        (4, 1, 0, [-5]), (4, 1, 0, [2.5]),
+    ], ids=str)
+    def test_counts_are_integers(self, quad_1d, n, k, seed, steps):
+        # numpy once raised TypeError or ValueError for these, and run_replicas
+        # observed steps=[-5] silently at step 0
+        init = bf.GaussianSampler(mean=[0.0], std=1.0)
+        with pytest.raises(bf.ConfigurationError):
+            if steps is None:
+                bf.init_from_sampler(init, n, k, seed)
+            else:
+                bf.dynamics.run_replicas(quad_1d, bf.DynamicsConfig(variant="gd-only", dt=0.1), init, n,
+                                         [(seed, 1)], steps, lambda ens: ens.n)
+
+    def test_amplitude_layout(self, mixture_1c, tmp_path):
         init = bf.ProductSampler(
             factors=(bf.PointSampler(at=[2.0]), bf.PointSampler(at=[5.0]))
         )
-        ens = bf.init_from_sampler(init, 4, 1, seed=0, has_amplitude=True)
-        np.testing.assert_array_equal(ens.amplitudes, np.full(4, 2.0))
-        np.testing.assert_array_equal(ens.positions, np.full((4, 1), 5.0))
+        ens = bf.init_from_sampler(init, 4, mixture_1c.theta_dim, seed=0)
+        np.testing.assert_array_equal(ens.thetas, np.tile([2.0, 5.0], (4, 1)))  # amplitude in column 0
+        path = tmp_path / "snap.csv"
+        bf.write_snapshot_csv(ens, path, mixture_1c)
+        with open(path) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][3:] == ["amplitude", "theta_0"]
+        assert all(r[3:] == ["2", "5"] for r in rows[1:])
+        # the model names the columns, so a model of another row length is refused
+        with pytest.raises(bf.ConfigurationError, match="row length 1 is not"):
+            bf.write_snapshot_csv(bf.init_from_sampler(init.factors[1], 4, 1, seed=0), path, mixture_1c)
 
 
 class TestEmpiricalExpectation:
@@ -149,40 +172,42 @@ class TestValidation:
 
 
 class TestSnapshotCsv:
-    def test_header_and_roundtrip(self, tmp_path):
+    def test_header_and_roundtrip(self, mixture_1c, tmp_path):
         init = bf.ProductSampler(
             factors=(bf.GaussianSampler(mean=[0.0], std=1.0), bf.GaussianSampler(mean=[0.0], std=1.0))
         )
-        ens = bf.init_from_sampler(init, 6, 1, seed=5, has_amplitude=True)
+        ens = bf.init_from_sampler(init, 6, 2, seed=5)
         path = tmp_path / "snap.csv"
-        bf.write_snapshot_csv(ens, path)
+        bf.write_snapshot_csv(ens, path, mixture_1c)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["id", "birth_id", "weight", "amplitude", "theta_0"]
         got = np.array([[float(r[3]), float(r[4])] for r in rows[1:]])
         np.testing.assert_array_equal(got, ens.thetas)  # 17 digits round-trip exactly
 
-    def test_amplitude_column_empty_without_channel(self, tmp_path):
+    def test_amplitude_column_empty_without_channel(self, quad_1d, tmp_path):
         ens = bf.init_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 3, 1, seed=6)
         path = tmp_path / "snap.csv"
-        bf.write_snapshot_csv(ens, path)
+        bf.write_snapshot_csv(ens, path, quad_1d)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert all(r[3] == "" for r in rows[1:])
 
-    def test_failed_write_leaves_existing_snapshot_unchanged(self, tmp_path):
+    def test_failed_write_leaves_existing_snapshot_unchanged(self, quad_1d, tmp_path):
         ens = bf.init_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 4, 1, seed=7)
         path = tmp_path / "snap.csv"
-        bf.write_snapshot_csv(ens, path)
+        bf.write_snapshot_csv(ens, path, quad_1d)
         before = path.read_bytes()
 
-        class FailsAfterHeader(bf.Ensemble):
-            @property
-            def positions(self):
+        class Interrupt:
+            def __format__(self, spec):
                 raise RuntimeError("write interrupted")
 
-        moved = FailsAfterHeader(thetas=ens.thetas + 1.0, weights=ens.weights, birth_ids=ens.birth_ids)
+        # the header and rows 0 and 1 are written to the temp file before row 2 fails
+        moved = ens.copy()
+        moved.thetas = moved.thetas + 1.0
+        moved.weights = np.array([1.0, 1.0, Interrupt(), 1.0], dtype=object)
         with pytest.raises(RuntimeError, match="write interrupted"):
-            bf.write_snapshot_csv(moved, path)
+            bf.write_snapshot_csv(moved, path, quad_1d)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["snap.csv"]  # no temp file left

@@ -69,7 +69,9 @@ MALFORMED = [
     {"rate_fit": {"window": 5, "form": "exponential"}},
     {"dynamics.alpha": None},
     {"dynamics.alpha_prime": 0.5},
-    {"dynamics.proximal_inner_iters": 2.5},
+    {"dynamics.proximal_steps": 2.5},
+    {"dynamics.tau": 0.3},
+    {"dynamics.proximal_inner_iters": 100},
     {"snapshot_times": 1.0},
     {"rate_fit": {"window": [0.0, "x"], "form": "exponential"}},
     {"rate_fit": {"window": [0.0, 1.0], "form": "linear"}},
@@ -207,7 +209,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("overrides,window", [
         ({}, [0.05, 1.05]),  # a record every step
         ({"steps": 29, "record_every": 3}, [0.25, 2.95]),  # the last step is recorded too
-        ({"dynamics": {"variant": "proximal", "dt": 0.1, "tau": 0.3}}, [0.25, 3.05]),  # 3 substeps
+        ({"dynamics": {"variant": "proximal", "dt": 0.1, "proximal_steps": 3}}, [0.25, 3.05]),
     ])
     def test_rate_fit_window_needs_ten_records(self, tmp_path, overrides, window):
         fit = {"window": window, "form": "exponential"}

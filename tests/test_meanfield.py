@@ -253,6 +253,26 @@ class TestGridStepper:
         with pytest.raises(bf.StepSizeError):
             bf.GridStepper(quad_1d, g, bf.DynamicsConfig(variant="gd-bd", dt=0.1, alpha=1.0)).step()
 
+    @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), "x"], ids=str)
+    def test_run_until_rejects_non_finite_end(self, quad_1d, t_end):
+        # nan and inf once looped forever
+        g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 64)
+        st = bf.GridStepper(quad_1d, g, bf.DynamicsConfig(variant="bd-only", dt=0.01, alpha=1.0))
+        with pytest.raises(bf.ConfigurationError, match="t_end"):
+            st.run_until(t_end)
+        assert g.time == 0.0
+
+    @pytest.mark.parametrize("dt", [-0.01, 0.0, float("nan"), float("inf"), "x"], ids=str)
+    def test_step_rejects_malformed_dt(self, quad_1d, dt):
+        # step(-0.01) once ran and moved the grid time back to -0.01
+        g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 64)
+        before = g.density.copy()
+        st = bf.GridStepper(quad_1d, g, bf.DynamicsConfig(variant="bd-only", dt=0.01, alpha=1.0))
+        with pytest.raises(bf.ConfigurationError, match="dt"):
+            st.step(dt)
+        assert g.time == 0.0 and st.steps_taken == 0
+        np.testing.assert_array_equal(g.density, before)
+
     def test_interacting_potential_on_grid(self, mixture_frozen):
         g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=2.0), 512)
         st = bf.GridStepper(mixture_frozen, g, bf.DynamicsConfig(variant="gd-bd", dt=0.005, alpha=1.0))

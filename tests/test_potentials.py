@@ -184,10 +184,11 @@ class TestTargetBlock:
     def test_matches_component_loop(self, m, d, n, frozen, seed):
         rng = np.random.default_rng(seed)
         sigma = rng.uniform(0.2, 0.8)
-        model = bf.GaussianMixtureModel(
-            target_c=rng.uniform(-2.0, 2.0, m), target_y=rng.uniform(-2.0, 2.0, (m, d)),
-            target_sigma=sigma * rng.uniform(1.05, 3.0, m), sigma=sigma,
-            amplitude_mode="frozen" if frozen else "dynamic", frozen_c=rng.uniform(-2.0, 2.0))
+        target_c, target_y = rng.uniform(-2.0, 2.0, m), rng.uniform(-2.0, 2.0, (m, d))
+        target_sigma, frozen_c = sigma * rng.uniform(1.05, 3.0, m), rng.uniform(-2.0, 2.0)
+        amplitudes = dict(amplitude_mode="frozen", frozen_c=frozen_c) if frozen else {}
+        model = bf.GaussianMixtureModel(target_c=target_c, target_y=target_y, target_sigma=target_sigma,
+                                        sigma=sigma, **amplitudes)
         thetas = rng.normal(scale=1.5, size=(n, model.theta_dim))
         new = (model.F(thetas), model.grad_F(thetas), model.target_self_energy)
         ref = loop_target_terms(model, thetas)
@@ -355,7 +356,7 @@ class TestParticlePotential:
 
     def test_three_particle_mixture_against_direct_sum(self, mixture_3c):
         rng = np.random.default_rng(7)
-        ens = make_ensemble(rng.normal(size=(3, 2)), has_amplitude=True)
+        ens = make_ensemble(rng.normal(size=(3, 2)))
         v = bf.field(mixture_3c, ens)[0]
         for i in range(3):
             direct = mixture_3c.F(at(ens.thetas[i]))[0] + sum(
@@ -407,8 +408,7 @@ class TestField:
         model = bf.GaussianMixtureModel(**self.MODELS[kind])
         rng = np.random.default_rng(11)
         w = rng.uniform(0.5, 1.5, n)
-        ens = make_ensemble(rng.normal(size=(n, model.theta_dim)), weights=w / w.mean(),
-                            has_amplitude=model.has_amplitude)
+        ens = make_ensemble(rng.normal(size=(n, model.theta_dim)), weights=w / w.mean())
         particles = bf.field(model, ens)
         at_points = bf.field(model, ens, points=ens.thetas.copy())
         for got, want in zip(at_points, particles):
@@ -431,7 +431,7 @@ class TestField:
         model = bf.GaussianMixtureModel(**self.MODELS[kind])
         rng = np.random.default_rng(12)
         thetas = rng.normal(size=(4, model.theta_dim))
-        ens = make_ensemble(thetas, has_amplitude=model.has_amplitude)
+        ens = make_ensemble(thetas)
         _, grad = bf.field(model, ens)
         for i in range(4):
             num = numerical_grad_F(model, thetas[i], h=1e-5)
@@ -444,12 +444,12 @@ class TestExactMixtureLoss:
     def test_nonnegative(self, mixture_3c):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            ens = make_ensemble(rng.normal(size=(6, 2)), has_amplitude=True)
+            ens = make_ensemble(rng.normal(size=(6, 2)))
             assert bf.exact_mixture_loss(mixture_3c, ens) >= 0.0
 
     def test_zero_amplitudes_give_target_self_energy(self, mixture_3c):
         thetas = np.column_stack([np.zeros(4), np.linspace(-2, 2, 4)])
-        ens = make_ensemble(thetas, has_amplitude=True)
+        ens = make_ensemble(thetas)
         loss = bf.exact_mixture_loss(mixture_3c, ens)
         assert loss == pytest.approx(mixture_3c.target_self_energy, rel=1e-12)
         oracle, _ = quad(
@@ -461,7 +461,7 @@ class TestExactMixtureLoss:
     def test_against_quadrature_random_config(self, mixture_1c):
         rng = np.random.default_rng(9)
         thetas = np.column_stack([rng.normal(size=5), rng.normal(size=5)])
-        ens = make_ensemble(thetas, has_amplitude=True)
+        ens = make_ensemble(thetas)
 
         def residual_sq(x):
             fn = sum(
@@ -476,7 +476,7 @@ class TestExactMixtureLoss:
     def test_energy_decomposition_identity(self, mixture_3c):
         rng = np.random.default_rng(10)
         for _ in range(5):
-            ens = make_ensemble(rng.normal(size=(7, 2)), has_amplitude=True)
+            ens = make_ensemble(rng.normal(size=(7, 2)))
             lhs = bf.exact_mixture_loss(mixture_3c, ens)
             rhs = mixture_3c.target_self_energy + bf.ensemble_energy(mixture_3c, ens)
             assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -506,7 +506,7 @@ class TestReluStudentTeacher:
     def test_student_equals_teacher_zero_potential(self):
         m = bf.ReLUStudentTeacherModel(input_dim=6, teacher_units=4, batch_size=32, teacher_seed=1)
         thetas = np.column_stack([m.teacher_c, m.teacher_y])
-        ens = make_ensemble(thetas, has_amplitude=True)
+        ens = make_ensemble(thetas)
         x = m.sample_batch(np.random.default_rng(2))
         vhat = m.batch_grad_V(ens.thetas, ens.weights, x)[:, 0]
         np.testing.assert_allclose(vhat, 0.0, atol=1e-14)
@@ -515,7 +515,7 @@ class TestReluStudentTeacher:
         m = bf.ReLUStudentTeacherModel(input_dim=1, teacher_units=1, batch_size=1, teacher_seed=0)
         cbar, ybar = m.teacher_c[0], m.teacher_y[0, 0]
         c, y, x0 = 2.0, -0.3, 0.7
-        ens = make_ensemble([[c, y]], has_amplitude=True)
+        ens = make_ensemble([[c, y]])
         x = np.array([[x0]])
         f_teacher = cbar * max(0.0, ybar * x0)
         f_student = c * max(0.0, y * x0)
@@ -559,7 +559,7 @@ class TestReluStudentTeacher:
     @pytest.mark.parametrize("estimate", ["batch_grad_V", "batch_loss"])
     def test_empty_batch_rejected(self, estimate):
         m = bf.ReLUStudentTeacherModel(input_dim=2, teacher_units=1, batch_size=4, teacher_seed=7)
-        ens = make_ensemble([[1.0, 0.0, 0.0]], has_amplitude=True)
+        ens = make_ensemble([[1.0, 0.0, 0.0]])
         with pytest.raises(bf.ConfigurationError):
             getattr(m, estimate)(ens.thetas, ens.weights, np.zeros((0, 2)))
 
@@ -608,6 +608,15 @@ class TestBuildModel:
         assert isinstance(m, bf.GaussianMixtureModel)
         assert m.has_amplitude and m.theta_dim == 2
 
+    def test_frozen_c_only_with_frozen_amplitudes(self):
+        spec = {"kind": "gaussian-mixture", "components": [{"c": 1.0, "y": [0.0], "sigma": 1.0}],
+                "sigma": 0.5}
+        assert bf.build_model({**spec, "amplitude_mode": "frozen"}).frozen_c == 1.0
+        # a dynamic model once took frozen_c and never read it
+        for extra in ({"frozen_c": 0.3}, {"amplitude_mode": "dynamic", "frozen_c": 1.0}):
+            with pytest.raises(bf.ConfigurationError, match="frozen_c"):
+                bf.build_model({**spec, **extra})
+
 
 class TestMinibatchEntryPoint:
     """`field` on the ReLU model: estimates on a given batch."""
@@ -616,8 +625,7 @@ class TestMinibatchEntryPoint:
     def relu_ens(self):
         m = bf.ReLUStudentTeacherModel(input_dim=3, teacher_units=2, batch_size=8, teacher_seed=4)
         rng = np.random.default_rng(5)
-        ens = make_ensemble(np.column_stack([rng.normal(size=6), rng.normal(size=(6, 3))]),
-                            has_amplitude=True)
+        ens = make_ensemble(np.column_stack([rng.normal(size=6), rng.normal(size=(6, 3))]))
         return m, ens, m.sample_batch(rng)
 
     @pytest.mark.parametrize("call", [

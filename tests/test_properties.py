@@ -58,8 +58,7 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
 def random_ensemble(model, n, rng):
     thetas = rng.normal(scale=1.0, size=(n, model.theta_dim))
-    return bf.Ensemble(thetas=thetas, weights=np.ones(n), birth_ids=np.arange(n),
-                       has_amplitude=model.has_amplitude)
+    return bf.Ensemble(thetas=thetas, weights=np.ones(n), birth_ids=np.arange(n))
 
 
 def potential_and_rates(model, ens, cfg, rng):
@@ -132,8 +131,7 @@ def test_run_replicas_is_a_loop_over_seeds(case, n, seeds, steps, dt, alpha):
     init = bf.GaussianSampler(mean=[0.0] * model.theta_dim, std=1.0)
     expected = []
     for init_seed, dyn_seed in seeds:
-        ens = bf.init_from_sampler(init, n, model.position_dim, init_seed,
-                                   has_amplitude=model.has_amplitude)
+        ens = bf.init_from_sampler(init, n, model.theta_dim, init_seed)
         rng = np.random.default_rng(dyn_seed)
         done, observed = 0, []
         for target in steps:

@@ -46,7 +46,7 @@ def test_traced_steps_reach_every_phase():
     try:
         for variant in ("gd-bd", "gd-bd-reinjection"):
             cfg = bf.DynamicsConfig(variant=variant, dt=0.05, alpha=1.0, reinjection_prior=prior)
-            ens = bf.init_from_sampler(init, 16, 1, seed=0, has_amplitude=True)
+            ens = bf.init_from_sampler(init, 16, 2, seed=0)
             rng = np.random.default_rng(1)
             for _ in range(3):
                 bf.run_step(model, ens, cfg, rng)
@@ -76,7 +76,7 @@ def test_one_pairwise_pass_per_step():
     for model, init, variant in ((frozen, prior, "gd-bd"),
                                  (dynamic, amp_init, "gd-bd-reinjection")):
         cfg = bf.DynamicsConfig(variant=variant, dt=0.05, alpha=1.0, reinjection_prior=prior)
-        ens = bf.init_from_sampler(init, n, 1, seed=0, has_amplitude=model.has_amplitude)
+        ens = bf.init_from_sampler(init, n, model.theta_dim, seed=0)
         rng = np.random.default_rng(1)
         tracer = load_tracer_class()(bf)
         tracer.install()
