@@ -10,7 +10,7 @@ import numpy as np
 
 from .dynamics import DynamicsConfig, run_replicas
 from .ensemble import Ensemble
-from .errors import ConfigurationError, FitError, require_int
+from .errors import ConfigurationError, FitError, require_int, require_number
 from .meanfield import GridStepper, grid_from_sampler
 from .potentials import PotentialModel, field
 
@@ -43,7 +43,7 @@ def ensemble_energy(model: PotentialModel, ens: Ensemble) -> float:
     """E = n^-1 sum w_i F_i + (2 n^2)^-1 sum_ij w_i w_j K_ij; an interacting
     model reads the pair term as (2n)^-1 sum_i w_i (V_i - F_i) from `field`."""
     n = ens.n
-    f = model.F(ens.thetas)
+    f = model.single(ens.thetas)[0]
     e = float(ens.weights @ f) / n
     if model.is_interacting:
         e += 0.5 * float(ens.weights @ (field(model, ens)[0] - f)) / n
@@ -110,7 +110,7 @@ def fluctuation_scaling(model: PotentialModel, cfg: DynamicsConfig, init_sampler
     n_list = sorted(require_int(n, "n_list size", 1) for n in n_list)
     if len(n_list) < 3 or n_list[-1] < 10 * n_list[0]:
         raise ConfigurationError("n_list needs >= 3 sizes spanning at least one decade")
-    checkpoints = sorted(checkpoints)
+    checkpoints = sorted(require_number(t, "checkpoint", 0.0) for t in checkpoints)
     if slope_checkpoint not in checkpoints:
         raise ConfigurationError("slope_checkpoint must be one of the checkpoints")
     steps = [round(t / cfg.dt) for t in checkpoints]

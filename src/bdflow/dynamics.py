@@ -155,12 +155,11 @@ def check_model_support(model: PotentialModel, variant: str, prior=None) -> None
 
 
 def centered_rate(model: PotentialModel, ens: Ensemble, batch: np.ndarray | None = None) -> np.ndarray:
-    """vt_i = V(theta_i) - n^-1 sum_j V(theta_j); sums to zero by construction.
-    The mean is unweighted, so the ensemble must carry unit weights.  V is
-    `field`'s, or F alone (no grad F) for a non-interacting model."""
+    """vt_i = V(theta_i) - n^-1 sum_j V(theta_j), V from `field`; sums to zero
+    by construction.  The mean is unweighted, so the ensemble must carry unit weights."""
     if not np.all(ens.weights == 1.0):
         raise ConfigurationError("centered rates take the unweighted mean and need unit weights")
-    v = field(model, ens, batch)[0] if model.is_interacting else model.F(ens.thetas)
+    v = field(model, ens, batch)[0]
     if not np.all(np.isfinite(v)):
         bad = int(np.flatnonzero(~np.isfinite(v))[0])
         raise NumericError(f"non-finite potential at particle {bad}")
@@ -196,8 +195,7 @@ def gd_step(model: PotentialModel, ens: Ensemble, dt: float, batch: np.ndarray |
     """Synchronous forward-Euler update theta_i <- theta_i - grad V(theta_i) dt."""
     if not dt > 0:
         raise ConfigurationError(f"dt must be > 0, got {dt}")
-    # a non-interacting model needs only grad F, not the V that `field` also forms
-    vel = field(model, ens, batch)[1] if model.is_interacting else model.grad_F(ens.thetas)
+    vel = field(model, ens, batch)[1]
     if not np.all(np.isfinite(vel)):
         bad = int(np.flatnonzero(~np.isfinite(vel).all(axis=1))[0])
         raise NumericError(f"non-finite gradient at particle {bad}")
@@ -311,7 +309,7 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
     check_model_support(model, "kmc-bd")
     horizon = require_number(horizon, "horizon", 0.0)
     n = ens.n
-    f_vals = model.F(ens.thetas)
+    f_vals = model.single(ens.thetas)[0]
     if not np.all(np.isfinite(f_vals)):
         raise NumericError("non-finite potential in kmc_run")
     initial_mean = mean = float(f_vals.mean())
@@ -464,9 +462,11 @@ def run_replicas(model: PotentialModel, cfg: DynamicsConfig, init, n: int, seeds
     if any(b < a for a, b in zip(steps, steps[1:])):
         raise ConfigurationError(f"step counts must be nondecreasing, got {steps}")
     out = []
-    for init_seed, dyn_seed in seeds:
-        ens = init_from_sampler(init, n, model.theta_dim, init_seed)
-        rng = np.random.default_rng(dyn_seed)
+    for pair in seeds:
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise ConfigurationError(f"each seed must be an (init seed, dynamics seed) pair, got {pair!r}")
+        ens = init_from_sampler(init, n, model.theta_dim, pair[0])
+        rng = np.random.default_rng(require_int(pair[1], "dynamics seed", 0))
         out.append([])
         for done, target in zip([0, *steps], steps):
             for _ in range(target - done):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ExtinctionError, NumericError, require_int
+from .errors import ConfigurationError, ExtinctionError, NumericError, require_array, require_int
 
 WEIGHT_MEAN_RTOL = 1e-12
 
@@ -41,11 +41,16 @@ class Ensemble:
     _field: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.thetas = np.asarray(self.thetas, dtype=float)
+        # a float64 array is taken unscanned, so `validate` reports its non-finite rows
+        if not (isinstance(self.thetas, np.ndarray) and self.thetas.dtype == np.float64):
+            self.thetas = require_array(self.thetas, "thetas", (2,))
         self.weights = np.asarray(self.weights, dtype=float)
         self.birth_ids = np.asarray(self.birth_ids, dtype=np.int64)
         if self.thetas.ndim != 2:
             raise ConfigurationError("thetas must be a (n, D) array")
+        if self.weights.shape != (self.n,) or self.birth_ids.shape != (self.n,):
+            raise ConfigurationError(f"weights {self.weights.shape} and birth ids {self.birth_ids.shape} "
+                                     f"must hold one entry per row, shape ({self.n},)")
         if self.next_birth_id == 0:
             self.next_birth_id = int(self.birth_ids.max(initial=-1)) + 1
 

@@ -89,8 +89,10 @@ class RateFormulas:
 
 def transport_bd_asymptote(formulas: RateFormulas, t):
     """Late-time energy envelope alpha^-1 tr(H e^{-2 H t}) via eigenvalues."""
+    t_arr = require_array(t, "t", (0, 1))
+    if np.any(t_arr < 0):
+        raise ConfigurationError(f"t must be >= 0, got {t!r}")
     evals = np.linalg.eigvalsh(formulas.hessian)
-    t_arr = np.asarray(t, dtype=float)
     out = np.sum(evals * np.exp(-2.0 * np.outer(t_arr.ravel(), evals)), axis=1) / formulas.alpha
     return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
@@ -250,7 +252,7 @@ class GridStepper:
         self.steps_taken = 0
         self.heavy_clips = 0
         self.total_clip_mass = 0.0
-        self._f = model.F(grid.centers[:, None])
+        self._f = model.single(grid.centers[:, None])[0]
         self._k = None
         if model.is_interacting:
             if grid.cells > self._K_CACHE_MAX_CELLS:

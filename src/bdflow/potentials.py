@@ -10,9 +10,11 @@ Four kinds are implemented:
 * ``relu-student-teacher`` -- F and K are expectations over data and are only
   available through minibatch estimates.
 
-Parameter rows are ``(c, y_1..y_d)`` for amplitude models and plain
-positions otherwise.  All closed-form gradients are hand-derived and checked
-against central finite differences in the test suite.
+An exact model's one single-particle method, ``single(thetas)``, returns F
+and grad F together, since every step reads both; ``field`` is the only
+caller that adds the interaction.  Parameter rows are ``(c, y_1..y_d)`` for
+amplitude models and plain positions otherwise.  All closed-form gradients are
+hand-derived and checked against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -82,11 +84,9 @@ class PotentialModel:
             )
         return thetas
 
-    def F(self, thetas: np.ndarray) -> np.ndarray:
+    def single(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(F, grad F) at the rows `thetas`, from one pass over what they share."""
         raise UnsupportedOperationError(f"{self.kind} has no exact F")
-
-    def grad_F(self, thetas: np.ndarray) -> np.ndarray:
-        raise UnsupportedOperationError(f"{self.kind} has no exact grad F")
 
     def K_block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise UnsupportedOperationError(f"{self.kind} has no exact K")
@@ -116,13 +116,10 @@ class QuadraticWellModel(PotentialModel):
         self.hessian = h
         self.theta_dim = self.minimizer.size
 
-    def F(self, thetas):
+    def single(self, thetas):
         d = self._check(thetas) - self.minimizer
-        return 0.5 * np.einsum("ij,jk,ik->i", d, self.hessian, d)
-
-    def grad_F(self, thetas):
-        d = self._check(thetas) - self.minimizer
-        return d @ self.hessian
+        g = np.einsum("ij,jk->ik", d, self.hessian)  # faster than d @ H on (n, 1) rows
+        return 0.5 * np.einsum("ij,ij->i", d, g), g
 
 
 @dataclass
@@ -150,13 +147,11 @@ class DoubleWellModel(PotentialModel):
         self.minimizer = np.array([crit[np.argmin(vals)]])
         self._offset = float(vals.min())
 
-    def F(self, thetas):
+    def single(self, thetas):
         x = self._check(thetas)[:, 0]
-        return self.height * (x**2 - 1.0) ** 2 + self.tilt * x - self._offset
-
-    def grad_F(self, thetas):
-        x = self._check(thetas)[:, 0]
-        return (4.0 * self.height * x * (x**2 - 1.0) + self.tilt)[:, None]
+        u = x**2 - 1.0
+        f = self.height * u**2 + self.tilt * x - self._offset
+        return f, (4.0 * self.height * x * u + self.tilt)[:, None]
 
 
 @dataclass
@@ -220,26 +215,20 @@ class GaussianMixtureModel(PotentialModel):
         return np.full(thetas.shape[0], self.frozen_c), thetas
 
     # -- single-particle term ---------------------------------------------
-    def _target_block(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (m, n) block cbar_j N(y_i; ybar_j, (sigma^2 + sj^2) I) and the m
-        variances as a column; components are rows, so each pass runs along n."""
-        var = (self.sigma * self.sigma + self.target_sigma**2)[:, None]
-        return self.target_c[:, None] * _gauss_block(self.target_y, y, var), var
-
-    def F(self, thetas):
-        c, y = self._split(self._check(thetas))
-        block, _ = self._target_block(y)
-        return -c * (block.sum(axis=0) / self.target_c.size)
-
-    def grad_F(self, thetas):
+    def single(self, thetas):
+        """F and grad F from one (m, n) block cbar_j N(y_i; ybar_j, (sigma^2 + sj^2) I);
+        components are rows, so each pass runs along n.  Its mean over the
+        components is -F / c and the amplitude column of grad F."""
         c, y = self._split(self._check(thetas))
         m = self.target_c.size
-        block, var = self._target_block(y)
-        grad_y = ((block / var)[:, :, None] * (self.target_y[:, None] - y[None])).sum(axis=0)
-        grad_y *= -(c / m)[:, None]
-        if not self.has_amplitude:
-            return grad_y
-        return np.hstack([-(block.sum(axis=0) / m)[:, None], grad_y])
+        var = (self.sigma * self.sigma + self.target_sigma**2)[:, None]
+        block = self.target_c[:, None] * _gauss_block(self.target_y, y, var)
+        resp = block.sum(axis=0) / m
+        grad = ((block / var)[:, :, None] * (self.target_y[:, None] - y[None])).sum(axis=0)
+        grad *= -(c / m)[:, None]
+        if self.has_amplitude:
+            grad = np.hstack([-resp[:, None], grad])
+        return -c * resp, grad
 
     # -- interaction kernel -------------------------------------------------
     def K_block(self, a, b):
@@ -399,8 +388,7 @@ def field(model: PotentialModel, ens, batch=None, points=None) -> tuple[np.ndarr
     if points is None and (carried := ens._carried_field(model)) is not None:
         return carried
     x = ens.thetas if points is None else np.atleast_2d(require_array(points, "points", (1, 2)))
-    v = model.F(x)
-    grad = model.grad_F(x)
+    v, grad = model.single(x)
     if model.is_interacting:
         vsum, fsum = model.kernel_weighted_sums(x, ens.thetas, ens.weights)
         v += vsum / ens.n

@@ -60,7 +60,7 @@ def numerical_grad_F(model, theta, h=1e-6):
         up, dn = theta.copy(), theta.copy()
         up[i] += h
         dn[i] -= h
-        out[i] = (model.F(at(up)) - model.F(at(dn)))[0] / (2 * h)
+        out[i] = (model.single(at(up))[0] - model.single(at(dn))[0])[0] / (2 * h)
     return out
 
 

@@ -103,7 +103,8 @@ def test_c03_exponential_decay_particles(exp_decay_setup, record_property):
     seeds = 32
     runs = bf.dynamics.run_replicas(
         QUAD, cfg, exp_decay_setup["init"], 10_000, seed_pairs(seeds, 55),
-        [round(t / cfg.dt) for t in times], lambda ens: float(ens.weights @ QUAD.F(ens.thetas)) / ens.n,
+        [round(t / cfg.dt) for t in times],
+        lambda ens: float(ens.weights @ QUAD.single(ens.thetas)[0]) / ens.n,
     )
     for energies in runs:
         for t, e in zip(times, energies):
@@ -425,9 +426,9 @@ def test_c11_gradients_match_finite_differences():
     for model in models:
         for _ in range(15):
             th = rng.normal(scale=1.5, size=model.theta_dim)
-            ana = model.grad_F(th[None])[0]
+            ana = model.single(th[None])[1][0]
             num = np.array(
-                [(model.F((th + h * e)[None])[0] - model.F((th - h * e)[None])[0]) / (2 * h)
+                [(model.single((th + h * e)[None])[0][0] - model.single((th - h * e)[None])[0][0]) / (2 * h)
                  for e in np.eye(model.theta_dim)]
             )
             assert np.linalg.norm(num - ana) <= 1e-6 * max(1.0, np.linalg.norm(ana))

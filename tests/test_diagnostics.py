@@ -14,7 +14,7 @@ class TestEnsembleEnergy:
     def test_single_particle_includes_half_self_interaction(self, mixture_1c):
         theta = np.array([0.8, 0.3])
         ens = make_ensemble([theta])
-        expected = mixture_1c.F(at(theta))[0] + 0.5 * mixture_1c.K_block(at(theta), at(theta))[0, 0]
+        expected = mixture_1c.single(at(theta))[0][0] + 0.5 * mixture_1c.K_block(at(theta), at(theta))[0, 0]
         assert bf.ensemble_energy(mixture_1c, ens) == pytest.approx(expected, rel=1e-13)
 
     def test_matches_exact_loss_minus_constant(self, mixture_3c):
@@ -195,6 +195,16 @@ class TestFluctuationScaling:
             bf.fluctuation_scaling(
                 quad_1d, cfg, bf.GaussianSampler(mean=[0.0], std=1.0),
                 n_list, seeds, [lambda x: x], checkpoints=(0.2,), slope_checkpoint=0.2, grid_cells=64,
+            )
+
+    @pytest.mark.parametrize("checkpoints", [("a",), (-0.2, 0.2), (None,)], ids=str)
+    def test_checkpoints_must_be_nonnegative_numbers(self, quad_1d, checkpoints):
+        # ("a",) once raised TypeError, and a negative checkpoint surfaced as a bad step count
+        cfg = bf.DynamicsConfig(variant="gd-bd", dt=0.02, alpha=1.0)
+        with pytest.raises(bf.ConfigurationError, match="checkpoint must be"):
+            bf.fluctuation_scaling(
+                quad_1d, cfg, bf.GaussianSampler(mean=[0.0], std=1.0),
+                [30, 100, 300], 4, [lambda x: x], checkpoints=checkpoints, slope_checkpoint=0.2,
             )
 
     def test_checkpoints_must_fall_on_the_step_grid(self, quad_1d):

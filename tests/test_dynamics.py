@@ -60,7 +60,7 @@ class TestCenteredRate:
     def test_mixture_matches_direct_sum(self, mixture_3c):
         rng = np.random.default_rng(1)
         ens = make_ensemble(rng.normal(size=(4, 2)))
-        v = mixture_3c.F(ens.thetas) + mixture_3c.K_block(ens.thetas, ens.thetas) @ ens.weights / 4
+        v = mixture_3c.single(ens.thetas)[0] + mixture_3c.K_block(ens.thetas, ens.thetas) @ ens.weights / 4
         np.testing.assert_allclose(
             bf.centered_rate(mixture_3c, ens), v - v.mean(), atol=1e-13
         )
@@ -259,14 +259,14 @@ class TestKMC:
 
     def test_population_constant_and_energy_decreases(self, quad_1d):
         ens = bf.init_from_sampler(bf.GaussianSampler(mean=[1.0], std=1.0), 500, 1, seed=17)
-        e0 = quad_1d.F(ens.thetas).mean()
+        e0 = quad_1d.single(ens.thetas)[0].mean()
         log = bf.kmc_run(quad_1d, ens, bf.DynamicsConfig(variant="kmc-bd", dt=1.0), 2.0,
                          np.random.default_rng(18))
         assert ens.n == 500
         assert log.n_events > 50
         assert log.mean_energy_at(2.0) < e0
         # the mean is carried from event to event; a stale one would be logged here
-        assert log.mean_energy[-1] == quad_1d.F(ens.thetas).mean()
+        assert log.mean_energy[-1] == quad_1d.single(ens.thetas)[0].mean()
 
     def test_first_event_time_is_exponential(self, quad_1d):
         # two frozen particles: total rate alpha * (|1| + |-1|) = 2
@@ -472,6 +472,13 @@ class TestRunStep:
         gap = abs(means["gd-bd"][0] - means["proximal"][0])
         combined = np.hypot(means["gd-bd"][1], means["proximal"][1]) / np.sqrt(seeds)
         assert gap <= 3.0 * combined
+
+    @pytest.mark.parametrize("pair", [(0, -1), (0, 1.5), (0,), (0, True), (0, 1, 2), 7], ids=str)
+    def test_replica_seeds_are_pairs_of_integers(self, quad_1d, pair):
+        # numpy once raised ValueError or TypeError for the first three, and (0, True) ran
+        with pytest.raises(bf.ConfigurationError, match="seed"):
+            bf.dynamics.run_replicas(quad_1d, bf.DynamicsConfig(variant="gd-only", dt=0.1),
+                                     bf.GaussianSampler(mean=[0.0], std=1.0), 4, [pair], [1], lambda ens: ens.n)
 
     def test_batch_variants_require_exactness(self):
         relu = bf.ReLUStudentTeacherModel(input_dim=3, teacher_units=2, batch_size=4, teacher_seed=0)

@@ -164,6 +164,24 @@ class TestValidation:
         with pytest.raises(bf.NumericError, match="particle 1"):
             ens.validate()
 
+    @pytest.mark.parametrize("weights, birth_ids", [(np.ones(2), np.arange(3)), (np.ones(3), np.arange(5)),
+                                                     (np.ones((3, 1)), np.arange(3))], ids=str)
+    def test_one_weight_and_birth_id_per_row(self, weights, birth_ids):
+        # two weights for three rows once passed validate(), then run_step raised IndexError
+        with pytest.raises(bf.ConfigurationError, match="one entry per row"):
+            bf.Ensemble(thetas=np.zeros((3, 1)), weights=weights, birth_ids=birth_ids)
+
+    @pytest.mark.parametrize("thetas", [[["a"]], [[True]], [[0.0], [1.0, 2.0]], [[np.nan]], [0.0, 1.0]],
+                             ids=["string", "bool", "ragged", "nan-list", "rank-1"])
+    def test_rows_must_be_finite_numbers(self, thetas):
+        # [["a"]] once raised numpy's ValueError
+        with pytest.raises(bf.ConfigurationError, match="thetas"):
+            bf.Ensemble(thetas=thetas, weights=np.ones(1), birth_ids=np.arange(1))
+
+    def test_int_rows_become_float(self):
+        ens = bf.Ensemble(thetas=[[1], [2]], weights=np.ones(2), birth_ids=np.arange(2))
+        assert ens.thetas.dtype == np.float64 and ens.thetas.tolist() == [[1.0], [2.0]]
+
     def test_gd_only_step_rejects_nan_weight(self, quad_1d):
         ens = make_ensemble([[0.5], [1.0]], weights=[np.nan, 1.0])
         with pytest.raises(bf.NumericError, match="weight at particle 0"):

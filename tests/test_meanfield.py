@@ -51,7 +51,7 @@ class TestPureBirthDeath:
 
     def test_double_well_concentrates_at_global_minimum(self):
         m = bf.DoubleWellModel(height=1.0, tilt=0.5)
-        f = lambda x: m.F(np.asarray(x, dtype=float)[:, None])
+        f = lambda x: m.single(np.asarray(x, dtype=float)[:, None])[0]
         r0 = lambda x: std_normal(np.asarray(x) / 1.5) / 1.5
         grid = np.linspace(-3.0, 3.0, 40001)
         val = bf.pure_bd_mean_energy(f, r0, 1.0, 200.0, grid)
@@ -113,6 +113,18 @@ class TestTransportAsymptote:
         for t in (0.2, 1.0, 2.5):
             oracle = np.trace(h @ scipy.linalg.expm(-2.0 * h * t)) / 1.3
             assert bf.transport_bd_asymptote(forms, t) == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("t", [np.nan, -1.0, "ab", [0.5, -0.1], [[1.0]]], ids=str)
+    def test_malformed_time_rejected(self, t):
+        # t = NaN once returned nan, t = -1 returned 7.39 and "ab" raised numpy's ValueError
+        with pytest.raises(bf.ConfigurationError, match="t must be"):
+            bf.transport_bd_asymptote(bf.RateFormulas(hessian=np.eye(1), alpha=1.0), t)
+
+    def test_vector_of_times(self):
+        forms = bf.RateFormulas(hessian=np.eye(1), alpha=1.0)
+        t = np.array([0.0, 0.5, 2.0])
+        np.testing.assert_array_equal(bf.transport_bd_asymptote(forms, t),
+                                      [bf.transport_bd_asymptote(forms, v) for v in t])
 
     def test_non_spd_rejected(self):
         with pytest.raises(bf.ConfigurationError):
@@ -278,7 +290,8 @@ class TestGridStepper:
         st = bf.GridStepper(mixture_frozen, g, bf.DynamicsConfig(variant="gd-bd", dt=0.005, alpha=1.0))
         v = st.potential()
         centers = g.centers[:, None]
-        direct = mixture_frozen.F(centers) + mixture_frozen.K_block(centers, centers) @ g.density * g.dx
+        direct = (mixture_frozen.single(centers)[0]
+                  + mixture_frozen.K_block(centers, centers) @ g.density * g.dx)
         np.testing.assert_allclose(v, direct, rtol=1e-12)
         prev = st.energy()
         for _ in range(100):
@@ -317,7 +330,7 @@ class TestGridStepReference:
         centers = g.centers[:, None]
         rho = g.density.copy()
         for _ in range(3):
-            v = model.F(centers)
+            v = model.single(centers)[0]
             if model.is_interacting:
                 v = v + model.K_block(centers, centers) @ rho * g.dx
             rho = reference_step(v, rho, g.dx, dt, alpha, variant != "bd-only", variant != "gd-only")
@@ -377,7 +390,7 @@ class TestGridEnergy:
         rng = np.random.default_rng(1)
         g.density = rng.uniform(0.1, 1.0, size=64)
         g.renormalize()
-        total = float(np.sum(mixture_frozen.F(g.centers[:, None]) * g.density) * g.dx)
+        total = float(np.sum(mixture_frozen.single(g.centers[:, None])[0] * g.density) * g.dx)
         for i in range(64):
             for j in range(64):
                 total += 0.5 * (

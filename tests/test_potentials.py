@@ -28,69 +28,94 @@ class TestQuadraticWell:
     def test_minimum(self):
         h = np.array([[2.0, 0.3], [0.3, 1.0]])
         m = bf.QuadraticWellModel(minimizer=[1.0, -1.0], hessian=h)
-        assert m.F(at([1.0, -1.0]))[0] == 0.0
-        np.testing.assert_array_equal(m.grad_F(at([1.0, -1.0]))[0], [0.0, 0.0])
+        assert m.single(at([1.0, -1.0]))[0][0] == 0.0
+        np.testing.assert_array_equal(m.single(at([1.0, -1.0]))[1][0], [0.0, 0.0])
 
     def test_quadratic_form_value(self):
         h = np.array([[2.0, 0.3], [0.3, 1.0]])
         m = bf.QuadraticWellModel(minimizer=[0.0, 0.0], hessian=h)
         th = np.array([0.7, -0.2])
-        assert m.F(at(th))[0] == pytest.approx(0.5 * th @ h @ th, rel=1e-14)
+        assert m.single(at(th))[0][0] == pytest.approx(0.5 * th @ h @ th, rel=1e-14)
 
     def test_requires_spd_hessian(self):
         with pytest.raises(bf.ConfigurationError):
             bf.QuadraticWellModel(minimizer=[0.0], hessian=-1.0)
 
 
+class TestSingleClosedForms:
+    """At d = 1 each value of `single` is one product per row, so it equals the
+    closed form written out here bitwise."""
+
+    X = np.random.default_rng(21).normal(scale=3.0, size=(500, 1))
+
+    @pytest.mark.parametrize("spec", [
+        dict(minimizer=[0.0], hessian=1.0), dict(minimizer=[0.37], hessian=1.7),
+        dict(minimizer=[-2.5], hessian=[[0.3]]),
+    ], ids=str)
+    def test_quadratic_well(self, spec):
+        m = bf.QuadraticWellModel(**spec)
+        h, d = m.hessian[0, 0], self.X - m.minimizer
+        f, grad = m.single(self.X)
+        assert np.array_equal(f, 0.5 * d[:, 0] * (h * d[:, 0])) and np.array_equal(grad, h * d)
+
+    @pytest.mark.parametrize("height, tilt", [(1.0, 0.5), (2.0, -0.3), (0.25, 1.5)], ids=str)
+    def test_double_well(self, height, tilt):
+        m = bf.DoubleWellModel(height=height, tilt=tilt)
+        x = self.X[:, 0]
+        f, grad = m.single(self.X)
+        assert np.array_equal(f, height * (x**2 - 1.0) ** 2 + tilt * x - m._offset)
+        assert np.array_equal(grad[:, 0], 4.0 * height * x * (x**2 - 1.0) + tilt)
+
+
 class TestDoubleWell:
     def test_global_minimum_is_zero(self):
         m = bf.DoubleWellModel(height=1.0, tilt=0.5)
-        assert m.F(at(m.minimizer))[0] == pytest.approx(0.0, abs=1e-14)
-        assert np.linalg.norm(m.grad_F(at(m.minimizer))[0]) < 1e-10
+        assert m.single(at(m.minimizer))[0][0] == pytest.approx(0.0, abs=1e-14)
+        assert np.linalg.norm(m.single(at(m.minimizer))[1][0]) < 1e-10
         # tilted well: the other basin sits strictly higher
-        assert m.F(at([-m.minimizer[0]]))[0] > 0.1
+        assert m.single(at([-m.minimizer[0]]))[0][0] > 0.1
 
     def test_one_dimensional_only(self):
         m = bf.DoubleWellModel()
         with pytest.raises(bf.ConfigurationError):
-            m.F(np.zeros((2, 2)))
+            m.single(np.zeros((2, 2)))
 
 
 class TestParameterRows:
     """Model methods take finite numeric rows; a float64 array passes as is."""
 
-    @pytest.mark.parametrize("model, method, rows", [
-        ("quad_1d", "F", [["1"]]),
-        ("quad_1d", "grad_F", [[True]]),
-        ("mixture_frozen", "F", [[np.nan]]),
-        ("quad_1d", "F", "ab"),
-        ("quad_1d", "F", None),
-        ("mixture_frozen", "grad_F", [[0.0], [1.0, 2.0]]),
+    @pytest.mark.parametrize("model, rows", [
+        ("quad_1d", [["1"]]),
+        ("quad_1d", [[True]]),
+        ("mixture_frozen", [[np.nan]]),
+        ("quad_1d", "ab"),
+        ("quad_1d", None),
+        ("mixture_frozen", [[0.0], [1.0, 2.0]]),
     ], ids=["string", "bool", "nan", "text", "none", "ragged"])
-    def test_junk_rows_rejected(self, request, model, method, rows):
+    def test_junk_rows_rejected(self, request, model, rows):
         m = request.getfixturevalue(model)
         with pytest.raises(bf.ConfigurationError, match="parameter rows"):
-            getattr(m, method)(rows)
+            m.single(rows)
 
     def test_int_rows_accepted(self, quad_1d, mixture_frozen):
-        assert quad_1d.F(np.array([[1]]))[0] == 0.5
+        assert quad_1d.single(np.array([[1]]))[0][0] == 0.5
         rows = np.array([[-1], [2]])
-        assert np.array_equal(mixture_frozen.grad_F(rows), mixture_frozen.grad_F(rows.astype(float)))
+        assert np.array_equal(mixture_frozen.single(rows)[1], mixture_frozen.single(rows.astype(float))[1])
 
     def test_float_rows_pass_uncopied(self, mixture_frozen):
         # non-finite rows from transport reach the callers' NumericError checks
         rows = np.array([[0.5], [np.nan]])
         assert mixture_frozen._check(rows) is rows
-        assert np.isnan(mixture_frozen.F(rows)[1])
+        assert np.isnan(mixture_frozen.single(rows)[0][1])
 
 
 class TestMixtureClosedForms:
     def test_zero_amplitude_zeroes_f(self, mixture_1c):
-        assert mixture_1c.F(at([0.0, 1.3]))[0] == 0.0
+        assert mixture_1c.single(at([0.0, 1.3]))[0][0] == 0.0
 
     def test_f_against_quadrature(self, mixture_1c):
         theta = [1.0, 0.0]  # amplitude 1 at position 0
-        val = mixture_1c.F(at(theta))[0]
+        val = mixture_1c.single(at(theta))[0][0]
         oracle, err = quad(
             lambda x: -target_density(mixture_1c, x) * unit_response(mixture_1c, x, 1.0, 0.0),
             -12.0, 12.0, epsabs=1e-13, epsrel=1e-13,
@@ -190,7 +215,7 @@ class TestTargetBlock:
         model = bf.GaussianMixtureModel(target_c=target_c, target_y=target_y, target_sigma=target_sigma,
                                         sigma=sigma, **amplitudes)
         thetas = rng.normal(scale=1.5, size=(n, model.theta_dim))
-        new = (model.F(thetas), model.grad_F(thetas), model.target_self_energy)
+        new = (*model.single(thetas), model.target_self_energy)
         ref = loop_target_terms(model, thetas)
         if d == 1:
             for got, want in zip(new, ref):
@@ -203,6 +228,20 @@ class TestTargetBlock:
                 assert np.all(np.abs(got - want) <= 2e-13 * np.abs(scale))
 
 
+def test_one_target_block_per_field_call(mixture_3c, monkeypatch):
+    """F and grad F share the one Gaussian block against the target means."""
+    calls = []
+
+    def spy(a, b, var):
+        calls.append(a is mixture_3c.target_y)
+        return _gauss_block(a, b, var)
+
+    monkeypatch.setattr(bf.potentials, "_gauss_block", spy)
+    ens = make_ensemble(np.random.default_rng(9).normal(size=(6, 2)))
+    bf.field(mixture_3c, ens)
+    assert calls.count(True) == 1
+
+
 class TestGradientChecks:
     """Analytic gradients vs central differences (h = 1e-5, rel err < 1e-6)."""
 
@@ -211,10 +250,10 @@ class TestGradientChecks:
     def _check_grad_f(self, model, rng, scale=1.0):
         for _ in range(50):
             th = rng.normal(scale=scale, size=model.theta_dim)
-            ana = model.grad_F(at(th))[0]
+            ana = model.single(at(th))[1][0]
             num = np.array(
                 [
-                    (model.F(at(th + self.H * e))[0] - model.F(at(th - self.H * e))[0])
+                    (model.single(at(th + self.H * e))[0][0] - model.single(at(th - self.H * e))[0][0])
                     / (2 * self.H)
                     for e in np.eye(model.theta_dim)
                 ]
@@ -341,14 +380,15 @@ class TestBandwidthSquare:
         for got, want in zip(model.kernel_weighted_sums(a, b, w), single_block_sums(model, a, b, w)):
             assert np.array_equal(got, want)
         f, grad_f, _ = loop_target_terms(model, a)
-        assert np.array_equal(model.F(a), f) and np.array_equal(model.grad_F(a), grad_f)
+        got_f, got_grad = model.single(a)
+        assert np.array_equal(got_f, f) and np.array_equal(got_grad, grad_f)
 
 
 class TestParticlePotential:
     def test_reduces_to_f_without_interaction(self, quad_1d):
         ens = make_ensemble([[1.0], [3.0]])
-        np.testing.assert_array_equal(bf.field(quad_1d, ens)[0], quad_1d.F(ens.thetas))
-        assert bf.field(quad_1d, ens, points=[[1.0]])[0][0] == quad_1d.F(at([1.0]))[0]
+        np.testing.assert_array_equal(bf.field(quad_1d, ens)[0], quad_1d.single(ens.thetas)[0])
+        assert bf.field(quad_1d, ens, points=[[1.0]])[0][0] == quad_1d.single(at([1.0]))[0][0]
 
     def test_single_particle_at_minimum(self, quad_1d):
         ens = make_ensemble([[0.0]])
@@ -359,7 +399,7 @@ class TestParticlePotential:
         ens = make_ensemble(rng.normal(size=(3, 2)))
         v = bf.field(mixture_3c, ens)[0]
         for i in range(3):
-            direct = mixture_3c.F(at(ens.thetas[i]))[0] + sum(
+            direct = mixture_3c.single(at(ens.thetas[i]))[0][0] + sum(
                 ens.weights[j] * mixture_3c.K_block(at(ens.thetas[i]), at(ens.thetas[j]))[0, 0]
                 for j in range(3)
             ) / 3.0
@@ -486,7 +526,7 @@ class TestReluStudentTeacher:
     def test_exact_operations_unavailable(self):
         relu = bf.ReLUStudentTeacherModel(input_dim=4, teacher_units=2, batch_size=8, teacher_seed=0)
         th = np.zeros((1, 5))
-        calls = {"F": (th,), "grad_F": (th,), "K_block": (th, th),
+        calls = {"single": (th,), "K_block": (th, th),
                  "kernel_weighted_sums": (th, th, np.ones(1))}
         for name, args in calls.items():
             with pytest.raises(bf.UnsupportedOperationError, match="relu-student-teacher"):
