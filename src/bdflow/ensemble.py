@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, ExtinctionError, NumericError, require_array, require_int
+from .errors import (ConfigurationError, ExtinctionError, NumericError, require_array, require_int,
+                     require_int_array)
 
 WEIGHT_MEAN_RTOL = 1e-12
 
@@ -41,11 +42,12 @@ class Ensemble:
     _field: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # a float64 array is taken unscanned, so `validate` reports its non-finite rows
+        # a float64 array is taken unscanned, so `validate` reports its non-finite entries
         if not (isinstance(self.thetas, np.ndarray) and self.thetas.dtype == np.float64):
             self.thetas = require_array(self.thetas, "thetas", (2,))
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.birth_ids = np.asarray(self.birth_ids, dtype=np.int64)
+        if not (isinstance(self.weights, np.ndarray) and self.weights.dtype == np.float64):
+            self.weights = require_array(self.weights, "weights", (1,))
+        self.birth_ids = require_int_array(self.birth_ids, "birth_ids")
         if self.thetas.ndim != 2:
             raise ConfigurationError("thetas must be a (n, D) array")
         if self.weights.shape != (self.n,) or self.birth_ids.shape != (self.n,):

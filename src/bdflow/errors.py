@@ -57,6 +57,21 @@ def require_array(value, name: str, ndims=(0, 1)) -> np.ndarray:
     return arr
 
 
+def require_int_array(value, name: str) -> np.ndarray:
+    """`value` as an int64 array; an integer array, or numbers that are each an
+    integer (not a bool, not a float).  Strings and ragged nestings are rejected."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        return value.astype(np.int64, copy=False)
+    try:
+        obj = np.asarray(value, dtype=object)
+    except ValueError:  # a nesting numpy cannot lay out
+        obj = None
+    if obj is None or not all(isinstance(v, numbers.Integral) and not isinstance(v, (bool, np.bool_))
+                              for v in obj.flat):
+        raise ConfigurationError(f"{name} must be integers, got {value!r}")
+    return obj.astype(np.int64)
+
+
 def require_number(value, name: str, minimum: float = -math.inf, exclusive: bool = False) -> float:
     """`value` as a float; a finite real, and >= `minimum` (> when `exclusive`)."""
     x = float(require_array(value, name, ndims=(0,)))

@@ -20,6 +20,8 @@ hand-derived and checked against central finite differences in the test suite.
 from __future__ import annotations
 
 import csv
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,20 @@ from .errors import (
 _TILE = 256  # pairwise tiles are 256 x 256: 512 KB of float64, resident in L2
 _scalar_pow = np.frompyfunc(pow, 2, 1)  # x ** y element by element, as scalars
 
+# The Hermite Gauss transform for 1D positions (Greengard & Strain, SIAM J. Sci.
+# Stat. Comput. 12(1), 1991) puts sources and targets in boxes of width w, the
+# power of two in (h/2, h] for h = sqrt(2 var), so a point lies within h/2 of
+# its box centre.  Cramer's bound |h_k(t)| <= 1.0865 2^(k/2) sqrt(k!) e^(-t^2/2)
+# on the Hermite functions bounds what order 28 drops, as a share of a box's
+# summed |weight|: 1.4e-19 from the Hermite series of the sources, 7.1e-18 from
+# the Taylor series at the targets, and 5.8e-17 (h/2) from the Taylor series of
+# the position-weighted sums (order 24 allows 1.5e-14 and 1.2e-13 (h/2)).  Box
+# pairs with no two points within _HERMITE_CUTOFF h are skipped: e^(-6.5^2)
+# = 4.5e-19.
+_HERMITE_ORDER = 28
+_HERMITE_CUTOFF = 6.5
+_INV_FACT = np.cumprod(np.r_[1.0, 1.0 / np.arange(1, _HERMITE_ORDER + 1)])  # 1 / k!
+
 
 def _gauss_block(a: np.ndarray, b: np.ndarray, var) -> np.ndarray:
     """Gaussian density N(a_i; b_j, var_ij I) as an (na, nb) matrix; `var` is
@@ -58,6 +74,84 @@ def _gauss_block(a: np.ndarray, b: np.ndarray, var) -> np.ndarray:
     np.exp(d2, out=d2)
     d2 *= np.asarray(_scalar_pow(2.0 * np.pi * var, -d / 2.0), dtype=float)
     return d2
+
+
+@functools.lru_cache(maxsize=8)
+def _box_map(r: float) -> tuple[np.ndarray, np.ndarray]:
+    """For boxes of width r h: the offsets d, target box minus source box, of
+    the box pairs that hold two points within `_HERMITE_CUTOFF` h, and the map
+    from a box's moments to the Taylor coefficients d boxes away, with
+    ((-1)^b / b!) h_(a+b)(d r) at row (offset, a) and column b.  The Hermite
+    functions h_k(t) = H_k(t) exp(-t^2) follow h_(k+1) = 2t h_k - 2k h_(k-1)."""
+    p, reach = _HERMITE_ORDER, math.ceil(_HERMITE_CUTOFF / r)
+    offsets = np.arange(-reach, reach + 1)
+    t = offsets * r
+    hk = np.empty((2 * p, t.size))
+    hk[0] = np.exp(-t * t)
+    hk[1] = 2.0 * t * hk[0]
+    for k in range(1, 2 * p - 1):
+        hk[k + 1] = 2.0 * t * hk[k] - (2.0 * k) * hk[k - 1]
+    b = np.arange(p + 1)
+    table = hk[np.arange(p)[:, None] + b].transpose(2, 0, 1) * ((-1.0) ** b * _INV_FACT)
+    table = table.reshape(-1, p + 1)
+    table.flags.writeable = False
+    return offsets, table
+
+
+def _hermite_sums(x: np.ndarray, y: np.ndarray, q: np.ndarray, var: float):
+    """(sum_j q_j N_ij, sum_j q_j N_ij (y_j - x_i)) with N_ij = N(x_i; y_j, var)
+    for 1D targets x and sources y, in O(len(x) + len(y)) time and memory.
+
+    In units of h = sqrt(2 var), a source at u from its box centre and a
+    target at v from its own, d box widths r away, give exp(-(d r + v - u)^2)
+    = sum_a u^a / a! h_a(d r + v) = sum_b v^b (-1)^b / b! sum_a u^a / a! h_(a+b)(d r).
+    So each non-empty source box carries the moments A_a = sum q u^a / a!, each
+    non-empty target box gathers the Taylor coefficients L_b from the source
+    boxes within the cutoff, one matrix product per `_TILE` target boxes, and
+    each target sums L_b v^b.  The position-weighted sums are the derivative
+    series (h/2) sum_b (b+1) L_(b+1) v^b, so no y_j - x_i is formed from large
+    positions.  Positions are divided by the power-of-two box width, which is
+    exact, so the box offsets are exact wherever the points lie.
+    """
+    p, h = _HERMITE_ORDER, math.sqrt(2.0 * var)
+    width = math.ldexp(1.0, math.frexp(h)[1] - 1)
+    r = width / h
+    order = np.argsort(y, kind="stable")
+    ys = y[order] / width
+    sbox = np.floor(ys)
+    starts = np.flatnonzero(np.diff(sbox, prepend=sbox[0] - 1.0))
+    terms = _powers((ys - sbox - 0.5) * r)
+    terms *= q[order]
+    moments = (np.add.reduceat(terms, starts, axis=1) * _INV_FACT[:p, None]).T  # (boxes, p)
+    sbox = sbox[starts]
+
+    xs = x / width
+    tbox = np.floor(xs)
+    powers = _powers((xs - tbox - 0.5) * r)
+    tbox, t_inv = np.unique(tbox, return_inverse=True)
+    offsets, trans = _box_map(r)
+    local = np.empty((p + 1, tbox.size))
+    for c0 in range(0, tbox.size, _TILE):
+        near = tbox[c0 : c0 + _TILE, None] - offsets  # the source box at each offset
+        j = np.minimum(np.searchsorted(sbox, near), sbox.size - 1)
+        near = moments[j] * (sbox[j] == near)[:, :, None]
+        local[:, c0 : c0 + _TILE] = (near.reshape(near.shape[0], -1) @ trans).T
+
+    norm = float(_scalar_pow(2.0 * np.pi * var, -0.5))
+    coef = np.empty((2, p, tbox.size))
+    coef[0] = local[:p] * norm
+    coef[1] = local[1:] * (np.arange(1, p + 1) * (0.5 * h * norm))[:, None]
+    base, dev = np.einsum("ckn,kn->cn", coef[:, :, t_inv], powers)
+    return base, dev
+
+
+def _powers(v: np.ndarray) -> np.ndarray:
+    """v^k for k < `_HERMITE_ORDER`, as a (k, len(v)) array."""
+    out = np.empty((_HERMITE_ORDER, v.size))
+    out[0] = 1.0
+    for k in range(1, _HERMITE_ORDER):
+        np.multiply(out[k - 1], v, out=out[k])
+    return out
 
 
 class PotentialModel:
@@ -240,11 +334,14 @@ class GaussianMixtureModel(PotentialModel):
     def kernel_weighted_sums(self, a, b, w):
         """Return (sum_j w_j K(a_i, b_j), sum_j w_j grad_1 K(a_i, b_j)).
 
-        The pairs are visited in tiles of `_TILE` rows of `a` by `_TILE` rows
-        of `b`, so a call with at most `_TILE` rows on each side is one tile.
-        When `b is a` the kernel matrix is symmetric and only the tiles on and
-        above the diagonal are built; each off-diagonal tile also serves its
-        mirror image.
+        With 1D positions and at least 2 `_TILE` rows on each side the sums
+        come from the Hermite Gauss transform `_hermite_sums`.  Otherwise the
+        pairs are visited in tiles of `_TILE` rows of `a` by `_TILE` rows of
+        `b`, so a call with at most `_TILE` rows on each side is one tile; a
+        `b` of at most `_TILE` rows meets `a` in blocks of `_TILE^2 // len(b)`
+        rows.  When `b is a` the kernel matrix is symmetric and only the tiles
+        on and above the diagonal are built; each off-diagonal tile also
+        serves its mirror image.
         """
         sym = b is a
         a = self._check(a)
@@ -257,24 +354,30 @@ class GaussianMixtureModel(PotentialModel):
         cb, yb = self._split(b)
         var = 2.0 * self.sigma * self.sigma
         wc = w * cb
-        wcy = wc[:, None] * yb
-        base = np.zeros(a.shape[0])  # sum_j w_j c_j N_ij
-        mom = np.zeros(ya.shape)  # sum_j w_j c_j N_ij y_j
-        for i0 in range(0, a.shape[0], _TILE):
-            rows = slice(i0, i0 + _TILE)
-            for j0 in range(i0 if sym else 0, b.shape[0], _TILE):
-                cols = slice(j0, j0 + _TILE)
-                blk = _gauss_block(ya[rows], yb[cols], var)
-                base[rows] += blk @ wc[cols]
-                mom[rows] += blk @ wcy[cols]
-                if sym and j0 != i0:  # the mirror tile N[cols, rows] is blk.T
-                    base[cols] += wc[rows] @ blk
-                    mom[cols] += blk.T @ wcy[rows]
+        if ya.shape[1] == 1 and min(a.shape[0], b.shape[0]) >= 2 * _TILE:
+            base, dev = _hermite_sums(ya[:, 0], yb[:, 0], wc, var)
+            dev = dev[:, None]
+        else:
+            wcy = wc[:, None] * yb
+            base = np.zeros(a.shape[0])  # sum_j w_j c_j N_ij
+            mom = np.zeros(ya.shape)  # sum_j w_j c_j N_ij y_j
+            step = max(_TILE, _TILE * _TILE // max(b.shape[0], 1))
+            for i0 in range(0, a.shape[0], step):
+                rows = slice(i0, i0 + step)
+                for j0 in range(i0 if sym else 0, b.shape[0], _TILE):
+                    cols = slice(j0, j0 + _TILE)
+                    blk = _gauss_block(ya[rows], yb[cols], var)
+                    base[rows] += blk @ wc[cols]
+                    mom[rows] += blk @ wcy[cols]
+                    if sym and j0 != i0:  # the mirror tile N[cols, rows] is blk.T
+                        base[cols] += wc[rows] @ blk
+                        mom[cols] += blk.T @ wcy[rows]
+            dev = mom - ya * base[:, None]  # sum_j w_j c_j N_ij (y_j - y_i)
         fsum = np.empty((a.shape[0], self.theta_dim))
         off = 1 if self.has_amplitude else 0
         if self.has_amplitude:
             fsum[:, 0] = base
-        fsum[:, off:] = (ca / var)[:, None] * (mom - ya * base[:, None])
+        fsum[:, off:] = (ca / var)[:, None] * dev
         return ca * base, fsum
 
     # -- exact squared-error loss -------------------------------------------

@@ -178,6 +178,21 @@ class TestValidation:
         with pytest.raises(bf.ConfigurationError, match="thetas"):
             bf.Ensemble(thetas=thetas, weights=np.ones(1), birth_ids=np.arange(1))
 
+    @pytest.mark.parametrize("weights, birth_ids, name", [
+        (["a"], np.arange(1), "weights"), ([True], np.arange(1), "weights"),
+        (np.ones(1), [0.7], "birth_ids"), (np.ones(1), ["x"], "birth_ids"),
+    ], ids=["string-weight", "bool-weight", "fractional-id", "string-id"])
+    def test_weights_and_birth_ids_must_be_numbers(self, weights, birth_ids, name):
+        # ["a"] and ["x"] once raised numpy's ValueError, [True] became weight 1.0
+        # and [0.7] was truncated to id 0
+        with pytest.raises(bf.ConfigurationError, match=name):
+            bf.Ensemble(thetas=np.zeros((1, 1)), weights=weights, birth_ids=birth_ids)
+
+    def test_int_weights_and_ids_accepted(self):
+        ens = bf.Ensemble(thetas=np.zeros((2, 1)), weights=[1, 1], birth_ids=[0, np.int32(4)])
+        assert ens.weights.dtype == np.float64 and ens.birth_ids.dtype == np.int64
+        assert ens.birth_ids.tolist() == [0, 4] and ens.next_birth_id == 5
+
     def test_int_rows_become_float(self):
         ens = bf.Ensemble(thetas=[[1], [2]], weights=np.ones(2), birth_ids=np.arange(2))
         assert ens.thetas.dtype == np.float64 and ens.thetas.tolist() == [[1.0], [2.0]]
