@@ -18,7 +18,8 @@ A particle is killed with probability 1 - exp(-alpha * vt * dt) when its
 centered rate vt = V - mean(V) is positive, and duplicated with probability
 1 - exp(-alpha * |vt| * dt) when negative.  Decisions within one pass use
 rates frozen at the start of the pass and are independent Bernoulli draws;
-the kinetic Monte Carlo path recomputes rates after every event instead.
+the kinetic Monte Carlo path draws each event from the current rates, which
+Fenwick trees over the sorted initial F values update in O(log n) per event.
 
 Every scheme that builds a new population from copies of old particles (the
 birth-death pass, resampling and KMC) only chooses the source row of each new
@@ -35,6 +36,8 @@ population-control picks) so trajectories reproduce bitwise from a seed.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,15 +299,179 @@ class KMCLog:
         return self.initial_mean if i == 0 else float(self.mean_energy[i - 1])
 
 
+def _fenwick(values: np.ndarray) -> list:
+    """The Fenwick tree of `values` as a list: item i > 0 sums
+    values[i & (i - 1) : i], and item 0 is 0."""
+    node = np.arange(values.size + 1)
+    sums = np.concatenate(([0], np.cumsum(values)))
+    sums -= sums[node & (node - 1)]
+    return sums.tolist()
+
+
+class _RankPopulation:
+    """n slots, each holding one of n sorted values `f`.
+
+    Slot s holds rank `rank[s]`, and `count[r]` slots hold rank r.  Two
+    Fenwick trees (Fenwick, Softw. Pract. Exp. 24(3), 1994) over the ranks
+    hold count and count * f, so `weight`, `pick` and `move` cost O(log n)
+    each.  The slots of rank r fill the first `count[r]` places of its block
+    of `pool`; a full block moves to the end of `pool` at twice its size, so
+    a uniform slot of a rank is one index.  The slot arrays are `array`s of
+    C ints, 4 bytes a number where a list holds a pointer and an object; the
+    trees are lists, whose items update in place at about half the cost.
+    """
+
+    def __init__(self, f: np.ndarray, rank: np.ndarray):
+        n = self.n = f.size
+        self._top = 1 << (n.bit_length() - 1)  # the largest power of two <= n
+        count = np.bincount(rank, minlength=n)
+        self.c_tree, self.s_tree = _fenwick(count), _fenwick(count * f)
+        self.s_tot = float(np.sum(count * f))
+        pool = np.argsort(rank, kind="stable")
+        start = np.cumsum(count) - count
+        pos = np.empty(n, dtype=np.intc)
+        pos[pool] = np.arange(n) - start[rank[pool]]
+        ints = lambda a: array("i", a.astype(np.intc).tobytes())
+        self.f = array("d", f.tobytes())
+        self.rank, self.count, self.pos = ints(rank), ints(count), ints(pos)
+        self.pool, self.start, self.cap = ints(pool), ints(start), ints(count)
+        self._cut = None
+
+    @property
+    def mean(self) -> float:
+        """The mean of the slots' values from the running sum `s_tot`."""
+        return self.s_tot / self.n
+
+    def _prefix(self, p: int) -> tuple[int, float]:
+        """(count, count * f) summed over the ranks below p."""
+        c_tree, s_tree = self.c_tree, self.s_tree
+        c, s = 0, 0.0
+        while p:
+            c += c_tree[p]
+            s += s_tree[p]
+            p &= p - 1
+        return c, s
+
+    def _rank_holding(self, m: int) -> int:
+        """The rank of the m-th slot (1-based) in rank order."""
+        c_tree, n = self.c_tree, self.n
+        p, c, step = 0, 0, self._top
+        while step:
+            q = p + step
+            if q <= n and c + c_tree[q] < m:
+                p, c = q, c + c_tree[q]
+            step >>= 1
+        return p
+
+    def weight(self) -> float:
+        """The sum of |f - mean| over the slots.  It is 0 when every slot lies
+        on one side of the mean, which only slots of one value allow (up to
+        the mean's rounding).  `pick` draws from the cut at the mean made here."""
+        n, mean = self.n, self.mean
+        k = bisect_right(self.f, mean)  # ranks below k are at or below the mean
+        c, s = self._prefix(k)
+        below = mean * c - s
+        self._cut = (mean, k, c, below)
+        if c == 0 or c == n:
+            return 0.0
+        return max(below, 0.0) + max(self.s_tot - s - mean * (n - c), 0.0)
+
+    def pick(self, u: float) -> int:
+        """The rank r with W(r) <= u < W(r + 1), for u in [0, weight()], where
+        W(p) is the weight of the slots of the ranks below p.  W rises by
+        count * |f - mean| per rank: mean * C - S up to the cut and
+        S - mean * C + 2 * below after it, so one greedy descent finds r.  The
+        pick is never an empty rank or one at the mean."""
+        mean, k, ck, below = self._cut
+        n, c_tree, s_tree = self.n, self.c_tree, self.s_tree
+        p, c, s, step = 0, 0, 0.0, self._top
+        while step:
+            q = p + step
+            if q <= n:
+                cq, sq = c + c_tree[q], s + s_tree[q]
+                if (mean * cq - sq if q <= k else sq - mean * cq + 2.0 * below) <= u:
+                    p, c, s = q, cq, sq
+            step >>= 1
+        if p < n and self.count[p] and self.f[p] != mean:
+            return p
+        # u lies within rounding of an edge of the shares: take the nearest
+        # occupied rank off the mean on the same side
+        if p < k:
+            c_off = self._prefix(bisect_left(self.f, mean))[0]  # slots strictly below the mean
+            return self._rank_holding(min(c + 1, c_off) if c_off else ck + 1)
+        return self._rank_holding(min(c + 1, n))
+
+    def slot(self, r: int, rng: np.random.Generator) -> int:
+        """A uniform slot of rank r, which must be occupied."""
+        c = self.count[r]
+        return self.pool[self.start[r] + (int(rng.integers(c)) if c > 1 else 0)]
+
+    def move(self, slot: int, to: int) -> None:
+        """Give `slot` the rank `to`."""
+        frm = self.rank[slot]
+        if frm == to:
+            return
+        pool, start, count, pos = self.pool, self.start, self.count, self.pos
+        c = count[frm] - 1
+        count[frm] = c
+        last = pool[start[frm] + c]
+        pool[start[frm] + pos[slot]] = last
+        pos[last] = pos[slot]
+        c = count[to]
+        if c == self.cap[to]:
+            old, self.cap[to] = start[to], max(2 * c, 1)
+            start[to] = len(pool)
+            pool.extend(pool[old : old + c])
+            pool.extend([0] * (self.cap[to] - c))
+        pool[start[to] + c] = slot
+        pos[slot] = c
+        count[to] = c + 1
+        self.rank[slot] = to
+        n, c_tree, s_tree = self.n, self.c_tree, self.s_tree
+        f_frm, f_to = self.f[frm], self.f[to]
+        d = f_to - f_frm
+        self.s_tot += d
+        # walk the two update paths; past their meeting node the counts
+        # cancel and the sums change by d
+        a, b = frm + 1, to + 1
+        while a != b:
+            if a < b:
+                if a > n:
+                    return
+                c_tree[a] -= 1
+                s_tree[a] -= f_frm
+                a += a & -a
+            elif b > n:
+                return
+            else:
+                c_tree[b] += 1
+                s_tree[b] += f_to
+                b += b & -b
+        while a <= n:
+            s_tree[a] += d
+            a += a & -a
+
+
 def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: float,
             rng: np.random.Generator) -> KMCLog:
     """Exact-in-time kill/duplicate simulation with positions frozen.
 
-    Waiting times are exponential with the total rate alpha * sum_i |vt_i|;
-    the event particle is chosen proportionally to |vt_i| and rates are
-    recomputed after every event.  Requires K = 0 so V depends on a particle
-    only through F.  Each event records the source row of the overwritten
-    slot; the population is rebuilt from those once, at the end.
+    Waiting times are exponential with the total rate alpha * sum_i |vt_i|,
+    and the event particle is chosen in proportion to |vt_i|.  Requires K = 0
+    so V depends on a particle only through F.  An event only copies one
+    slot's F onto another, so every F a slot holds is one of the n initial
+    values: they are sorted once, and a `_RankPopulation` keeps the slots of
+    each rank and Fenwick trees of the counts and of count * F over the
+    ranks.  An event costs O(log n): the total rate from one bisection of the
+    running mean and one prefix sum, the event rank from one descent, and two
+    tree updates for the slot that changes rank.
+
+    Each event draws, in order: the exponential wait; one uniform for the
+    event rank; `integers(count)` for a slot i of that rank, only when the
+    rank has more than one slot; and `integers(n - 1)` for a uniform other
+    slot j.  The mean is carried as a running sum, so the last logged mean is
+    taken from the final population instead.  Each slot's rank names its
+    source row, and the population is rebuilt from those once, at the end.
     """
     check_model_support(model, "kmc-bd")
     horizon = require_number(horizon, "horizon", 0.0)
@@ -312,36 +479,41 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
     f_vals = model.single(ens.thetas)[0]
     if not np.all(np.isfinite(f_vals)):
         raise NumericError("non-finite potential in kmc_run")
-    initial_mean = mean = float(f_vals.mean())
-    origin, copied = np.arange(n), np.zeros(n, dtype=bool)
-    vt, rates, cum = np.empty(n), np.empty(n), np.empty(n)
-    times, means = [], []
+    initial_mean = float(f_vals.mean())
+    order = np.argsort(f_vals, kind="stable")
+    f_sorted = f_vals[order]
+    rank = np.empty(n, dtype=np.intc)
+    rank[order] = np.arange(n)
+    pop = _RankPopulation(f_sorted, rank)
+    copied = np.zeros(n, dtype=bool)
+    times, means = array("d"), array("d")
     t = 0.0
     while True:
-        np.subtract(f_vals, mean, out=vt)
-        np.abs(vt, out=rates)
-        rates *= cfg.alpha
-        total = float(rates.sum())
-        if total <= 0.0:
+        weight = pop.weight()
+        rate = cfg.alpha * weight
+        if rate <= 0.0:
             break
-        wait = rng.exponential(1.0 / total)
+        wait = rng.exponential(1.0 / rate)
         if t + wait > horizon:
             break
         t += wait
-        np.cumsum(rates, out=cum)
-        i = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), n - 1)
+        r = pop.pick(rng.random() * weight)
+        i = pop.slot(r, rng)
         j = int(rng.integers(n - 1))
         if j >= i:
             j += 1
         # kill i and duplicate the uniform survivor j into its slot, or
         # duplicate i into the slot of the uniform other j
-        dst, src = (i, j) if vt[i] > 0 else (j, i)
-        f_vals[dst] = f_vals[src]
-        origin[dst], copied[dst] = origin[src], True
-        mean = float(f_vals.mean())  # after the overwrite: logged, and centers the next event
+        dst, src = (i, j) if pop.f[r] > pop.mean else (j, i)
+        pop.move(dst, pop.rank[src])
+        copied[dst] = True
         times.append(t)
-        means.append(mean)
-    ens.regroup(origin, copied)
+        means.append(pop.mean)  # after the overwrite: logged, and centers the next event
+    rank = np.array(pop.rank)
+    del pop  # its trees and slot blocks, before regroup builds the new rows
+    if means:
+        means[-1] = float(f_sorted[rank].mean())
+    ens.regroup(order[rank], copied)
     ens.time += horizon
     return KMCLog(times=np.asarray(times), mean_energy=np.asarray(means), initial_mean=initial_mean)
 

@@ -339,13 +339,10 @@ class GaussianMixtureModel(PotentialModel):
         pairs are visited in tiles of `_TILE` rows of `a` by `_TILE` rows of
         `b`, so a call with at most `_TILE` rows on each side is one tile; a
         `b` of at most `_TILE` rows meets `a` in blocks of `_TILE^2 // len(b)`
-        rows.  When `b is a` the kernel matrix is symmetric and only the tiles
-        on and above the diagonal are built; each off-diagonal tile also
-        serves its mirror image.
+        rows.
         """
-        sym = b is a
         a = self._check(a)
-        b = a if sym else self._check(b)
+        b = self._check(b)
         w = np.asarray(w, dtype=float)
         if w.shape != (b.shape[0],):
             raise ConfigurationError(
@@ -364,14 +361,11 @@ class GaussianMixtureModel(PotentialModel):
             step = max(_TILE, _TILE * _TILE // max(b.shape[0], 1))
             for i0 in range(0, a.shape[0], step):
                 rows = slice(i0, i0 + step)
-                for j0 in range(i0 if sym else 0, b.shape[0], _TILE):
+                for j0 in range(0, b.shape[0], _TILE):
                     cols = slice(j0, j0 + _TILE)
                     blk = _gauss_block(ya[rows], yb[cols], var)
                     base[rows] += blk @ wc[cols]
                     mom[rows] += blk @ wcy[cols]
-                    if sym and j0 != i0:  # the mirror tile N[cols, rows] is blk.T
-                        base[cols] += wc[rows] @ blk
-                        mom[cols] += blk.T @ wcy[rows]
             dev = mom - ya * base[:, None]  # sum_j w_j c_j N_ij (y_j - y_i)
         fsum = np.empty((a.shape[0], self.theta_dim))
         off = 1 if self.has_amplitude else 0
@@ -475,13 +469,12 @@ class ReLUStudentTeacherModel(PotentialModel):
 def field(model: PotentialModel, ens, batch=None, points=None) -> tuple[np.ndarray, np.ndarray]:
     """(V, grad V), V = F + n^-1 sum_j w_j K(., theta_j), from one pairwise pass.
 
-    At the particles `ens.thetas` reaches the kernel uncopied, so it sees
-    `b is a` and builds only the upper triangle, and an interacting model's
-    result is carried on the ensemble and returned while the model is the same
-    object and the rows and weights equal the stored copies; the birth-death
-    pass carries it to new rows.  `points`, finite rows of rank 1 (one row) or
-    2, are evaluated instead, without reading or writing the carry.  A
-    minibatch model estimates both at the particles only, from `batch`.
+    At the particles an interacting model's result is carried on the ensemble
+    and returned while the model is the same object and the rows and weights
+    equal the stored copies; the birth-death pass carries it to new rows.
+    `points`, finite rows of rank 1 (one row) or 2, are evaluated instead,
+    without reading or writing the carry.  A minibatch model estimates both at
+    the particles only, from `batch`.
     """
     if not model.is_exact:
         if points is not None:

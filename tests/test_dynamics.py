@@ -3,6 +3,7 @@ import pytest
 import scipy.stats as st
 
 import bdflow as bf
+from bdflow.dynamics import _RankPopulation
 
 from conftest import make_ensemble, numerical_grad_F, numerical_grad_K1
 
@@ -296,6 +297,90 @@ class TestKMC:
         with pytest.raises(bf.ConfigurationError, match="horizon"):
             bf.kmc_run(quad_1d, ens, bf.DynamicsConfig(variant="kmc-bd", dt=1.0), horizon,
                        np.random.default_rng(22))
+
+    def test_single_particle_no_events(self, quad_1d):
+        ens = make_ensemble([[0.7]])
+        log = bf.kmc_run(quad_1d, ens, bf.DynamicsConfig(variant="kmc-bd", dt=1.0), 2.5,
+                         np.random.default_rng(23))
+        assert log.n_events == 0 and ens.time == 2.5
+        assert np.array_equal(ens.thetas, [[0.7]]) and np.array_equal(ens.birth_ids, [0])
+
+    @pytest.mark.parametrize("x", [0.3, 1.7])
+    def test_equal_values_never_fire(self, quad_1d, x):
+        # the mean of three equal F lands 1 ulp above (0.3) or below (1.7) them,
+        # a rate of about 1e-16 that once fired every 1e15 or so time units
+        ens = make_ensemble([[x]] * 3)
+        f = quad_1d.single(ens.thetas)[0]
+        assert f.mean() != f[0]
+        log = bf.kmc_run(quad_1d, ens, bf.DynamicsConfig(variant="kmc-bd", dt=1.0), 1e18,
+                         np.random.default_rng(24))
+        assert log.n_events == 0 and ens.time == 1e18
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_two_particles_fix_after_one_event(self, quad_1d, seed):
+        # the running sum of F keeps a rounding residue after the event, so
+        # the mean may not equal the one value left
+        ens = make_ensemble(np.random.default_rng(seed).normal(size=(2, 1)))
+        log = bf.kmc_run(quad_1d, ens, bf.DynamicsConfig(variant="kmc-bd", dt=1.0), 1e18,
+                         np.random.default_rng(seed))
+        assert log.n_events == 1 and ens.time == 1e18
+        assert ens.thetas[0, 0] == ens.thetas[1, 0]
+        assert log.mean_energy[-1] == quad_1d.single(ens.thetas)[0].mean()
+        assert sorted(ens.birth_ids.tolist()) in ([0, 2], [1, 2])  # one survivor, one copy
+
+
+class TestRankPopulation:
+    """The KMC sampler against brute force: the weight is sum c |f - mean|
+    and a pick of u in [0, weight] is `searchsorted(cumsum(c |f - mean|), u,
+    side="right")`, except within rounding of an edge, where it must still
+    be a rank of its own share that holds slots off the mean."""
+
+    @staticmethod
+    def check(f, rank, us):
+        pop = _RankPopulation(f, rank)
+        count = np.bincount(rank, minlength=f.size)
+        mean = pop.mean
+        cum = np.cumsum(count * np.abs(f - mean))
+        tol = 1e-12 * max(1.0, float(np.sum(count * np.abs(f))))
+        weight = pop.weight()
+        assert abs(weight - cum[-1]) <= tol
+        if weight == 0.0:
+            return
+        edges = np.concatenate(([0.0], cum))
+        near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        for u in [*(float(v) * weight for v in us), *near[(near >= 0) & (near <= weight)].tolist(), weight]:
+            r = pop.pick(u)
+            assert count[r] > 0 and f[r] != mean
+            assert edges[r] - tol <= u <= edges[r + 1] + tol
+            if np.abs(edges - u).min() > tol:
+                assert r == np.searchsorted(cum, u, side="right")
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_counts_and_values(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        ties = seed % 2 == 1  # integer values: ties, and means on a value
+        f = np.sort(rng.integers(-3, 4, n).astype(float) if ties else rng.normal(size=n))
+        self.check(f, rng.integers(n, size=n), rng.random(200))
+
+    def test_mean_on_an_occupied_value(self):
+        # slots -2, -2, 0, 0, 2, 2: the mean 0 is two occupied ranks of zero rate
+        f = np.array([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0])
+        self.check(f, np.array([0, 2, 3, 5, 5, 0]), np.linspace(0.0, 1.0, 101))
+
+    def test_rounding_below_the_mean(self):
+        # found by search: 1 ulp from an edge below the mean the descent stops
+        # on an empty rank, whose tree sums differ from its neighbour's by rounding
+        rng = np.random.default_rng(16641)
+        n = int(rng.integers(2, 40))
+        f = np.sort(rng.normal(size=n) * 10 ** rng.uniform(-3, 3))
+        self.check(f, rng.integers(n, size=n), [])
+
+    def test_top_edge_skips_empty_top_ranks(self):
+        # at u = weight the descent runs past the last occupied rank, 2, onto empty ones
+        f = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        pop = _RankPopulation(f, np.array([0, 0, 2, 2, 2]))
+        assert pop.pick(pop.weight()) == 2
 
 
 class TestProximalWeights:

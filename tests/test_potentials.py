@@ -318,8 +318,8 @@ def per_row_gradient(model, a, b, w):
 
 class TestTiledKernel:
     """`kernel_weighted_sums` over tiles of `_TILE` rows per side against the
-    dense kernel matrix, with b distinct from a and with b a itself (the
-    upper triangle), across the tile boundaries."""
+    dense kernel matrix, with b distinct from a and with b a itself, across
+    the tile boundaries."""
 
     MODES = {
         "frozen": dict(amplitude_mode="frozen", frozen_c=0.7),
@@ -382,8 +382,7 @@ class TestTiledKernel:
 
 
 def tiled_sums(model, a, b, w):
-    """The pairwise sums over `_TILE` x `_TILE` tiles, upper triangle when `b is a`."""
-    sym = b is a
+    """The pairwise sums over `_TILE` x `_TILE` tiles."""
     ca, ya = model._split(a)
     cb, yb = model._split(b)
     var = 2.0 * model.sigma * model.sigma
@@ -392,14 +391,11 @@ def tiled_sums(model, a, b, w):
     base, mom = np.zeros(a.shape[0]), np.zeros(ya.shape)
     for i0 in range(0, a.shape[0], _TILE):
         rows = slice(i0, i0 + _TILE)
-        for j0 in range(i0 if sym else 0, b.shape[0], _TILE):
+        for j0 in range(0, b.shape[0], _TILE):
             cols = slice(j0, j0 + _TILE)
             blk = _gauss_block(ya[rows], yb[cols], var)
             base[rows] += blk @ wc[cols]
             mom[rows] += blk @ wcy[cols]
-            if sym and j0 != i0:
-                base[cols] += wc[rows] @ blk
-                mom[cols] += blk.T @ wcy[rows]
     fsum = (ca / var)[:, None] * (mom - ya * base[:, None])
     if model.has_amplitude:
         fsum = np.hstack([base[:, None], fsum])
@@ -567,7 +563,7 @@ class TestParticlePotential:
             bf.field(mixture_frozen, ens, points=points)
 
     def test_particles_reach_the_kernel_uncopied(self, mixture_frozen, monkeypatch):
-        # `b is a` is what lets the kernel build only the upper triangle
+        # the particle rows go to the kernel as they are, with no copy per pass
         ens = make_ensemble([[-1.0], [0.5], [1.0]])
         seen = []
         kernel = bf.GaussianMixtureModel.kernel_weighted_sums
@@ -597,8 +593,8 @@ class TestField:
     @pytest.mark.parametrize("kind", sorted(MODELS))
     @pytest.mark.parametrize("n", [23, 300])
     def test_points_at_the_particles_match_the_particle_field(self, kind, n):
-        """Bitwise at n = 23, one tile either way; at n = 300 the particle call
-        builds the upper triangle and adds the mirrored tiles in another order."""
+        """Bitwise: at n = 23 one tile, at n = 300 the same tiles in the same
+        order either way."""
         model = bf.GaussianMixtureModel(**self.MODELS[kind])
         rng = np.random.default_rng(11)
         w = rng.uniform(0.5, 1.5, n)
@@ -606,10 +602,7 @@ class TestField:
         particles = bf.field(model, ens)
         at_points = bf.field(model, ens, points=ens.thetas.copy())
         for got, want in zip(at_points, particles):
-            if n <= _TILE:
-                assert np.array_equal(got, want)
-            else:
-                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            assert np.array_equal(got, want)
 
     def test_points_leave_the_carry_alone(self, mixture_frozen):
         ens = make_ensemble([[-1.0], [0.5], [1.0]])

@@ -5,7 +5,8 @@ After a step, an interacting model's carried (V, grad V) matches a fresh
 evaluation, and an edited ensemble is evaluated afresh.  `run_replicas` equals
 a hand-written loop over seeds bitwise.  `Ensemble.regroup` moves rows,
 weights, birth ids and the carried field to any rebuilt population, and after
-exact-event KMC every row is one of the initial rows.
+exact-event KMC every row is one of the initial rows, and its sampler's
+tree sums and slot blocks stay exact across any moves.
 Also: a committed config with any one value replaced by a malformed one
 either parses, and then round-trips through its echo, or raises
 ConfigurationError."""
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bdflow as bf
+from bdflow.dynamics import _RankPopulation
 from bdflow.harness import parse_config
 
 MODELS = {
@@ -298,3 +300,26 @@ def test_kmc_rows_are_initial_rows(name, n, seed, horizon, alpha):
     assert len(set(ens.birth_ids.tolist())) == n
     kept = ens.birth_ids < n  # an initial id stays only on its own, never overwritten, row
     assert np.array_equal(ens.thetas[kept], initial[ens.birth_ids[kept]])
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+def test_kmc_sampler_moves_keep_its_sums_and_slots(n, seed, ties):
+    rng = np.random.default_rng(seed)
+    f = np.sort(rng.integers(-3, 4, n).astype(float) if ties else rng.normal(size=n))
+    rank = rng.integers(n, size=n)
+    pop = _RankPopulation(f, rank)
+    for slot, to in zip(rng.integers(n, size=1000).tolist(), rng.integers(n, size=1000).tolist()):
+        pop.move(slot, to)
+        rank[slot] = to
+    count = np.bincount(rank, minlength=n)
+    assert pop.rank.tolist() == rank.tolist() and pop.count.tolist() == count.tolist()
+    for r in range(n):
+        block = pop.pool[pop.start[r] : pop.start[r] + count[r]]
+        assert sorted(block) == np.flatnonzero(rank == r).tolist()
+    assert all(pop.pool[pop.start[rank[s]] + pop.pos[s]] == s for s in range(n))
+    tol = 1e-12 * max(1.0, float(np.sum(count * np.abs(f))))
+    for p in range(n + 1):
+        c, s = pop._prefix(p)
+        assert c == count[:p].sum() and abs(s - np.sum(count[:p] * f[:p])) <= tol
+    assert abs(pop.s_tot - np.sum(count * f)) <= tol
