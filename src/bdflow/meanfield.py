@@ -5,8 +5,10 @@ The solver starts from a 1D gaussian or uniform sampler, uses first-order
 upwind fluxes with zero-flux walls for the transport term and an explicit
 Euler reaction update, and renormalizes the mass to 1 every step.  Each step
 first sets densities below the smallest normal double to 0, since arithmetic
-on subnormal numbers is several times slower.  It is a law-of-large-numbers
-reference at desk scale, not a production PDE code.
+on subnormal numbers is several times slower.  A step touches only the cells
+within one cell of nonzero mass: a cell whose neighbours both hold 0 gets no
+flux and stays 0, so the result equals a step over every cell.  It is a
+law-of-large-numbers reference at desk scale, not a production PDE code.
 """
 
 from __future__ import annotations
@@ -166,7 +168,8 @@ class Grid1D:
     dx: float = field(init=False)
 
     def __post_init__(self):
-        self.density = np.asarray(self.density, dtype=float)
+        self.lo, self.hi = require_number(self.lo, "lo"), require_number(self.hi, "hi")
+        self.density = require_array(self.density, "density", (1,))
         m = self.density.size
         if m < 2 or not self.hi > self.lo:
             raise ConfigurationError("grid needs at least 2 cells and hi > lo")
@@ -183,11 +186,13 @@ class Grid1D:
     def mass(self) -> float:
         return float(self.density.sum() * self.dx)
 
-    def renormalize(self):
+    def renormalize(self, cells: slice = slice(None)):
+        """Divide the density by its mass; only the `cells` slice is divided,
+        so every cell outside it must hold 0."""
         m = self.mass()
         if not np.isfinite(m) or m <= 0:
             raise NumericError("grid mass is degenerate")
-        self.density /= m
+        self.density[cells] /= m
 
     def moment(self, phi) -> float:
         """Integral of phi against the grid density."""
@@ -232,7 +237,10 @@ class GridStepper:
     escalates to an error if it exceeds 1e-6 in more than 100 steps).  Each
     step flushes cells below `np.finfo(float).tiny` to 0 before reading the
     density, so only the cells that underflowed in the last step are ever
-    held subnormal.
+    held subnormal.  A step updates `grid.density` in place and touches only
+    the cells within one cell of nonzero mass, found afresh each step; the
+    mass, Vbar and the CFL check still read every cell, so each result equals
+    that of a step over the whole grid.
     """
 
     _K_CACHE_MAX_CELLS = 3000
@@ -278,11 +286,20 @@ class GridStepper:
             dt = require_number(dt, "dt", 0.0, exclusive=True)
         g = self.grid
         rho = g.density
+        # the window [lo, hi) holds every nonzero cell and one more on each side; a
+        # cell outside it has two empty neighbours, so no flux reaches it and it
+        # stays 0.  The mass, Vbar and the CFL check stay full length, so every value
+        # equals that of a step over all cells.  bytes.find and rfind locate the ends
+        # with memchr (argmax on a reversed view takes ~15 µs at 24,576 cells)
+        nz = (rho != 0).tobytes()
+        lo = max(nz.find(1) - 1, 0)
+        hi = min(nz.rfind(1) + 2, rho.size)
+        w = rho[lo:hi]
         # flush subnormals before any arithmetic reads them; leaving out the
         # zeros keeps the indexed write to the few cells that underflowed
-        low = rho < TINY
-        low &= rho > 0
-        rho[low] = 0.0
+        low = w < TINY
+        low &= w > 0
+        w[low] = 0.0
         if self._k is None:
             v, (a, a_max, up) = self._f, self._stencil
         else:
@@ -296,22 +313,23 @@ class GridStepper:
                 raise StepSizeError(
                     f"CFL violation: dt*max|v|/dx = {cfl:.3g} > {CFL_LIMIT}; reduce dt"
                 )
-            flux = self._flux
-            np.copyto(flux[1:-1], rho[1:])  # donor-cell (upwind) density: the right cell,
-            np.copyto(flux[1:-1], rho[:-1], where=up)  # the left one where a > 0
-            flux[1:-1] *= a
-            np.subtract(flux[1:], flux[:-1], out=self._buf)
-            self._buf *= dt / g.dx
-            rho = rho - self._buf
+            flux = self._flux[lo:hi + 1]  # _flux[i] is the interface of cells i - 1 and i
+            flux[0] = flux[-1] = 0.0  # a wall, or two empty cells
+            np.copyto(flux[1:-1], w[1:])  # donor-cell (upwind) density: the right cell,
+            np.copyto(flux[1:-1], w[:-1], where=up[lo:hi - 1])  # the left one where a > 0
+            flux[1:-1] *= a[lo:hi - 1]
+            buf = np.subtract(flux[1:], flux[:-1], out=self._buf[lo:hi])
+            buf *= dt / g.dx
+            w -= buf
         if self.reaction:
-            factor = np.multiply(v, -self.cfg.alpha * dt, out=self._buf)
+            factor = np.multiply(v[lo:hi], -self.cfg.alpha * dt, out=self._buf[lo:hi])
             factor += 1.0 + self.cfg.alpha * dt * vbar
-            rho = rho * factor if rho is g.density else np.multiply(rho, factor, out=rho)
+            w *= factor
         clip = 0.0
-        if float(rho.min()) < 0.0:
-            neg = rho < 0
-            clip = -float(rho[neg].sum()) * g.dx
-            np.maximum(rho, 0.0, out=rho)
+        if float(w.min()) < 0.0:
+            neg = w < 0
+            clip = -float(w[neg].sum()) * g.dx
+            np.maximum(w, 0.0, out=w)
             if clip > CLIP_WARN_MASS:
                 self.heavy_clips += 1
                 if self.heavy_clips > CLIP_ESCALATE_AFTER:
@@ -319,8 +337,7 @@ class GridStepper:
                         f"clipped mass exceeded {CLIP_WARN_MASS} in more than "
                         f"{CLIP_ESCALATE_AFTER} steps; the solve is unstable"
                     )
-        g.density = rho
-        g.renormalize()
+        g.renormalize(slice(lo, hi))
         g.time += dt
         self.steps_taken += 1
         self.total_clip_mass += clip

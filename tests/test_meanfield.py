@@ -1,8 +1,14 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import bdflow as bf
+from bdflow.meanfield import (CFL_LIMIT, CLIP_ESCALATE_AFTER, CLIP_WARN_MASS, TINY, Grid1D,
+                              _upwind_stencil)
 
 
 def quad_f(x):
@@ -300,6 +306,44 @@ class TestGridStepper:
             assert e <= prev + 1e-10 * max(1.0, abs(prev))
             prev = e
 
+    @pytest.mark.parametrize("bad", ["zero", "nan"])
+    def test_degenerate_density_raises(self, quad_1d, bad):
+        g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 128)
+        st = bf.GridStepper(quad_1d, g, bf.DynamicsConfig(variant="gd-bd", dt=1e-3, alpha=1.0))
+        if bad == "zero":
+            g.density = np.zeros(128)
+        else:
+            g.density[40] = np.nan
+        with pytest.raises(bf.NumericError, match="grid mass is degenerate"):
+            st.step()
+
+    def test_cfl_checked_at_empty_interfaces(self, quad_1d):
+        # mass only on [-1, 1], where dt * |x| / dx stays <= 0.5; the empty cells out to
+        # |x| = 8 still set the CFL number
+        g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 512)
+        g.density = np.where(np.abs(g.centers) < 1.0, 1.0, 0.0)
+        dt = 0.5 * g.dx
+        assert dt * np.max(np.abs(g.centers[g.density > 0])) / g.dx < CFL_LIMIT
+        st = bf.GridStepper(quad_1d, g, bf.DynamicsConfig(variant="gd-bd", dt=dt, alpha=1.0))
+        with pytest.raises(bf.StepSizeError, match="CFL"):
+            st.step()
+
+    def test_flush_comes_before_the_step(self, quad_1d):
+        # a cell that underflows in a step is still subnormal after it, and the next
+        # step flushes it before reading it
+        g = Grid1D(-1.0, 1.0, np.ones(16))
+        rho = np.ones(16)
+        rho[-1] = 4.0 * TINY
+        g.density = rho
+        v = 0.5 * g.centers**2
+        vbar = float(np.dot(v, rho)) * g.dx
+        dt = 0.9 / (v[-1] - vbar)  # the last cell's reaction factor is 0.1
+        st = bf.GridStepper(quad_1d, g, bf.DynamicsConfig(variant="bd-only", dt=dt, alpha=1.0))
+        st.step()
+        assert 0.0 < g.density[-1] < TINY
+        st.step()
+        assert g.density[-1] == 0.0
+
 
 def reference_step(v, rho, dx, dt, alpha, transport, reaction):
     """One explicit step written out: donor-cell upwind fluxes between zero-flux
@@ -336,6 +380,200 @@ class TestGridStepReference:
             rho = reference_step(v, rho, g.dx, dt, alpha, variant != "bd-only", variant != "gd-only")
             st.step()
             np.testing.assert_allclose(g.density, rho, rtol=1e-12, atol=1e-14 * rho.max())
+
+
+class FullGridStepper(bf.GridStepper):
+    """`GridStepper` with the step that runs every elementwise pass over all
+    cells, the reference that the windowed step must equal bitwise."""
+
+    def step(self, dt=None):
+        dt = self.cfg.dt if dt is None else dt
+        g = self.grid
+        rho = g.density
+        low = rho < TINY
+        low &= rho > 0
+        rho[low] = 0.0
+        if self._k is None:
+            v, (a, a_max, up) = self._f, self._stencil
+        else:
+            v = self.potential()
+            a, a_max, up = _upwind_stencil(v, g.dx)
+        if self.reaction:
+            vbar = float(np.dot(v, rho)) * g.dx
+        if self.transport:
+            cfl = dt * a_max / g.dx
+            if cfl > CFL_LIMIT + 1e-12:
+                raise bf.StepSizeError(f"CFL violation: {cfl:.3g}")
+            flux = self._flux
+            np.copyto(flux[1:-1], rho[1:])
+            np.copyto(flux[1:-1], rho[:-1], where=up)
+            flux[1:-1] *= a
+            np.subtract(flux[1:], flux[:-1], out=self._buf)
+            self._buf *= dt / g.dx
+            rho = rho - self._buf
+        if self.reaction:
+            factor = np.multiply(v, -self.cfg.alpha * dt, out=self._buf)
+            factor += 1.0 + self.cfg.alpha * dt * vbar
+            rho = rho * factor if rho is g.density else np.multiply(rho, factor, out=rho)
+        clip = 0.0
+        if float(rho.min()) < 0.0:
+            neg = rho < 0
+            clip = -float(rho[neg].sum()) * g.dx
+            np.maximum(rho, 0.0, out=rho)
+            if clip > CLIP_WARN_MASS:
+                self.heavy_clips += 1
+                if self.heavy_clips > CLIP_ESCALATE_AFTER:
+                    raise bf.NumericError("clipped mass escalated")
+        g.density = rho
+        g.renormalize()
+        g.time += dt
+        self.steps_taken += 1
+        self.total_clip_mass += clip
+        return clip
+
+
+def stepper_pair(model, grid, variant, dt, alpha=1.0):
+    """A windowed stepper on `grid` and the full-grid reference on a copy of it."""
+    cfg = bf.DynamicsConfig(variant=variant, dt=dt, alpha=alpha)
+    return bf.GridStepper(model, grid, cfg), FullGridStepper(model, copy.deepcopy(grid), cfg)
+
+
+def step_both(st, ref, steps):
+    """Step both `steps` times, asserting bitwise-equal state after every step."""
+    for _ in range(steps):
+        assert st.step() == ref.step()
+        assert np.array_equal(st.grid.density, ref.grid.density)
+        assert (st.heavy_clips, st.total_clip_mass, st.grid.time) == (
+            ref.heavy_clips, ref.total_clip_mass, ref.grid.time)
+
+
+def support(g):
+    nz = np.flatnonzero(g.density)
+    return int(nz[0]), int(nz[-1])
+
+
+def band(g, lo, hi):
+    """A density that is 1 on the cells with centers in (lo, hi) and 0 elsewhere."""
+    return np.where((g.centers > lo) & (g.centers < hi), 1.0, 0.0)
+
+
+class TestWindowedStepIsBitwise:
+    def test_quadratic_box_to_the_subnormal_regime(self, quad_1d):
+        # c03's shape on fewer cells: transport empties the walls, so the window shrinks
+        g = bf.grid_from_sampler(bf.UniformSampler(lo=[-6.0], hi=[6.0]), 1536)
+        st, ref = stepper_pair(quad_1d, g, "gd-bd", 0.9 * g.dx / 6.0)
+        step_both(st, ref, round(2.1 / st.cfg.dt))
+        first, last = support(g)
+        assert first > 0 and last < g.cells - 1
+
+    def test_reaction_only_gaussian(self, quad_1d):
+        # c02's shape; at dt = 0.1 the tails' factor goes negative, so cells clip (once
+        # by more than CLIP_WARN_MASS), and the tails underflow to 0
+        g = bf.grid_from_sampler(bf.GaussianSampler(mean=[1.0], std=1.0), 512)
+        st, ref = stepper_pair(quad_1d, g, "bd-only", 0.1)
+        step_both(st, ref, 300)
+        assert st.heavy_clips > 0
+        first, last = support(g)
+        assert first > 0 and last < g.cells - 1
+
+    def test_double_well_band_spreads_from_its_local_maximum(self):
+        # transport leaves the local maximum both ways, so the window grows every step
+        model = bf.DoubleWellModel(height=1.0, tilt=0.5)
+        g = bf.grid_from_sampler(bf.UniformSampler(lo=[-2.0], hi=[2.0]), 800)
+        g.density = band(g, 0.10, 0.15)
+        g.renormalize()
+        a_max = _upwind_stencil(model.single(g.centers[:, None])[0], g.dx)[1]
+        st, ref = stepper_pair(model, g, "gd-only", 0.9 * g.dx / a_max)
+        before = support(g)
+        for _ in range(20):
+            step_both(st, ref, 1)
+            after = support(g)
+            assert after[0] < before[0] and after[1] > before[1]
+            before = after
+        step_both(st, ref, 300)
+
+    def test_mass_pressed_against_both_walls(self):
+        # on [-0.5, 0.5] the double well's velocity points into both walls
+        model = bf.DoubleWellModel(height=1.0, tilt=0.5)
+        g = bf.grid_from_sampler(bf.UniformSampler(lo=[-0.5], hi=[0.5]), 200)
+        a_max = _upwind_stencil(model.single(g.centers[:, None])[0], g.dx)[1]
+        st, ref = stepper_pair(model, g, "gd-bd", 0.9 * g.dx / a_max)
+        step_both(st, ref, 300)
+        assert g.density[0] > 0.0 and g.density[-1] > 0.0
+
+    def test_interacting_mixture_from_a_band(self, mixture_frozen):
+        # V and the stencil come from the K cache over all cells, the update from the window
+        g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=2.0), 512)
+        g.density = band(g, -2.0, -1.0)
+        g.renormalize()
+        st, ref = stepper_pair(mixture_frozen, g, "gd-bd", 0.005)
+        step_both(st, ref, 200)
+
+    def test_density_reassigned_between_steps(self, quad_1d):
+        # a wider support must widen the window, and a narrower one must not read the
+        # fluxes left at the old window's interfaces
+        g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 512)
+        g.density = band(g, -0.5, 0.5)
+        g.renormalize()
+        st, ref = stepper_pair(quad_1d, g, "gd-bd", 0.9 * g.dx / 8.0)
+        step_both(st, ref, 50)
+        narrow = support(g)
+        wider = band(g, -4.0, 3.0)
+        st.grid.density, ref.grid.density = wider.copy(), wider.copy()
+        step_both(st, ref, 50)
+        assert support(g)[0] < narrow[0] and support(g)[1] > narrow[1]
+        st.grid.density, ref.grid.density = band(g, 1.0, 1.5), band(g, 1.0, 1.5)
+        step_both(st, ref, 50)
+
+
+SUBNORMALS = (5e-324, 1e-310, TINY / 2.0)
+FROZEN_MIXTURE = bf.GaussianMixtureModel(
+    target_c=[1.0, 1.0], target_y=[[-1.5], [1.5]], target_sigma=[0.8, 0.8], sigma=0.5,
+    amplitude_mode="frozen", frozen_c=1.0,
+)
+
+
+def max_speed(model, g):
+    """max |dV/dx| over the interfaces of `g` for its current density."""
+    probe = FullGridStepper(model, g, bf.DynamicsConfig(variant="gd-only", dt=1.0))
+    return _upwind_stencil(probe.potential(), g.dx)[1]
+
+
+@hst.composite
+def sparse_densities(draw):
+    """Nonnegative cells with zero runs at both ends and inside, and a few subnormals."""
+    cell = hst.one_of(hst.floats(1e-3, 10.0), hst.sampled_from(SUBNORMALS), hst.just(0.0))
+    body = draw(hst.lists(cell, min_size=2, max_size=30))
+    at = draw(hst.integers(0, len(body)))
+    left, gap, right = (draw(hst.integers(0, 12)) for _ in range(3))
+    return np.array([0.0] * left + body[:at] + [0.0] * gap + body[at:] + [0.0] * right)
+
+
+class TestWindowedStepProperty:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(density=sparse_densities(), variant=hst.sampled_from(["gd-only", "bd-only", "gd-bd"]),
+           interacting=hst.booleans(), cfl=hst.floats(0.05, CFL_LIMIT), alpha=hst.floats(0.1, 40.0))
+    def test_one_step_equals_the_full_grid_step(self, density, variant, interacting, cfl, alpha):
+        # a first step on a density that fills the grid leaves a flux at every interface;
+        # the step on the sparse density must read none of them
+        model = FROZEN_MIXTURE if interacting else bf.QuadraticWellModel(minimizer=[0.3], hessian=1.0)
+        g = Grid1D(-3.0, 3.0, np.ones(density.size))
+        sparse = copy.deepcopy(g)
+        sparse.density = density  # unnormalized, subnormals kept
+        dt = cfl * g.dx / (max(max_speed(model, g), max_speed(model, sparse)) + 1.0)
+        st, ref = stepper_pair(model, g, variant, dt, alpha)
+        step_both(st, ref, 1)
+        st.grid.density, ref.grid.density = density.copy(), density.copy()
+        outcomes = []
+        for stepper in (ref, st):
+            try:
+                outcomes.append(stepper.step())
+            except bf.NumericError:
+                outcomes.append("degenerate")
+        assert outcomes[0] == outcomes[1]
+        assert np.array_equal(st.grid.density, ref.grid.density)
+        assert (st.heavy_clips, st.total_clip_mass, st.grid.time) == (
+            ref.heavy_clips, ref.total_clip_mass, ref.grid.time)
 
 
 class TestGridSolverVsCharacteristics:
@@ -428,6 +666,19 @@ class TestGridConstruction:
         for sampler in (bf.GaussianSampler(mean=[0.0], std=1.0), bf.UniformSampler(lo=[0.0], hi=[1.0])):
             with pytest.raises(bf.ConfigurationError):
                 bf.grid_from_sampler(sampler, cells)
+
+    @pytest.mark.parametrize("lo,hi,density", [
+        (0.0, 1.0, [[1.0, 1.0], [1.0, 1.0]]),  # once built a grid of 4 cells
+        (0.0, 1.0, ["1", "1"]),  # once coerced to [1, 1]
+        (0.0, 1.0, [True, True]),  # once coerced to [1, 1]
+        (0.0, 1.0, [1.0, float("nan")]),  # once raised NumericError
+        (0.0, 1.0, [1.0, float("inf")]),  # once raised NumericError
+        (0.0, float("inf"), [1.0, 1.0]),  # once raised NumericError
+        ("0", 1.0, [1.0, 1.0]),  # once raised TypeError
+    ], ids=["2d", "string", "bool", "nan", "inf", "inf-hi", "string-lo"])
+    def test_malformed_grid_rejected(self, lo, hi, density):
+        with pytest.raises(bf.ConfigurationError):
+            Grid1D(lo, hi, density)
 
     def test_amplitude_models_rejected(self, mixture_3c):
         g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 64)
