@@ -3,7 +3,8 @@ rate formulas, and a 1D finite-volume solver for the conserved dynamics.
 
 The solver starts from a 1D gaussian or uniform sampler, uses first-order
 upwind fluxes with zero-flux walls for the transport term and an explicit
-Euler reaction update, and renormalizes the mass to 1 every step.  Each step
+Euler reaction update, and renormalizes the mass to 1 every step.  V comes from
+`potentials.field`, with the cells as nodes weighted by their mass.  Each step
 first sets densities below the smallest normal double to 0, since arithmetic
 on subnormal numbers is several times slower.  A step touches only the cells
 within one cell of nonzero mass: a cell whose neighbours both hold 0 gets no
@@ -18,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import DynamicsConfig
+from .ensemble import Ensemble
 from .errors import (ConfigurationError, NumericError, StepSizeError, require_array, require_int,
                      require_number, require_spd)
-from .potentials import PotentialModel
+from .potentials import PotentialModel, field as potential_field
 from .samplers import GaussianSampler, UniformSampler
 
 CFL_LIMIT = 0.9
@@ -169,15 +171,22 @@ class Grid1D:
 
     def __post_init__(self):
         self.lo, self.hi = require_number(self.lo, "lo"), require_number(self.hi, "hi")
-        self.density = require_array(self.density, "density", (1,))
         m = self.density.size
         if m < 2 or not self.hi > self.lo:
             raise ConfigurationError("grid needs at least 2 cells and hi > lo")
         self.dx = (self.hi - self.lo) / m
         self.centers = self.lo + (np.arange(m) + 0.5) * self.dx
-        if np.any(self.density < 0):
-            raise ConfigurationError("density must be nonnegative")
         self.renormalize()
+
+    def __setattr__(self, name, value):
+        # the constructor's density and any assigned later take this one check, without renormalizing
+        if name == "density":
+            value = require_array(value, "density", (1,))
+            if np.any(value < 0):
+                raise ConfigurationError("density must be nonnegative")
+            if "centers" in self.__dict__ and value.size != self.centers.size:
+                raise ConfigurationError(f"density must hold {self.centers.size} cells, got {value.size}")
+        super().__setattr__(name, value)
 
     @property
     def cells(self) -> int:
@@ -228,8 +237,8 @@ def _upwind_stencil(v: np.ndarray, dx: float):
 
 class GridStepper:
     """Explicit upwind/reaction stepper for one 1D model without amplitude
-    channel on one `grid_from_sampler` grid.  An interacting model caches the
-    cells x cells kernel matrix, so its grid may have at most 3000 cells.
+    channel on one `grid_from_sampler` grid.  V is `field` at the cell centers,
+    with the cells as an ensemble of nodes weighted by their mass.
 
     The config variant selects the terms: gd-only (transport), bd-only
     (reaction), gd-bd (both).  V is recomputed from the incoming density each
@@ -242,8 +251,6 @@ class GridStepper:
     mass, Vbar and the CFL check still read every cell, so each result equals
     that of a step over the whole grid.
     """
-
-    _K_CACHE_MAX_CELLS = 3000
 
     def __init__(self, model: PotentialModel, grid: Grid1D, cfg: DynamicsConfig):
         if model.has_amplitude or model.theta_dim != 1:
@@ -261,23 +268,17 @@ class GridStepper:
         self.heavy_clips = 0
         self.total_clip_mass = 0.0
         self._f = model.single(grid.centers[:, None])[0]
-        self._k = None
-        if model.is_interacting:
-            if grid.cells > self._K_CACHE_MAX_CELLS:
-                raise ConfigurationError(
-                    f"interacting grid solve needs cells <= {self._K_CACHE_MAX_CELLS}"
-                )
-            self._k = model.K_block(grid.centers[:, None], grid.centers[:, None])
-        else:
+        if not model.is_interacting:
             self._stencil = _upwind_stencil(self._f, grid.dx)  # V is static without interactions
         self._flux = np.zeros(grid.cells + 1)  # zero-flux walls stay zero
         self._buf = np.empty(grid.cells)
 
     def potential(self) -> np.ndarray:
-        v = self._f.copy()
-        if self._k is not None:
-            v += self._k @ self.grid.density * self.grid.dx
-        return v
+        """V = F + sum_j rho_j dx K(., x_j) at the centers: `field` on the cells as nodes
+        of weight rho dx cells, evaluated at those nodes as points, so nothing is carried."""
+        g = self.grid
+        nodes = Ensemble(g.centers[:, None], g.density * (g.dx * g.cells), np.arange(g.cells))
+        return potential_field(self.model, nodes, points=nodes.thetas)[0]
 
     def step(self, dt: float | None = None) -> float:
         """Advance one step; returns the mass clipped from negative cells."""
@@ -300,7 +301,7 @@ class GridStepper:
         low = w < TINY
         low &= w > 0
         w[low] = 0.0
-        if self._k is None:
+        if not self.model.is_interacting:
             v, (a, a_max, up) = self._f, self._stencil
         else:
             v = self.potential()
@@ -354,8 +355,5 @@ class GridStepper:
         return self.grid
 
     def energy(self) -> float:
-        rho_dx = self.grid.density * self.grid.dx
-        e = float(self._f @ rho_dx)
-        if self._k is not None:
-            e += 0.5 * float(rho_dx @ (self._k @ rho_dx))
-        return e
+        """0.5 sum_i rho_i dx (F_i + V_i): F once, and each pair once."""
+        return 0.5 * float((self._f + self.potential()) @ (self.grid.density * self.grid.dx))

@@ -3,7 +3,9 @@ an API change that must show up here.  The carried (V, grad V) is private to
 its owner: only `ensemble.py` and `potentials.py` may name it.  They are also
 the only modules that sum the pairwise kernel, so `field` stays the one place
 V = F + n^-1 sum_j w_j K(., theta_j) is formed, with `Ensemble.regroup`
-moving it to new rows."""
+moving it to new rows.  No module but `potentials.py` forms a kernel matrix
+with `K_block` either: the grid reads V through `field` too, with its cells as
+weighted nodes, and `K_block` is the tests' dense reference."""
 
 import re
 import types
@@ -38,6 +40,7 @@ def test_public_names_are_pinned():
 CARRY_NAMES = re.compile(r"\b(_field|_carried_field|_carry_field)\b")
 CARRY_OWNERS = {"ensemble.py", "potentials.py"}
 KERNEL_CALL = re.compile(r"\.kernel_weighted_sums\(")
+KERNEL_MATRIX = re.compile(r"\.K_block\(")
 
 
 def package_sources() -> dict[str, str]:
@@ -54,4 +57,10 @@ def test_carried_field_is_named_only_by_its_owners():
 def test_pairwise_sums_are_called_only_by_the_field_owners():
     offenders = sorted(name for name, text in package_sources().items()
                        if name not in CARRY_OWNERS and KERNEL_CALL.search(text))
+    assert offenders == []
+
+
+def test_kernel_matrix_is_formed_only_by_its_owner():
+    offenders = sorted(name for name, text in package_sources().items()
+                       if name != "potentials.py" and KERNEL_MATRIX.search(text))
     assert offenders == []

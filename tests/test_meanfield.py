@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,34 @@ class TestGridStepper:
             assert e <= prev + 1e-10 * max(1.0, abs(prev))
             prev = e
 
+    def test_interacting_grid_has_no_cell_cap(self, mixture_frozen):
+        # a cells x cells kernel cache once capped interacting grids at 3000 cells
+        g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=2.0), 4096)
+        st = bf.GridStepper(mixture_frozen, g, bf.DynamicsConfig(variant="gd-bd", dt=0.001, alpha=1.0))
+        for _ in range(5):
+            st.step()
+        assert g.mass() == pytest.approx(1.0, abs=1e-12)
+        v = st.potential()
+        rows = g.centers[::64, None]
+        direct = (mixture_frozen.single(rows)[0]
+                  + mixture_frozen.K_block(rows, g.centers[:, None]) @ g.density * g.dx)
+        assert np.max(np.abs(v[::64] - direct)) <= 1e-12 * np.max(np.abs(v))
+
+    def test_interacting_grid_holds_no_kernel_matrix(self, mixture_frozen):
+        # the 2048 x 2048 kernel cache took 32 MB and its build 64 MB at the peak
+        g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=2.0), 2048)
+        cfg = bf.DynamicsConfig(variant="gd-bd", dt=0.05, alpha=1.0)
+        bf.GridStepper(mixture_frozen, copy.deepcopy(g), cfg).step()  # first-call allocations
+        tracemalloc.start()
+        try:
+            st = bf.GridStepper(mixture_frozen, g, cfg)
+            st.step()
+            st.energy()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     @pytest.mark.parametrize("bad", ["zero", "nan"])
     def test_degenerate_density_raises(self, quad_1d, bad):
         g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 128)
@@ -393,7 +422,7 @@ class FullGridStepper(bf.GridStepper):
         low = rho < TINY
         low &= rho > 0
         rho[low] = 0.0
-        if self._k is None:
+        if not self.model.is_interacting:
             v, (a, a_max, up) = self._f, self._stencil
         else:
             v = self.potential()
@@ -502,7 +531,7 @@ class TestWindowedStepIsBitwise:
         assert g.density[0] > 0.0 and g.density[-1] > 0.0
 
     def test_interacting_mixture_from_a_band(self, mixture_frozen):
-        # V and the stencil come from the K cache over all cells, the update from the window
+        # V and the stencil come from `field` over all cells, the update from the window
         g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=2.0), 512)
         g.density = band(g, -2.0, -1.0)
         g.renormalize()
@@ -623,18 +652,15 @@ class TestGridEnergy:
         expected = float(np.sum(quad_f(g.centers) * g.density) * g.dx)
         assert stepper_energy(quad_1d, g) == pytest.approx(expected, rel=1e-14)
 
-    def test_interacting_energy_against_double_sum(self, mixture_frozen):
-        g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 64)
+    @pytest.mark.parametrize("cells", [64, 512])  # the kernel sums take the tiles, then the transform
+    def test_interacting_energy_against_double_sum(self, mixture_frozen, cells):
+        g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), cells)
         rng = np.random.default_rng(1)
-        g.density = rng.uniform(0.1, 1.0, size=64)
+        g.density = rng.uniform(0.1, 1.0, size=cells)
         g.renormalize()
-        total = float(np.sum(mixture_frozen.single(g.centers[:, None])[0] * g.density) * g.dx)
-        for i in range(64):
-            for j in range(64):
-                total += 0.5 * (
-                    mixture_frozen.K_block(g.centers[i : i + 1, None], g.centers[j : j + 1, None])[0, 0]
-                    * g.density[i] * g.density[j] * g.dx**2
-                )
+        centers, rho_dx = g.centers[:, None], g.density * g.dx
+        total = float(mixture_frozen.single(centers)[0] @ rho_dx)
+        total += 0.5 * float(rho_dx @ mixture_frozen.K_block(centers, centers) @ rho_dx)
         assert stepper_energy(mixture_frozen, g) == pytest.approx(total, rel=1e-10)
 
 
@@ -679,6 +705,23 @@ class TestGridConstruction:
     def test_malformed_grid_rejected(self, lo, hi, density):
         with pytest.raises(bf.ConfigurationError):
             Grid1D(lo, hi, density)
+
+    @pytest.mark.parametrize("density", [
+        np.full(16, -1.0), np.ones((4, 4)), np.ones(15), ["1"] * 16,
+    ], ids=["negative", "2d", "wrong-length", "string"])
+    def test_malformed_assigned_density_rejected(self, density):
+        # each was once taken as it was, to fail later in the step or not at all
+        g = Grid1D(0.0, 1.0, np.ones(16))
+        with pytest.raises(bf.ConfigurationError):
+            g.density = density
+
+    def test_assigned_integer_density_steps(self, quad_1d):
+        # an integer array once failed the first in-place step with a casting error
+        g = Grid1D(0.0, 1.0, np.ones(16))
+        g.density = np.arange(16)
+        assert g.density.dtype == np.float64 and g.density.sum() == 120.0  # not renormalized
+        bf.GridStepper(quad_1d, g, bf.DynamicsConfig(variant="gd-bd", dt=1e-3)).step()
+        assert g.mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_amplitude_models_rejected(self, mixture_3c):
         g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 64)
