@@ -652,16 +652,22 @@ class TestGridEnergy:
         expected = float(np.sum(quad_f(g.centers) * g.density) * g.dx)
         assert stepper_energy(quad_1d, g) == pytest.approx(expected, rel=1e-14)
 
-    @pytest.mark.parametrize("cells", [64, 512])  # the kernel sums take the tiles, then the transform
-    def test_interacting_energy_against_double_sum(self, mixture_frozen, cells):
-        g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), cells)
-        rng = np.random.default_rng(1)
-        g.density = rng.uniform(0.1, 1.0, size=cells)
-        g.renormalize()
-        centers, rho_dx = g.centers[:, None], g.density * g.dx
-        total = float(mixture_frozen.single(centers)[0] @ rho_dx)
-        total += 0.5 * float(rho_dx @ mixture_frozen.K_block(centers, centers) @ rho_dx)
-        assert stepper_energy(mixture_frozen, g) == pytest.approx(total, rel=1e-10)
+    def test_interacting_energy_against_double_sum(self, mixture_frozen):
+        check_interacting_energy(mixture_frozen, 64)  # the kernel sums take the tiles
+
+    def test_interacting_energy_against_double_sum_transform(self, mixture_frozen):
+        check_interacting_energy(mixture_frozen, 512)  # the kernel sums take the transform
+
+
+def check_interacting_energy(mixture_frozen, cells):
+    g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), cells)
+    rng = np.random.default_rng(1)
+    g.density = rng.uniform(0.1, 1.0, size=cells)
+    g.renormalize()
+    centers, rho_dx = g.centers[:, None], g.density * g.dx
+    total = float(mixture_frozen.single(centers)[0] @ rho_dx)
+    total += 0.5 * float(rho_dx @ mixture_frozen.K_block(centers, centers) @ rho_dx)
+    assert stepper_energy(mixture_frozen, g) == pytest.approx(total, rel=1e-10)
 
 
 class TestGridConstruction:
