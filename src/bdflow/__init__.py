@@ -6,7 +6,6 @@ from .diagnostics import (
     FitResult,
     FluctuationReport,
     TrajectoryRecord,
-    ensemble_energy,
     euler_lagrange_residual,
     fluctuation_scaling,
     rate_fit,
@@ -57,6 +56,7 @@ from .potentials import (
     QuadraticWellModel,
     ReLUStudentTeacherModel,
     build_model,
+    ensemble_energy,
     exact_mixture_loss,
     field,
 )

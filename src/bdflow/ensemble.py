@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, ExtinctionError, NumericError, require_array, require_int,
                      require_int_array)
+from .potentials import field as potential_field
 
 WEIGHT_MEAN_RTOL = 1e-12
 
@@ -138,9 +139,7 @@ class Ensemble:
             v[kept] += vsum / n
             grad[kept] += fsum / n
         if fresh is not None:
-            from .potentials import field  # potentials imports this module
-
-            v[new], grad[new] = field(model, self, points=fresh)
+            v[new], grad[new] = potential_field(model, self, points=fresh)
         self._carry_field(model, v, grad)
 
 

@@ -8,10 +8,12 @@ Exit codes: 0 success, 1 acceptance failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
 
+from ..ensemble import atomic_open
 from ..errors import ConfigurationError
 from .config import load_config
 from .runner import RUN_ERRORS, run_experiment, run_sweep
@@ -65,6 +67,15 @@ def _parse_values(raw: str):
     return vals
 
 
+def write_teacher_csv(model, path) -> None:
+    """A relu model's teacher units as CSV: unit,amplitude,y_0,...; replaced atomically."""
+    with atomic_open(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(["unit", "amplitude"] + [f"y_{j}" for j in range(model.input_dim)])
+        for j in range(model.teacher_units):
+            w.writerow([j, format(model.teacher_c[j], ".17g")] + [format(v, ".17g") for v in model.teacher_y[j]])
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -101,7 +112,7 @@ def main(argv=None) -> int:
             model = load_config(args.config).model
             if model.kind != "relu-student-teacher":
                 raise ConfigurationError("teacher-dump needs a relu-student-teacher model")
-            model.dump_teacher_csv(args.out)
+            write_teacher_csv(model, args.out)
             return EXIT_OK
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

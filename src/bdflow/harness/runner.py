@@ -21,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..diagnostics import TRAJECTORY_COLUMNS, TrajectoryRecord, ensemble_energy, field_moments, rate_fit
+from ..diagnostics import TRAJECTORY_COLUMNS, TrajectoryRecord, field_moments, rate_fit
 from ..dynamics import run_step
 from ..ensemble import atomic_open, init_from_sampler, write_snapshot_csv
 from ..errors import ConfigurationError, ExtinctionError, FitError, NumericError, StepSizeError, require_int
-from ..potentials import field
+from ..potentials import ensemble_energy, field
 from .config import ExperimentConfig, parse_config, snapshot_name
 
 RUN_ERRORS = (NumericError, ExtinctionError, StepSizeError)

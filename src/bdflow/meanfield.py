@@ -22,7 +22,7 @@ from .dynamics import DynamicsConfig
 from .ensemble import Ensemble
 from .errors import (ConfigurationError, NumericError, StepSizeError, require_array, require_int,
                      require_number, require_spd)
-from .potentials import PotentialModel, field as potential_field
+from .potentials import PotentialModel, ensemble_energy, field as potential_field
 from .samplers import GaussianSampler, UniformSampler
 
 CFL_LIMIT = 0.9
@@ -237,8 +237,8 @@ def _upwind_stencil(v: np.ndarray, dx: float):
 
 class GridStepper:
     """Explicit upwind/reaction stepper for one 1D model without amplitude
-    channel on one `grid_from_sampler` grid.  V is `field` at the cell centers,
-    with the cells as an ensemble of nodes weighted by their mass.
+    channel on one `grid_from_sampler` grid.  Its cells are nodes at the centers
+    weighted by their mass: V is `field` and the energy `ensemble_energy` on them.
 
     The config variant selects the terms: gd-only (transport), bd-only
     (reaction), gd-bd (both).  V is recomputed from the incoming density each
@@ -267,17 +267,20 @@ class GridStepper:
         self.steps_taken = 0
         self.heavy_clips = 0
         self.total_clip_mass = 0.0
-        self._f = model.single(grid.centers[:, None])[0]
-        if not model.is_interacting:
-            self._stencil = _upwind_stencil(self._f, grid.dx)  # V is static without interactions
+        if not model.is_interacting:  # V = F is static: one stencil serves every step
+            self._f = model.single(grid.centers[:, None])[0]
+            self._stencil = _upwind_stencil(self._f, grid.dx)
         self._flux = np.zeros(grid.cells + 1)  # zero-flux walls stay zero
         self._buf = np.empty(grid.cells)
 
-    def potential(self) -> np.ndarray:
-        """V = F + sum_j rho_j dx K(., x_j) at the centers: `field` on the cells as nodes
-        of weight rho dx cells, evaluated at those nodes as points, so nothing is carried."""
+    def _nodes(self) -> Ensemble:
+        """The cells as nodes of weight rho dx cells: n^-1 sum_j w_j g(x_j) = sum_j rho_j dx g(x_j)."""
         g = self.grid
-        nodes = Ensemble(g.centers[:, None], g.density * (g.dx * g.cells), np.arange(g.cells))
+        return Ensemble(g.centers[:, None], g.density * (g.dx * g.cells), np.arange(g.cells))
+
+    def potential(self) -> np.ndarray:
+        """V = F + sum_j rho_j dx K(., x_j): `field` on the nodes, at them as points so nothing is carried."""
+        nodes = self._nodes()
         return potential_field(self.model, nodes, points=nodes.thetas)[0]
 
     def step(self, dt: float | None = None) -> float:
@@ -355,5 +358,5 @@ class GridStepper:
         return self.grid
 
     def energy(self) -> float:
-        """0.5 sum_i rho_i dx (F_i + V_i): F once, and each pair once."""
-        return 0.5 * float((self._f + self.potential()) @ (self.grid.density * self.grid.dx))
+        """sum_i rho_i dx F_i + 0.5 sum_ij rho_i rho_j dx^2 K_ij: `ensemble_energy` on the nodes."""
+        return ensemble_energy(self.model, self._nodes())

@@ -12,21 +12,21 @@ Four kinds are implemented:
 
 An exact model's one single-particle method, ``single(thetas)``, returns F
 and grad F together, since every step reads both; ``field`` is the only
-caller that adds the interaction.  Parameter rows are ``(c, y_1..y_d)`` for
-amplitude models and plain positions otherwise.  All closed-form gradients are
-hand-derived and checked against central finite differences in the test suite.
+caller that adds the interaction, and ``ensemble_energy`` beside it is the one
+energy E = int F dmu + 1/2 iint K dmu dmu, of particles and grid nodes alike.
+Parameter rows are ``(c, y_1..y_d)`` for amplitude models and plain positions
+otherwise.  All closed-form gradients are hand-derived and checked against
+central finite differences in the test suite.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import atomic_open
 from .errors import (
     ConfigurationError,
     UnsupportedOperationError,
@@ -278,8 +278,6 @@ class GaussianMixtureModel(PotentialModel):
     def __post_init__(self):
         self.target_c = np.atleast_1d(require_array(self.target_c, "component amplitudes c"))
         self.target_y = np.atleast_2d(require_array(self.target_y, "component means y", (1, 2)))
-        if self.target_y.shape[0] != self.target_c.size:
-            self.target_y = self.target_y.T
         self.target_sigma = np.atleast_1d(require_array(self.target_sigma, "component widths sigma"))
         self.sigma = require_number(self.sigma, "sigma")
         m = self.target_c.size
@@ -451,17 +449,6 @@ class ReLUStudentTeacherModel(PotentialModel):
         resid = self._batch_pass(thetas, weights, x)[2]
         return 0.5 * float(np.mean(resid**2))
 
-    def dump_teacher_csv(self, path) -> None:
-        """Teacher units as CSV: unit,amplitude,y_0,...; replaced atomically."""
-        with atomic_open(path) as fh:
-            w = csv.writer(fh)
-            w.writerow(["unit", "amplitude"] + [f"y_{j}" for j in range(self.input_dim)])
-            for j in range(self.teacher_units):
-                w.writerow(
-                    [j, format(self.teacher_c[j], ".17g")]
-                    + [format(v, ".17g") for v in self.teacher_y[j]]
-                )
-
 
 # -- ensemble-level potentials ---------------------------------------------
 
@@ -494,11 +481,20 @@ def field(model: PotentialModel, ens, batch=None, points=None) -> tuple[np.ndarr
     return v, grad
 
 
+def ensemble_energy(model: PotentialModel, ens) -> float:
+    """E = n^-1 sum w_i F_i + (2 n^2)^-1 sum_ij w_i w_j K_ij; an interacting
+    model reads the pair term as (2n)^-1 sum_i w_i (V_i - F_i) from `field`."""
+    n = ens.n
+    f = model.single(ens.thetas)[0]
+    e = float(ens.weights @ f) / n
+    if model.is_interacting:
+        e += 0.5 * float(ens.weights @ (field(model, ens)[0] - f)) / n
+    return e
+
+
 def exact_mixture_loss(model: GaussianMixtureModel, ens) -> float:
     """0.5 * integral |target - representation|^2: the target's closed-form
-    self-energy plus the particle energy `diagnostics.ensemble_energy`."""
-    from .diagnostics import ensemble_energy  # diagnostics imports this module
-
+    self-energy plus the particle energy `ensemble_energy`."""
     if not isinstance(model, GaussianMixtureModel):
         raise ConfigurationError("exact_mixture_loss requires the gaussian-mixture model")
     return model.target_self_energy + ensemble_energy(model, ens)

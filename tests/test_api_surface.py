@@ -5,8 +5,11 @@ the only modules that sum the pairwise kernel, so `field` stays the one place
 V = F + n^-1 sum_j w_j K(., theta_j) is formed, with `Ensemble.regroup`
 moving it to new rows.  No module but `potentials.py` forms a kernel matrix
 with `K_block` either: the grid reads V through `field` too, with its cells as
-weighted nodes, and `K_block` is the tests' dense reference."""
+weighted nodes, and `K_block` is the tests' dense reference.  The modules form
+a strict layering: each imports, at module level only, modules before it in
+`LAYERS`, so the package's import graph has no cycle."""
 
+import ast
 import re
 import types
 from pathlib import Path
@@ -63,4 +66,60 @@ def test_pairwise_sums_are_called_only_by_the_field_owners():
 def test_kernel_matrix_is_formed_only_by_its_owner():
     offenders = sorted(name for name, text in package_sources().items()
                        if name != "potentials.py" and KERNEL_MATRIX.search(text))
+    assert offenders == []
+
+
+LAYERS = ["errors", "samplers", "potentials", "ensemble", "dynamics", "meanfield", "diagnostics",
+          "harness.config", "harness.runner", "harness.verify", "harness.cli"]
+
+
+def package_imports(name: str, tree: ast.Module):
+    """(line, imported package module, at module level) for each import of a
+    `bdflow` module in the module `name` (dotted, relative to the package);
+    `from . import x` imports the module x."""
+    pkg = ["bdflow", *name.split(".")[:-1]]
+    top = {id(node) for node in tree.body}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [a.name for a in node.names if a.name.split(".")[0] == "bdflow"]
+        elif isinstance(node, ast.ImportFrom):
+            base = pkg[:len(pkg) - node.level + 1] if node.level else []
+            parts = base + (node.module.split(".") if node.module else [])
+            if not parts or parts[0] != "bdflow":
+                continue
+            targets = [".".join(parts)] if node.module else [".".join(parts + [a.name]) for a in node.names]
+        else:
+            continue
+        for target in targets:
+            yield node.lineno, target.removeprefix("bdflow").removeprefix("."), id(node) in top
+
+
+def package_trees() -> dict[str, ast.Module]:
+    return {name.removesuffix(".py").replace("/", "."): ast.parse(text)
+            for name, text in package_sources().items()}
+
+
+def test_no_package_import_below_module_level():
+    offenders = sorted(f"{name}:{line} imports {target or 'bdflow'}"
+                       for name, tree in package_trees().items()
+                       for line, target, at_top in package_imports(name, tree) if not at_top)
+    assert offenders == []
+
+
+def test_modules_import_only_earlier_layers():
+    """Every module but the package facades (`__init__`) has a layer, and
+    imports only modules of earlier layers; a facade imports its own
+    package's modules and no facade is imported."""
+    trees = package_trees()
+    facades = {name for name in trees if name.split(".")[-1] == "__init__"}
+    assert sorted(set(trees) - facades) == sorted(LAYERS)
+    offenders = []
+    for name, tree in trees.items():
+        for line, target, _ in package_imports(name, tree):
+            if name in facades:
+                ok = target in LAYERS and target.startswith(name.removesuffix("__init__"))
+            else:
+                ok = target in LAYERS and LAYERS.index(target) < LAYERS.index(name)
+            if not ok:
+                offenders.append(f"{name}:{line} imports {target or 'bdflow'}")
     assert offenders == []

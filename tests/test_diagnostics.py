@@ -30,6 +30,22 @@ class TestEnsembleEnergy:
             (1.5 * 0.5 + 0.5 * 2.0) / 2.0, rel=1e-14
         )
 
+    @pytest.mark.parametrize("cells", [64, 1024])
+    def test_node_ensemble_with_any_mass(self, mixture_frozen, cells):
+        """Grid cells as nodes of weight rho dx cells, here of mass 0.7, so the
+        mean weight is 0.7: the energy is sum rho dx F + 0.5 sum sum rho rho dx^2 K
+        from one dense kernel matrix, on the tiles (64) and the transform (1,024)."""
+        x = np.linspace(-6.0, 6.0, cells)[:, None]
+        dx = x[1, 0] - x[0, 0]
+        rho = np.random.default_rng(3).uniform(0.1, 1.0, cells)
+        rho *= 0.7 / (rho.sum() * dx)
+        nodes = make_ensemble(x, weights=rho * (dx * cells))
+        assert nodes.weights.mean() == pytest.approx(0.7, rel=1e-12)
+        rho_dx = rho * dx
+        expected = float(mixture_frozen.single(x)[0] @ rho_dx)
+        expected += 0.5 * float(rho_dx @ mixture_frozen.K_block(x, x) @ rho_dx)
+        assert bf.ensemble_energy(mixture_frozen, nodes) == pytest.approx(expected, rel=1e-12)
+
 
 class TestEnergyDecayTerms:
     """The decay terms integral |grad V|^2 dmu and integral (V - Vbar)^2 dmu,

@@ -658,6 +658,26 @@ class TestGridEnergy:
     def test_interacting_energy_against_double_sum_transform(self, mixture_frozen):
         check_interacting_energy(mixture_frozen, 512)  # the kernel sums take the transform
 
+    @pytest.mark.parametrize("model_name, cells", [("quad_1d", 24576), ("mixture_frozen", 64),
+                                                   ("mixture_frozen", 1024)])
+    def test_energy_is_the_node_ensemble_energy(self, request, model_name, cells):
+        """The grid's energy is `ensemble_energy` on its cells as nodes of weight
+        rho dx cells, bitwise, and within 1e-15 relative of the grid's former own
+        formula 0.5 sum_i rho_i dx (F_i + V_i), which it replaced.  The mixture's
+        64 cells take the tiled kernel sums and its 1,024 the transform."""
+        model = request.getfixturevalue(model_name)
+        init = (bf.UniformSampler(lo=[-6.0], hi=[6.0]) if model_name == "quad_1d"  # c03's grid
+                else bf.GaussianSampler(mean=[0.0], std=2.0))
+        g = bf.grid_from_sampler(init, cells)
+        st = bf.GridStepper(model, g, bf.DynamicsConfig(variant="gd-bd", dt=0.1 * g.dx, alpha=1.0))
+        for _ in range(20):
+            st.step()
+            nodes = bf.Ensemble(g.centers[:, None], g.density * (g.dx * cells), np.arange(cells))
+            e = st.energy()
+            assert e == bf.ensemble_energy(model, nodes)
+            former = 0.5 * float((model.single(g.centers[:, None])[0] + st.potential()) @ (g.density * g.dx))
+            assert e == pytest.approx(former, rel=1e-15, abs=0.0)
+
 
 def check_interacting_energy(mixture_frozen, cells):
     g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), cells)

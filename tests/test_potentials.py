@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import bdflow as bf
+from bdflow.harness import cli
 from bdflow.potentials import _TILE, _gauss_block
 
 from conftest import at, make_ensemble, numerical_grad_F, numerical_grad_K1
@@ -159,6 +160,14 @@ class TestMixtureClosedForms:
             bf.GaussianMixtureModel(
                 target_c=[1.0], target_y=[[0.0]], target_sigma=[0.3], sigma=0.4
             )
+
+    @pytest.mark.parametrize("target_y", [[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [0.0, 1.0, 2.0]],
+                             ids=["2x3", "flat"])
+    def test_means_not_one_row_per_component_rejected(self, target_y):
+        # a (2, 3) array once became three 2D components at (0, 1), (0, 1), (0, 1)
+        with pytest.raises(bf.ConfigurationError, match="share one length"):
+            bf.GaussianMixtureModel(target_c=[1.0, 1.0, 1.0], target_y=target_y,
+                                    target_sigma=[1.0, 1.0, 1.0], sigma=0.4)
 
 
 def component_gauss(y, ybar, var):
@@ -753,7 +762,7 @@ class TestReluStudentTeacher:
     def test_teacher_dump(self, tmp_path):
         m = bf.ReLUStudentTeacherModel(input_dim=3, teacher_units=5, batch_size=4, teacher_seed=8)
         path = tmp_path / "teacher.csv"
-        m.dump_teacher_csv(path)
+        cli.write_teacher_csv(m, path)
         rows = path.read_text().strip().splitlines()
         assert len(rows) == 6
         amps = [float(r.split(",")[1]) for r in rows[1:]]
@@ -763,7 +772,7 @@ class TestReluStudentTeacher:
 
     def test_failed_dump_leaves_existing_file_unchanged(self, tmp_path):
         path = tmp_path / "teacher.csv"
-        bf.ReLUStudentTeacherModel(input_dim=3, teacher_units=5, teacher_seed=8).dump_teacher_csv(path)
+        cli.write_teacher_csv(bf.ReLUStudentTeacherModel(input_dim=3, teacher_units=5, teacher_seed=8), path)
         before = path.read_bytes()
 
         class FailsOnRead:
@@ -773,7 +782,7 @@ class TestReluStudentTeacher:
         other = bf.ReLUStudentTeacherModel(input_dim=3, teacher_units=5, teacher_seed=9)
         other.teacher_y = FailsOnRead()  # the header is written, then the first unit fails
         with pytest.raises(RuntimeError, match="write interrupted"):
-            other.dump_teacher_csv(path)
+            cli.write_teacher_csv(other, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["teacher.csv"]  # no temp file left
 

@@ -3,6 +3,7 @@ renaming one of them breaks it.  These tests install its tracer against the
 package and drive a few steps through the wrapped functions."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,40 @@ def test_tracer_installs_and_removes():
         tracer.remove()
     assert bf.dynamics.run_step is run_step and bf.run_step is run_step
     assert not hasattr(bf.harness.runner.observe, "__wrapped__")
+
+
+def package_bindings() -> dict:
+    """The id of every attribute of each loaded bdflow module and of its classes."""
+    out = {}
+    for modname, module in list(sys.modules.items()):
+        if modname == "bdflow" or modname.startswith("bdflow."):
+            for key, value in vars(module).items():
+                out[modname, key] = id(value)
+                if isinstance(value, type):
+                    out.update({(modname, key, attr): id(v) for attr, v in vars(value).items()})
+    return out
+
+
+def test_grid_energy_is_traced_through_the_one_energy_function():
+    """`ensemble_energy` is one object under every name, so wrapping it by its
+    `diagnostics` name reaches the grid's energy too; removal restores every binding."""
+    energy = bf.potentials.ensemble_energy
+    assert bf.ensemble_energy is energy and bf.diagnostics.ensemble_energy is energy
+    g = bf.grid_from_sampler(bf.GaussianSampler(mean=[0.0], std=1.0), 64)
+    st = bf.GridStepper(bf.QuadraticWellModel(), g, bf.DynamicsConfig(variant="gd-bd", dt=0.01))
+    before = package_bindings()
+    tracer = load_tracer_class()(bf)
+    tracer.install()
+    try:
+        assert bf.meanfield.ensemble_energy.__wrapped__ is energy
+        st.energy()
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.remove()
+    outer, inner = [i for i, span in enumerate(tracer.spans) if span[0] == "diagnostics.energy"]
+    assert tracer.spans[inner][3] == outer  # the function's span sits inside the method's
+    assert metrics["diagnostics.energy_s"] > 0
+    assert package_bindings() == before
 
 
 def test_traced_steps_reach_every_phase():
