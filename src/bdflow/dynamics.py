@@ -27,7 +27,8 @@ row and which rows are copies; ``Ensemble.regroup`` builds the rows, weights
 and birth ids.  For interacting exact models a step makes one pairwise pass:
 the rates read (V, grad V) from ``potentials.field`` after transport,
 ``regroup`` carries them to the new rows, and the next transport step reuses
-them.
+them.  A birth-death pass that draws no kill and no clone rebuilds nothing:
+the population and the field it carries stay as they are.
 
 RNG draw order per step is fixed (minibatch, then Bernoulli uniforms, then
 population-control picks) so trajectories reproduce bitwise from a seed.
@@ -48,6 +49,7 @@ from .errors import (
     ExtinctionError,
     NumericError,
     StepSizeError,
+    require_array,
     require_int,
     require_number,
 )
@@ -163,12 +165,12 @@ def centered_rate(model: PotentialModel, ens: Ensemble, batch: np.ndarray | None
     if not np.all(ens.weights == 1.0):
         raise ConfigurationError("centered rates take the unweighted mean and need unit weights")
     v = field(model, ens, batch)[0]
-    if not np.all(np.isfinite(v)):
+    top = float(np.max(np.abs(v), initial=0.0))  # NaN if any V is NaN
+    if not math.isfinite(top):
         bad = int(np.flatnonzero(~np.isfinite(v))[0])
         raise NumericError(f"non-finite potential at particle {bad}")
     vt = v - v.mean()
-    scale = max(1.0, float(np.max(np.abs(v)))) if v.size else 1.0
-    if abs(float(vt.sum())) > RATE_SUM_ATOL * scale * max(1.0, ens.n / 1000):
+    if abs(float(vt.sum())) > RATE_SUM_ATOL * max(1.0, top) * max(1.0, ens.n / 1000):
         raise NumericError("centered rates failed to sum to zero")
     return vt
 
@@ -218,10 +220,8 @@ def bernoulli_phase(rates: np.ndarray, alpha: float, dt: float, rng: np.random.G
     """
     rates = np.asarray(rates, dtype=float)
     p = -np.expm1(-alpha * np.abs(rates) * dt)
-    u = rng.random(rates.size)
-    kill = (rates > 0) & (u < p)
-    dup = (rates < 0) & (u < p)
-    return kill, dup
+    hit = rng.random(rates.size) < p
+    return (rates > 0) & hit, (rates < 0) & hit
 
 
 def _birth_death_pass(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
@@ -230,17 +230,27 @@ def _birth_death_pass(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
     control: excess is removed uniformly, and a deficit is refilled by uniform
     cloning or, when `prior` is given, by zero-amplitude rows whose positions
     are drawn from it.  `Ensemble.regroup` builds the new rows and carries
-    the field."""
+    the field; a pass that draws no event returns before it, leaving the
+    population as it was.  Given `rates` must be one finite real per particle."""
+    n0 = ens.n
     if rates is None:
         rates = _effective_rates(model, ens, cfg)
+    elif not (isinstance(rates, np.ndarray) and rates.dtype == np.float64):
+        rates = require_array(rates, "rates", (1,))
+    if rates.shape != (n0,):
+        raise ConfigurationError(f"rates must hold one entry per particle, shape ({n0},), got {rates.shape}")
+    top = float(np.max(np.abs(rates), initial=0.0))  # NaN if any rate is NaN
+    if not math.isfinite(top):
+        raise ConfigurationError("rates must be finite")
     kill, dup = bernoulli_phase(rates, cfg.alpha, cfg.dt, rng)
-    n0 = ens.n
+    report = StepReport(max_rate=float(cfg.alpha * top * cfg.dt))
+    if not (kill.any() or dup.any()):
+        return report
     surv = np.flatnonzero(~kill)
     if surv.size == 0:
         raise ExtinctionError("all particles were killed in one birth-death pass")
-    dup_idx = np.flatnonzero(dup & ~kill)
-    report = StepReport(births=int(dup_idx.size), deaths=int(n0 - surv.size))
-    report.max_rate = float(cfg.alpha * np.max(np.abs(rates), initial=0.0) * cfg.dt)
+    dup_idx = np.flatnonzero(dup)  # kill and dup are disjoint
+    report.births, report.deaths = int(dup_idx.size), int(n0 - surv.size)
 
     src = np.concatenate([surv, dup_idx])  # source row of each new row; -1 if reinjected
     n1 = src.size

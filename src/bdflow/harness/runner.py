@@ -1,7 +1,8 @@
 """Experiment execution: single runs, seed/parameter sweeps, file outputs.
 
 Outputs per run: ``trajectory.csv`` (one row per recorded step),
-``summary.json`` (status, final observables, config echo, wall time), and
+``summary.json`` (status, final observables, the birth-death passes' largest
+alpha |rate| dt and total head-count corrections, config echo, wall time), and
 ``snapshot_t*.csv`` population dumps at the requested times.  These files
 and a sweep's ``sweep.json`` are written atomically (temp file + rename).
 All randomness descends from the config seed through
@@ -91,12 +92,15 @@ def run_experiment(config: ExperimentConfig, output_dir=None, quiet: bool = True
 
     take_snapshots()
     status, error = "ok", None
-    births = deaths = 0
+    births = deaths = corrections = 0
+    max_rate = 0.0
     try:
         for step in range(1, config.steps + 1):
             report = run_step(model, ens, dyn, rng)
             births += report.births
             deaths += report.deaths
+            corrections += report.population_corrections
+            max_rate = max(max_rate, report.max_rate)
             if step % config.record_every == 0 or step == config.steps:
                 records.append(observe(model, ens, births, deaths, eval_rng))
                 births = deaths = 0
@@ -124,6 +128,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None, quiet: bool = True
         "final_mean_V": last.mean_V,
         "final_var_V": last.var_V,
         "records": len(records),
+        "max_rate": max_rate,
+        "population_corrections": corrections,
         "snapshots": snapshots,
         "rate_fit": fit,
         "wall_time_s": wall,

@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread unless the caller chose otherwise, set before numpy loads:
+# OpenBLAS sums float64 dot products longer than 10,000 entries differently
+# under 1 and 2 threads, and the grid's V̄ over more than 10,000 cells is one
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -7,6 +7,8 @@ from bdflow.dynamics import _RankPopulation
 
 from conftest import make_ensemble, numerical_grad_F, numerical_grad_K1
 
+CERTAIN = bf.DynamicsConfig(variant="bd-only", dt=1.0, alpha=1.0)  # rates of +-1e9 fire surely
+
 
 class TestGdStep:
     def test_fixed_point_at_minimum(self, quad_1d):
@@ -164,6 +166,42 @@ class TestBirthDeathStep:
         assert ens.n == 3
         assert rep.deaths >= 1
         assert not np.any(ens.thetas[:, 0] == 10.0)
+
+    def test_event_free_pass_rebuilds_nothing(self, mixture_3c, monkeypatch):
+        calls = []
+        regroup = bf.Ensemble.regroup
+        monkeypatch.setattr(bf.Ensemble, "regroup",
+                            lambda ens, *args: calls.append(ens.n) or regroup(ens, *args))
+        ens = make_ensemble(np.random.default_rng(16).normal(size=(6, 2)))
+        bf.field(mixture_3c, ens)  # carry (V, grad V)
+        thetas, carried = ens.thetas, ens._carried_field(mixture_3c)
+        rep = bf.birth_death_step(mixture_3c, ens, CERTAIN, np.random.default_rng(17), rates=np.zeros(6))
+        assert rep == bf.StepReport() and calls == []
+        assert ens.thetas is thetas and ens._carried_field(mixture_3c)[0] is carried[0]
+        rates = np.zeros(6)
+        rates[2] = -1e9  # a certain clone
+        rep = bf.birth_death_step(mixture_3c, ens, CERTAIN, np.random.default_rng(17), rates=rates)
+        assert (rep.births, rep.deaths, rep.population_corrections, calls) == (1, 0, 1, [6])
+
+    # 4 rates for 6 rows once cloned over rows 4-5 and reported 2 deaths, 8 raised a bare
+    # IndexError, and NaN rates drew no event and reported max_rate = nan
+    @pytest.mark.parametrize("rates, match", [
+        (np.zeros(4), "one entry per particle"), (np.zeros(8), "one entry per particle"),
+        (np.zeros((1, 6)), "one entry per particle"), ([0.0] * 4, "one entry per particle"),
+        (np.full(6, np.nan), "finite"), (np.array([0, 0, np.inf, 0, 0, 0.0]), "finite"),
+        ([0.0, 0.0, np.nan, 0.0, 0.0, 0.0], "finite"), (["a"] * 6, "finite numbers"),
+    ], ids=["4", "8", "1x6", "list-4", "nan", "inf", "nan-list", "strings"])
+    @pytest.mark.parametrize("step", [bf.birth_death_step, bf.reinjection_step],
+                             ids=["clone", "reinject"])
+    def test_rates_are_one_finite_real_per_particle(self, mixture_3c, step, rates, match):
+        cfg = bf.DynamicsConfig(variant="gd-bd-reinjection", dt=0.05,
+                                reinjection_prior=bf.GaussianSampler(mean=[0.0], std=2.0))
+        ens = make_ensemble(np.random.default_rng(18).normal(size=(6, 2)))
+        rng = np.random.default_rng(19)
+        state = rng.bit_generator.state
+        with pytest.raises(bf.ConfigurationError, match=match):
+            step(mixture_3c, ens, cfg, rng, rates=rates)
+        assert rng.bit_generator.state == state  # rejected before any draw
 
 
 class TestFVariant:

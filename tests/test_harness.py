@@ -188,6 +188,29 @@ class TestRunExperiment:
         assert "NumericError" in summary["error"]
         assert (tmp_path / "trajectory.csv").exists()  # last valid records retained
 
+    @pytest.mark.parametrize("dynamics", [
+        {"variant": "gd-bd", "dt": 0.05, "alpha": 3.0},
+        {"variant": "gd-bd-reinjection", "dt": 0.05, "alpha": 3.0,
+         "reinjection": {"kind": "gaussian", "mean": [0.0], "std": 2.0}},
+    ], ids=["gd-bd", "reinjection"])
+    def test_summary_reports_birth_death_resolution(self, tmp_path, monkeypatch, dynamics):
+        reports = []
+        run_step = bf.harness.runner.run_step
+        monkeypatch.setattr(bf.harness.runner, "run_step",
+                            lambda *args: reports.append(run_step(*args)) or reports[-1])
+        summary = run_experiment(parse_config(mixture_config(dynamics=dynamics)), output_dir=tmp_path)
+        assert len(reports) == 20
+        assert summary["max_rate"] == max(r.max_rate for r in reports) > 0.0
+        assert summary["population_corrections"] == sum(r.population_corrections for r in reports) > 0
+        written = json.loads((tmp_path / "summary.json").read_text())
+        assert (written["max_rate"], written["population_corrections"]) == (
+            summary["max_rate"], summary["population_corrections"])
+
+    def test_gd_only_summary_reports_no_birth_death(self, tmp_path):
+        summary = run_experiment(parse_config(mixture_config(dynamics={"variant": "gd-only", "dt": 0.01})),
+                                 output_dir=tmp_path)
+        assert (summary["max_rate"], summary["population_corrections"]) == (0.0, 0)
+
     def test_trajectory_schema(self, tmp_path):
         run_experiment(parse_config(quad_config(record_every=2)), output_dir=tmp_path)
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()

@@ -4,9 +4,11 @@ rates summing to zero, and the f = identity variant reproducing gd-bd bitwise.
 After a step, an interacting model's carried (V, grad V) matches a fresh
 evaluation, and an edited ensemble is evaluated afresh.  `run_replicas` equals
 a hand-written loop over seeds bitwise.  `Ensemble.regroup` moves rows,
-weights, birth ids and the carried field to any rebuilt population, and after
-exact-event KMC every row is one of the initial rows, and its sampler's
-tree sums and slot blocks stay exact across any moves.
+weights, birth ids and the carried field to any rebuilt population, and a
+birth-death pass, which skips that rebuild when it draws no event, equals a
+pass that always rebuilds.  After exact-event KMC every row is one of the
+initial rows, and its sampler's tree sums and slot blocks stay exact across
+any moves.
 Also: a committed config with any one value replaced by a malformed one
 either parses, and then round-trips through its echo, or raises
 ConfigurationError."""
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import bdflow as bf
@@ -285,6 +287,71 @@ def test_regroup_moves_rows_birth_ids_and_carried_field(name, n, seed, data):
     carried = ens._carried_field(model)
     assert carried is not None
     assert_close(carried, bf.field(model, ens.copy()))
+
+
+def regrouping_pass(ens, cfg, rng, rates, prior):
+    """The birth-death pass rebuilt through `Ensemble.regroup` on every pass,
+    the identity rebuild of an event-free pass included: the reference that
+    the pass must equal bitwise."""
+    kill, dup = bf.bernoulli_phase(rates, cfg.alpha, cfg.dt, rng)
+    n0 = ens.n
+    surv, dup_idx = np.flatnonzero(~kill), np.flatnonzero(dup & ~kill)
+    src = np.concatenate([surv, dup_idx])
+    n1 = src.size
+    report = bf.StepReport(births=int(dup_idx.size), deaths=int(n0 - surv.size),
+                           max_rate=float(cfg.alpha * np.max(np.abs(rates), initial=0.0) * cfg.dt),
+                           population_corrections=abs(n1 - n0))
+    copies = np.zeros(max(n0, n1), dtype=bool)
+    copies[surv.size:] = True
+    fresh = None
+    if n1 > n0:
+        keep = np.ones(n1, dtype=bool)
+        keep[rng.choice(n1, size=n1 - n0, replace=False)] = False
+        src, copies = src[keep], copies[keep]
+    elif n1 < n0:
+        if prior is None:
+            src = np.concatenate([src, src[rng.choice(n1, size=n0 - n1, replace=True)]])
+        else:
+            src = np.concatenate([src, np.full(n0 - n1, -1)])
+            fresh = np.hstack([np.zeros((n0 - n1, 1)), prior.sample(rng, n0 - n1)])
+    ens.regroup(src, copies, fresh)
+    return report
+
+
+PASS_CASES = [(m, v) for m in ("quadratic", "mixture", "mixture-frozen")
+              for v in ("bd-only", "gd-bd", "gd-bd-reinjection") if supported(m, v)]
+
+
+@PROPERTY_SETTINGS
+@given(case=st.sampled_from(PASS_CASES), carry=st.booleans(), n=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1), log_dt=st.floats(-6.0, 0.0), alpha=st.floats(0.1, 5.0))
+def test_pass_equals_a_pass_that_always_regroups(case, carry, n, seed, log_dt, alpha):
+    name, variant = case
+    model = MODELS[name]
+    prior = prior_for(model) if variant == "gd-bd-reinjection" else None
+    cfg = bf.DynamicsConfig(variant=variant, dt=10.0**log_dt, alpha=alpha, reinjection_prior=prior)
+    rng = np.random.default_rng(seed)
+    ens = random_ensemble(model, n, rng)
+    ens.birth_ids = ens.birth_ids + 5
+    if variant != "bd-only":
+        bf.gd_step(model, ens, 0.05)
+    if carry:
+        bf.field(model, ens)  # an interacting model carries (V, grad V) for these rows
+    rates = bf.centered_rate(model, ens if carry else ens.copy())
+    a, b = (copy.deepcopy(ens, {id(model): model}) for _ in range(2))  # the carry stays on `model`
+    rng_a, rng_b = (np.random.default_rng(seed + 1) for _ in range(2))
+    step = bf.reinjection_step if prior is not None else bf.birth_death_step
+    report = step(model, a, cfg, rng_a, rates=rates)
+    event("events" if report.births or report.deaths else "no event")
+    assert report == regrouping_pass(b, cfg, rng_b, rates, prior)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    for x, y in [(a.thetas, b.thetas), (a.weights, b.weights), (a.birth_ids, b.birth_ids)]:
+        assert np.array_equal(x, y)
+    assert a.next_birth_id == b.next_birth_id
+    carried_a, carried_b = a._carried_field(model), b._carried_field(model)
+    assert (carried_a is None) == (carried_b is None) == (not (carry and model.is_interacting))
+    if carried_a is not None:
+        assert all(np.array_equal(x, y) for x, y in zip(carried_a, carried_b))
 
 
 @PROPERTY_SETTINGS
