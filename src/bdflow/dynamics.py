@@ -319,37 +319,26 @@ def _fenwick(values: np.ndarray) -> list:
 
 
 class _RankPopulation:
-    """n slots, each holding one of n sorted values `f`.
+    """A population over n sorted values `f`: `count[r]` particles hold f[r].
 
-    Slot s holds rank `rank[s]`, and `count[r]` slots hold rank r.  Two
-    Fenwick trees (Fenwick, Softw. Pract. Exp. 24(3), 1994) over the ranks
-    hold count and count * f, so `weight`, `pick` and `move` cost O(log n)
-    each.  The slots of rank r fill the first `count[r]` places of its block
-    of `pool`; a full block moves to the end of `pool` at twice its size, so
-    a uniform slot of a rank is one index.  The slot arrays are `array`s of
-    C ints, 4 bytes a number where a list holds a pointer and an object; the
-    trees are lists, whose items update in place at about half the cost.
+    Two Fenwick trees (Fenwick, Softw. Pract. Exp. 24(3), 1994) over the
+    ranks hold count and count * f, so `weight`, `pick`, `_rank_holding` and
+    `move` cost O(log n) each.  Copies of one value are the same mass, so the
+    population keeps no per-particle state.  The trees and counts are lists,
+    whose items update in place faster than those of arrays.
     """
 
-    def __init__(self, f: np.ndarray, rank: np.ndarray):
+    def __init__(self, f: np.ndarray, count: np.ndarray):
         n = self.n = f.size
         self._top = 1 << (n.bit_length() - 1)  # the largest power of two <= n
-        count = np.bincount(rank, minlength=n)
         self.c_tree, self.s_tree = _fenwick(count), _fenwick(count * f)
         self.s_tot = float(np.sum(count * f))
-        pool = np.argsort(rank, kind="stable")
-        start = np.cumsum(count) - count
-        pos = np.empty(n, dtype=np.intc)
-        pos[pool] = np.arange(n) - start[rank[pool]]
-        ints = lambda a: array("i", a.astype(np.intc).tobytes())
-        self.f = array("d", f.tobytes())
-        self.rank, self.count, self.pos = ints(rank), ints(count), ints(pos)
-        self.pool, self.start, self.cap = ints(pool), ints(start), ints(count)
+        self.f, self.count = array("d", f.tobytes()), count.tolist()
         self._cut = None
 
     @property
     def mean(self) -> float:
-        """The mean of the slots' values from the running sum `s_tot`."""
+        """The mean of the particles' values from the running sum `s_tot`."""
         return self.s_tot / self.n
 
     def _prefix(self, p: int) -> tuple[int, float]:
@@ -363,7 +352,7 @@ class _RankPopulation:
         return c, s
 
     def _rank_holding(self, m: int) -> int:
-        """The rank of the m-th slot (1-based) in rank order."""
+        """The rank of the m-th particle (1-based) in rank order."""
         c_tree, n = self.c_tree, self.n
         p, c, step = 0, 0, self._top
         while step:
@@ -374,9 +363,10 @@ class _RankPopulation:
         return p
 
     def weight(self) -> float:
-        """The sum of |f - mean| over the slots.  It is 0 when every slot lies
-        on one side of the mean, which only slots of one value allow (up to
-        the mean's rounding).  `pick` draws from the cut at the mean made here."""
+        """The sum of |f - mean| over the particles.  It is 0 when every
+        particle lies on one side of the mean, which only particles of one
+        value allow (up to the mean's rounding).  `pick` draws from the cut at
+        the mean made here."""
         n, mean = self.n, self.mean
         k = bisect_right(self.f, mean)  # ranks below k are at or below the mean
         c, s = self._prefix(k)
@@ -388,7 +378,7 @@ class _RankPopulation:
 
     def pick(self, u: float) -> int:
         """The rank r with W(r) <= u < W(r + 1), for u in [0, weight()], where
-        W(p) is the weight of the slots of the ranks below p.  W rises by
+        W(p) is the weight of the particles of the ranks below p.  W rises by
         count * |f - mean| per rank: mean * C - S up to the cut and
         S - mean * C + 2 * below after it, so one greedy descent finds r.  The
         pick is never an empty rank or one at the mean."""
@@ -407,36 +397,16 @@ class _RankPopulation:
         # u lies within rounding of an edge of the shares: take the nearest
         # occupied rank off the mean on the same side
         if p < k:
-            c_off = self._prefix(bisect_left(self.f, mean))[0]  # slots strictly below the mean
+            c_off = self._prefix(bisect_left(self.f, mean))[0]  # particles strictly below the mean
             return self._rank_holding(min(c + 1, c_off) if c_off else ck + 1)
         return self._rank_holding(min(c + 1, n))
 
-    def slot(self, r: int, rng: np.random.Generator) -> int:
-        """A uniform slot of rank r, which must be occupied."""
-        c = self.count[r]
-        return self.pool[self.start[r] + (int(rng.integers(c)) if c > 1 else 0)]
-
-    def move(self, slot: int, to: int) -> None:
-        """Give `slot` the rank `to`."""
-        frm = self.rank[slot]
+    def move(self, frm: int, to: int) -> None:
+        """Move one particle from rank `frm`, which must hold one, to rank `to`."""
         if frm == to:
             return
-        pool, start, count, pos = self.pool, self.start, self.count, self.pos
-        c = count[frm] - 1
-        count[frm] = c
-        last = pool[start[frm] + c]
-        pool[start[frm] + pos[slot]] = last
-        pos[last] = pos[slot]
-        c = count[to]
-        if c == self.cap[to]:
-            old, self.cap[to] = start[to], max(2 * c, 1)
-            start[to] = len(pool)
-            pool.extend(pool[old : old + c])
-            pool.extend([0] * (self.cap[to] - c))
-        pool[start[to] + c] = slot
-        pos[slot] = c
-        count[to] = c + 1
-        self.rank[slot] = to
+        self.count[frm] -= 1
+        self.count[to] += 1
         n, c_tree, s_tree = self.n, self.c_tree, self.s_tree
         f_frm, f_to = self.f[frm], self.f[to]
         d = f_to - f_frm
@@ -469,19 +439,25 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
     Waiting times are exponential with the total rate alpha * sum_i |vt_i|,
     and the event particle is chosen in proportion to |vt_i|.  Requires K = 0
     so V depends on a particle only through F.  An event only copies one
-    slot's F onto another, so every F a slot holds is one of the n initial
-    values: they are sorted once, and a `_RankPopulation` keeps the slots of
-    each rank and Fenwick trees of the counts and of count * F over the
-    ranks.  An event costs O(log n): the total rate from one bisection of the
-    running mean and one prefix sum, the event rank from one descent, and two
-    tree updates for the slot that changes rank.
+    particle's F onto another, so every F a particle holds is one of the n
+    initial values, and copies of one value are the same mass: the values are
+    sorted once, and a `_RankPopulation` keeps the count of each rank and
+    Fenwick trees of the counts and of count * F.  An event costs O(log n):
+    the total rate from one bisection of the running mean and one prefix sum,
+    the event rank from one descent, the other particle's rank from one prefix
+    sum and one descent, and two tree updates.
 
     Each event draws, in order: the exponential wait; one uniform for the
-    event rank; `integers(count)` for a slot i of that rank, only when the
-    rank has more than one slot; and `integers(n - 1)` for a uniform other
-    slot j.  The mean is carried as a running sum, so the last logged mean is
-    taken from the final population instead.  Each slot's rank names its
-    source row, and the population is rebuilt from those once, at the end.
+    event rank r; and `integers(n - 1)` for the other particle, a position in
+    rank order among the other n - 1 particles, where the event particle
+    counts as the last of rank r.  The mean is carried as a running sum, so
+    the last logged mean is taken from the final population instead.
+
+    The population is rebuilt once, at the end: a rank that still holds
+    particles keeps its initial row and that row's birth id, and its extra
+    copies overwrite, in rank order, the rows of the ranks left empty, which
+    get new birth ids.  An initial id so stays on its row while its value
+    survives.
     """
     check_model_support(model, "kmc-bd")
     horizon = require_number(horizon, "horizon", 0.0)
@@ -491,11 +467,7 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
         raise NumericError("non-finite potential in kmc_run")
     initial_mean = float(f_vals.mean())
     order = np.argsort(f_vals, kind="stable")
-    f_sorted = f_vals[order]
-    rank = np.empty(n, dtype=np.intc)
-    rank[order] = np.arange(n)
-    pop = _RankPopulation(f_sorted, rank)
-    copied = np.zeros(n, dtype=bool)
+    pop = _RankPopulation(f_vals[order], np.ones(n, dtype=np.int64))
     times, means = array("d"), array("d")
     t = 0.0
     while True:
@@ -508,22 +480,25 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
             break
         t += wait
         r = pop.pick(rng.random() * weight)
-        i = pop.slot(r, rng)
-        j = int(rng.integers(n - 1))
-        if j >= i:
-            j += 1
-        # kill i and duplicate the uniform survivor j into its slot, or
-        # duplicate i into the slot of the uniform other j
-        dst, src = (i, j) if pop.f[r] > pop.mean else (j, i)
-        pop.move(dst, pop.rank[src])
-        copied[dst] = True
+        m = int(rng.integers(n - 1)) + 1
+        if m >= pop._prefix(r + 1)[0]:
+            m += 1  # step past the event particle, the last of rank r
+        other = pop._rank_holding(m)
+        # kill the event particle and duplicate the uniform other, or
+        # duplicate the event particle over the uniform other
+        if pop.f[r] > pop.mean:
+            pop.move(r, other)
+        else:
+            pop.move(other, r)
         times.append(t)
         means.append(pop.mean)  # after the overwrite: logged, and centers the next event
-    rank = np.array(pop.rank)
-    del pop  # its trees and slot blocks, before regroup builds the new rows
+    count = np.array(pop.count)
+    empty = order[count == 0]  # the rows of the emptied ranks, in rank order
+    src = np.arange(n)
+    src[empty] = order[np.repeat(np.arange(n), np.maximum(count - 1, 0))]
     if means:
-        means[-1] = float(f_sorted[rank].mean())
-    ens.regroup(order[rank], copied)
+        means[-1] = float(f_vals[src].mean())
+    ens.regroup(src, src != np.arange(n))
     ens.time += horizon
     return KMCLog(times=np.asarray(times), mean_energy=np.asarray(means), initial_mean=initial_mean)
 

@@ -366,17 +366,32 @@ class TestKMC:
         assert log.mean_energy[-1] == quad_1d.single(ens.thetas)[0].mean()
         assert sorted(ens.birth_ids.tolist()) in ([0, 2], [1, 2])  # one survivor, one copy
 
+    def test_first_event_follows_the_pair_law(self, quad_1d):
+        # F = 0, 1, 5 about the mean 2: the event particle is F = 5, 0 or 1 with
+        # probability 3/6, 2/6, 1/6, and the other is uniform over the other two.
+        # The mean after the event names the pair: 1/3 = {0, 0, 1}, 2/3 = {0, 1, 1},
+        # 5/3 = {0, 0, 5}, 7/3 = {1, 1, 5}
+        base = make_ensemble(np.sqrt([[0.0], [2.0], [10.0]]))
+        cfg = bf.DynamicsConfig(variant="kmc-bd", dt=1.0)
+        rng = np.random.default_rng(25)
+        means = np.array([1 / 3, 2 / 3, 5 / 3, 7 / 3])
+        seen = np.zeros(4)
+        for _ in range(3000):
+            log = bf.kmc_run(quad_1d, base.copy(), cfg, 1e18, rng)
+            seen[np.argmin(np.abs(means - log.mean_energy[0]))] += 1
+        res = st.chisquare(seen, seen.sum() * np.array([5, 4, 2, 1]) / 12)
+        assert res.pvalue > 0.01
+
 
 class TestRankPopulation:
     """The KMC sampler against brute force: the weight is sum c |f - mean|
     and a pick of u in [0, weight] is `searchsorted(cumsum(c |f - mean|), u,
     side="right")`, except within rounding of an edge, where it must still
-    be a rank of its own share that holds slots off the mean."""
+    be a rank of its own share that holds particles off the mean."""
 
     @staticmethod
-    def check(f, rank, us):
-        pop = _RankPopulation(f, rank)
-        count = np.bincount(rank, minlength=f.size)
+    def check(f, count, us):
+        pop = _RankPopulation(f, count)
         mean = pop.mean
         cum = np.cumsum(count * np.abs(f - mean))
         tol = 1e-12 * max(1.0, float(np.sum(count * np.abs(f))))
@@ -399,12 +414,12 @@ class TestRankPopulation:
         n = int(rng.integers(1, 60))
         ties = seed % 2 == 1  # integer values: ties, and means on a value
         f = np.sort(rng.integers(-3, 4, n).astype(float) if ties else rng.normal(size=n))
-        self.check(f, rng.integers(n, size=n), rng.random(200))
+        self.check(f, np.bincount(rng.integers(n, size=n), minlength=n), rng.random(200))
 
     def test_mean_on_an_occupied_value(self):
-        # slots -2, -2, 0, 0, 2, 2: the mean 0 is two occupied ranks of zero rate
+        # particles -2, -2, 0, 0, 2, 2: the mean 0 is two occupied ranks of zero rate
         f = np.array([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0])
-        self.check(f, np.array([0, 2, 3, 5, 5, 0]), np.linspace(0.0, 1.0, 101))
+        self.check(f, np.array([2, 0, 1, 1, 0, 2]), np.linspace(0.0, 1.0, 101))
 
     def test_rounding_below_the_mean(self):
         # found by search: 1 ulp from an edge below the mean the descent stops
@@ -412,12 +427,12 @@ class TestRankPopulation:
         rng = np.random.default_rng(16641)
         n = int(rng.integers(2, 40))
         f = np.sort(rng.normal(size=n) * 10 ** rng.uniform(-3, 3))
-        self.check(f, rng.integers(n, size=n), [])
+        self.check(f, np.bincount(rng.integers(n, size=n), minlength=n), [])
 
     def test_top_edge_skips_empty_top_ranks(self):
         # at u = weight the descent runs past the last occupied rank, 2, onto empty ones
         f = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        pop = _RankPopulation(f, np.array([0, 0, 2, 2, 2]))
+        pop = _RankPopulation(f, np.array([2, 0, 3, 0, 0]))
         assert pop.pick(pop.weight()) == 2
 
 

@@ -1,13 +1,19 @@
 import json
+import sys
+import tempfile
+from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import bdflow as bf
-from bdflow.harness import load_config, parse_config, run_experiment, run_sweep
+from bdflow.dynamics import check_model_support
+from bdflow.harness import load_config, parse_config, run_experiment, run_sweep, verify
 from bdflow.harness.cli import main as cli_main
 from bdflow.harness.verify import _Collector
+from bdflow.meanfield import Grid1D
 
 
 def quad_config(**overrides):
@@ -104,6 +110,50 @@ def malformed_config(overrides):
     return data
 
 
+def load_config_text(text):
+    """`load_config` on a file holding `text`."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "cfg.json"
+        path.write_text(text)
+        return load_config(path)
+
+
+QUAD = bf.QuadraticWellModel(minimizer=[0.0], hessian=1.0)
+MIXTURE_1D = bf.GaussianMixtureModel(target_c=[1.0], target_y=[[0.0]], target_sigma=[1.0], sigma=0.5)
+GAUSS_1D = bf.GaussianSampler(mean=[0.0], std=1.0)
+
+# (callable, args, message fragment): one malformed input to each raising
+# branch that no other test reaches
+MALFORMED_CALLS = [
+    (check_model_support, (MIXTURE_1D, "gd-bd-reinjection"), "reinjection_prior is not configured"),
+    (check_model_support, (MIXTURE_1D, "gd-bd-reinjection", bf.GaussianSampler(mean=[0.0, 0.0], std=1.0)),
+     "reinjection prior dimension 2"),
+    (bf.GridStepper, (QUAD, bf.grid_from_sampler(GAUSS_1D, 64), bf.DynamicsConfig(variant="kmc-bd", dt=0.1)),
+     "grid solver supports variants"),
+    (Grid1D, (1.0, 1.0, np.ones(8)), "hi > lo"),
+    (bf.rate_fit, ([], (0.0, 1.0), "linear"), "form must be"),
+    (partial(bf.fluctuation_scaling, slope_checkpoint=2.0),
+     (QUAD, bf.DynamicsConfig(variant="gd-bd", dt=0.1), GAUSS_1D, [10, 30, 100], 1, [lambda x: x]),
+     "slope_checkpoint must be one of the checkpoints"),
+    (parse_config, (quad_config(schema_version=2),), "unsupported schema_version"),
+    (parse_config, (quad_config(output_dir=5),), "output_dir must be a string"),
+    (load_config_text, ("{not json",), "not valid JSON"),
+    (bf.UniformSampler, ([0.0], [1.0, 2.0]), "same length"),
+    (bf.ProductSampler, ((),), "at least one factor"),
+    (bf.QuadraticWellModel, ([0.0, 0.0], np.eye(3)), "hessian shape"),
+    (bf.DoubleWellModel, (1.0, 0.0), "tilt must be nonzero"),
+    (bf.GaussianMixtureModel, ([1.0], [[0.0]], [0.0], 0.5), "widths must be > 0"),
+    (bf.GaussianMixtureModel, ([1.0], [[0.0]], [1.0], 0.5, "fixed"), "amplitude_mode must be"),
+    (bf.exact_mixture_loss, (QUAD, bf.init_from_sampler(GAUSS_1D, 4, 1, 0)), "requires the gaussian-mixture"),
+]
+
+
+@pytest.mark.parametrize("call,args,fragment", MALFORMED_CALLS, ids=[m[2] for m in MALFORMED_CALLS])
+def test_malformed_input_raises_configuration_error(call, args, fragment):
+    with pytest.raises(bf.ConfigurationError, match=fragment):
+        call(*args)
+
+
 class TestConfigParsing:
     def test_unknown_top_level_key(self):
         with pytest.raises(bf.ConfigurationError, match="unknown config keys"):
@@ -159,6 +209,18 @@ class TestConfigParsing:
         echo = cfg.normalized()
         again = parse_config(json.loads(json.dumps(echo)))
         assert again.normalized() == echo
+
+    def test_f_block_echoes_and_round_trips(self, tmp_path):
+        cfg = parse_config(quad_config(dynamics={"variant": "gd-bd-fvariant", "dt": 0.1,
+                                                 "f": {"kind": "tanh", "beta": 2.0}}))
+        assert cfg.dynamics.f_spec == bf.FVariant(kind="tanh", beta=2.0)
+        echo = cfg.normalized()
+        assert echo["dynamics"]["f"] == {"kind": "tanh", "beta": 2.0}
+        assert parse_config(json.loads(json.dumps(echo))).normalized() == echo
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(quad_config(dynamics={"variant": "gd-bd-fvariant", "dt": 0.1,
+                                                         "f": {"kind": "tanh", "gamma": 2.0}})))
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
 
 
 class TestRunExperiment:
@@ -490,3 +552,55 @@ class TestVerifyCollector:
         assert collector.measured == {9: {"wall_seconds": 102.875, "bad": 1.0},
                                       11: {"wall_seconds": 2.0}}
         assert collector.outcomes == {9: ["pass", "fail"], 11: ["skipped"]}
+
+
+ACCEPTANCE_STUB = """
+import pytest
+
+
+def test_c01_passes(record_property):
+    record_property("max_relative_gap", 0.25)
+
+
+def test_c02_fails():
+    assert False
+
+
+@pytest.mark.slow
+def test_c03_is_slow():
+    pass
+"""
+
+
+class TestRunVerify:
+    @pytest.fixture
+    def stub_suite(self, tmp_path, monkeypatch):
+        (tmp_path / "test_acceptance.py").write_text(ACCEPTANCE_STUB)
+        monkeypatch.setattr(verify, "_find_tests_dir", lambda: tmp_path)
+        # the inner pytest imports the stub under the module name of the real suite
+        real = sys.modules.pop("test_acceptance", None)
+        yield tmp_path
+        sys.modules.pop("test_acceptance", None)
+        if real is not None:
+            sys.modules["test_acceptance"] = real
+
+    @staticmethod
+    def check(verdict):
+        status = {c["criterion"]: c["status"] for c in verdict["criteria"]}
+        assert (status[1], status[2], status[3]) == ("pass", "fail", "skipped")
+        assert all(status[k] == "skipped" for k in range(4, 13))
+        measured = verdict["criteria"][0]["measured"]
+        assert measured["max_relative_gap"] == 0.25 and measured["wall_seconds"] >= 0.0
+        assert verdict["level"] == "fast" and verdict["exit_code"] == 1
+
+    def test_run_verify_reports_each_criterion(self, stub_suite):
+        out = stub_suite / "report" / "verdict.json"
+        code, verdict = verify.run_verify(level="fast", report_path=out, quiet=True)
+        assert code == 1
+        self.check(verdict)
+        assert json.loads(out.read_text()) == verdict
+
+    def test_cli_verify_exit_code_and_report(self, stub_suite):
+        out = stub_suite / "verdict.json"
+        assert cli_main(["verify", "--level", "fast", "--out", str(out), "--quiet"]) == 1
+        self.check(json.loads(out.read_text()))

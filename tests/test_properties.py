@@ -7,8 +7,8 @@ a hand-written loop over seeds bitwise.  `Ensemble.regroup` moves rows,
 weights, birth ids and the carried field to any rebuilt population, and a
 birth-death pass, which skips that rebuild when it draws no event, equals a
 pass that always rebuilds.  After exact-event KMC every row is one of the
-initial rows, and its sampler's tree sums and slot blocks stay exact across
-any moves.
+initial rows, and its sampler's counts, tree sums and rank descent stay exact
+across any moves.
 Also: a committed config with any one value replaced by a malformed one
 either parses, and then round-trips through its echo, or raises
 ConfigurationError."""
@@ -365,7 +365,7 @@ def test_kmc_rows_are_initial_rows(name, n, seed, horizon, alpha):
     bf.kmc_run(model, ens, bf.DynamicsConfig(variant="kmc-bd", dt=1.0, alpha=alpha), horizon, rng)
     assert all(np.any(np.all(initial == row, axis=1)) for row in ens.thetas)
     assert len(set(ens.birth_ids.tolist())) == n
-    kept = ens.birth_ids < n  # an initial id stays only on its own, never overwritten, row
+    kept = ens.birth_ids < n  # an initial id stays on its own row while its value survives
     assert np.array_equal(ens.thetas[kept], initial[ens.birth_ids[kept]])
 
 
@@ -374,17 +374,15 @@ def test_kmc_rows_are_initial_rows(name, n, seed, horizon, alpha):
 def test_kmc_sampler_moves_keep_its_sums_and_slots(n, seed, ties):
     rng = np.random.default_rng(seed)
     f = np.sort(rng.integers(-3, 4, n).astype(float) if ties else rng.normal(size=n))
-    rank = rng.integers(n, size=n)
-    pop = _RankPopulation(f, rank)
-    for slot, to in zip(rng.integers(n, size=1000).tolist(), rng.integers(n, size=1000).tolist()):
-        pop.move(slot, to)
-        rank[slot] = to
+    rank = rng.integers(n, size=n)  # one rank per particle, kept here only
+    pop = _RankPopulation(f, np.bincount(rank, minlength=n))
+    for i, to in zip(rng.integers(n, size=1000).tolist(), rng.integers(n, size=1000).tolist()):
+        pop.move(int(rank[i]), to)
+        rank[i] = to
     count = np.bincount(rank, minlength=n)
-    assert pop.rank.tolist() == rank.tolist() and pop.count.tolist() == count.tolist()
-    for r in range(n):
-        block = pop.pool[pop.start[r] : pop.start[r] + count[r]]
-        assert sorted(block) == np.flatnonzero(rank == r).tolist()
-    assert all(pop.pool[pop.start[rank[s]] + pop.pos[s]] == s for s in range(n))
+    assert pop.count == count.tolist()
+    cum = np.cumsum(count)
+    assert [pop._rank_holding(m) for m in range(1, n + 1)] == np.searchsorted(cum, np.arange(1, n + 1)).tolist()
     tol = 1e-12 * max(1.0, float(np.sum(count * np.abs(f))))
     for p in range(n + 1):
         c, s = pop._prefix(p)
