@@ -36,11 +36,18 @@ _NODE_RE = re.compile(r"test_c(\d{2})")
 class _Collector:
     """Pytest plugin recording outcome and measured values per criterion, and
     its wall time: the setup, call and teardown durations of all its tests,
-    so a shared fixture counts where it is set up."""
+    so a shared fixture counts where it is set up; and each collection error."""
 
     def __init__(self):
         self.outcomes: dict[int, list] = {}
         self.measured: dict[int, dict] = {}
+        self.errors: list[str] = []
+
+    def pytest_collectreport(self, report):
+        if report.failed:  # named by the report's last `E ` line, else its whole text
+            text = report.longreprtext
+            errors = [ln[1:].strip() for ln in text.splitlines() if ln.startswith("E ")]
+            self.errors.append(f"{report.nodeid}: {errors[-1] if errors else text.strip()}")
 
     def pytest_runtest_logreport(self, report):
         m = _NODE_RE.search(report.nodeid)
@@ -79,7 +86,10 @@ def run_verify(level: str = "full", report_path=None, quiet: bool = False) -> tu
         raise ConfigurationError(f"level must be fast or full, got {level!r}")
     tests = _find_tests_dir()
     collector = _Collector()
-    args = [str(tests / "test_acceptance.py"), "-q", "-p", "no:cacheprovider"]
+    # importlib mode names the file by its path under the rootdir, not by the
+    # bare `test_acceptance` a process may already hold for another file
+    args = [str(tests / "test_acceptance.py"), "-q", "-p", "no:cacheprovider",
+            "--import-mode=importlib", f"--rootdir={tests.parent}"]
     if level == "fast":
         args += ["-m", "not slow"]
     if quiet:
@@ -89,7 +99,9 @@ def run_verify(level: str = "full", report_path=None, quiet: bool = False) -> tu
     criteria = []
     for num in sorted(CRITERIA):
         outcomes = collector.outcomes.get(num, [])
-        status = "fail" if "fail" in outcomes else "pass" if "pass" in outcomes else "skipped"
+        # a criterion whose tests did not run because of a collection error fails
+        failed = "fail" in outcomes or (collector.errors and not outcomes)
+        status = "fail" if failed else "pass" if "pass" in outcomes else "skipped"
         criteria.append(
             {
                 "criterion": num,
@@ -98,11 +110,14 @@ def run_verify(level: str = "full", report_path=None, quiet: bool = False) -> tu
                 "measured": collector.measured.get(num, {}),
             }
         )
-    any_fail = any(c["status"] == "fail" for c in criteria)
+    any_fail = any(c["status"] == "fail" for c in criteria) or collector.errors
     # a nonzero pytest code with no mapped failure still fails the verdict
     exit_code = 1 if (any_fail or code not in (0, 5)) else 0
-    verdict = {"schema_version": 1, "level": level, "exit_code": exit_code, "criteria": criteria}
+    verdict = {"schema_version": 1, "level": level, "exit_code": exit_code,
+               "collection_errors": collector.errors, "criteria": criteria}
 
+    for error in collector.errors:
+        print(f"[collection] ERROR  {error}")
     for c in criteria:
         mark = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[c["status"]]
         print(f"[criterion {c['criterion']:02d}] {mark}  {c['name']}")

@@ -59,21 +59,43 @@ _INV_FACT = np.cumprod(np.r_[1.0, 1.0 / np.arange(1, _HERMITE_ORDER + 1)])  # 1 
 
 def _gauss_block(a: np.ndarray, b: np.ndarray, var) -> np.ndarray:
     """Gaussian density N(a_i; b_j, var_ij I) as an (na, nb) matrix; `var` is
-    a scalar or broadcasts to (na, nb).  Squared differences are summed per
-    coordinate, so distances are never negative and need no clamp.  The normaliser
-    takes scalar `**` per variance: numpy's SIMD power (AVX-512) rounds it 1 ulp
-    off for about 5% of variances, where the scalar power is correctly rounded."""
+    a scalar or broadcasts to (na, nb).  Each coordinate's differences
+    a_ik - b_jk are one BLAS product [a_k, 1] @ [1; -b_k].  That is exact:
+    both products by 1.0 are exact and their two-term sum is rounded once, so
+    every entry is IEEE a - b bit for bit, in either order and under any BLAS
+    thread count.  Squared differences are summed per coordinate, so
+    distances are never negative and need no clamp."""
     d = a.shape[1]
-    d2 = a[:, 0, None] - b[None, :, 0]
+    lhs = np.ones((d, a.shape[0], 2))
+    lhs[:, :, 0] = a.T
+    rhs = np.ones((d, 2, b.shape[0]))
+    np.negative(b.T, out=rhs[:, 1])
+    diff = lhs @ rhs
+    d2 = diff[0]
     d2 *= d2
     for k in range(1, d):
-        diff = a[:, k, None] - b[None, :, k]
-        diff *= diff
-        d2 += diff
-    d2 *= -1.0 / (2.0 * var)
+        diff[k] *= diff[k]
+        d2 += diff[k]
+    var = np.asarray(var, dtype=float)
+    scale, norm = _gauss_factors(var.tobytes(), var.shape, d)
+    d2 *= scale
     np.exp(d2, out=d2)
-    d2 *= np.asarray(_scalar_pow(2.0 * np.pi * var, -d / 2.0), dtype=float)
+    d2 *= norm
     return d2
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_factors(var: bytes, shape: tuple, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exponent's factor -1 / (2 var) and the normaliser (2 pi var)^(-d/2)
+    for the float64 variances with these bytes and shape, formed once per
+    distinct variance.  The normaliser takes scalar `**` per variance: numpy's
+    SIMD power (AVX-512) rounds it 1 ulp off for about 5% of variances, where
+    the scalar power is correctly rounded."""
+    var = np.frombuffer(var).reshape(shape)
+    scale = np.asarray(-1.0 / (2.0 * var))
+    norm = np.asarray(_scalar_pow(2.0 * np.pi * var, -d / 2.0), dtype=float)
+    scale.flags.writeable = norm.flags.writeable = False  # shared by every later call
+    return scale, norm
 
 
 @functools.lru_cache(maxsize=8)
@@ -299,6 +321,9 @@ class GaussianMixtureModel(PotentialModel):
             raise ConfigurationError("frozen_c applies only to amplitude_mode 'frozen'")
         d = self.target_y.shape[1]
         self.theta_dim = d + (1 if self.has_amplitude else 0)
+        # `single`'s per-component constants, which no row changes
+        self._target_var = (self.sigma * self.sigma + self.target_sigma**2)[:, None]
+        self._target_c = self.target_c[:, None]
 
     # -- layout helpers ---------------------------------------------------
     def _split(self, thetas):
@@ -313,10 +338,9 @@ class GaussianMixtureModel(PotentialModel):
         components is -F / c and the amplitude column of grad F."""
         c, y = self._split(self._check(thetas))
         m = self.target_c.size
-        var = (self.sigma * self.sigma + self.target_sigma**2)[:, None]
-        block = self.target_c[:, None] * _gauss_block(self.target_y, y, var)
+        block = self._target_c * _gauss_block(self.target_y, y, self._target_var)
         resp = block.sum(axis=0) / m
-        grad = ((block / var)[:, :, None] * (self.target_y[:, None] - y[None])).sum(axis=0)
+        grad = ((block / self._target_var)[:, :, None] * (self.target_y[:, None] - y[None])).sum(axis=0)
         grad *= -(c / m)[:, None]
         if self.has_amplitude:
             grad = np.hstack([-resp[:, None], grad])
@@ -354,12 +378,15 @@ class GaussianMixtureModel(PotentialModel):
             dev = dev[:, None]
         else:
             wcy = wc[:, None] * yb
-            base = np.zeros(a.shape[0])  # sum_j w_j c_j N_ij
-            mom = np.zeros(ya.shape)  # sum_j w_j c_j N_ij y_j
+            base = np.empty(a.shape[0])  # sum_j w_j c_j N_ij
+            mom = np.empty(ya.shape)  # sum_j w_j c_j N_ij y_j
             step = max(_TILE, _TILE * _TILE // max(b.shape[0], 1))
             for i0 in range(0, a.shape[0], step):
                 rows = slice(i0, i0 + step)
-                for j0 in range(0, b.shape[0], _TILE):
+                blk = _gauss_block(ya[rows], yb[:_TILE], var)  # the first tile sets the sums
+                np.matmul(blk, wc[:_TILE], out=base[rows])
+                np.matmul(blk, wcy[:_TILE], out=mom[rows])
+                for j0 in range(_TILE, b.shape[0], _TILE):
                     cols = slice(j0, j0 + _TILE)
                     blk = _gauss_block(ya[rows], yb[cols], var)
                     base[rows] += blk @ wc[cols]
@@ -471,24 +498,34 @@ def field(model: PotentialModel, ens, batch=None, points=None) -> tuple[np.ndarr
     if points is None and (carried := ens._carried_field(model)) is not None:
         return carried
     x = ens.thetas if points is None else np.atleast_2d(require_array(points, "points", (1, 2)))
-    v, grad = model.single(x)
-    if model.is_interacting:
-        vsum, fsum = model.kernel_weighted_sums(x, ens.thetas, ens.weights)
-        v += vsum / ens.n
-        grad = grad + fsum / ens.n
-        if points is None:
-            ens._carry_field(model, v, grad)
-    return v, grad
+    return _evaluate(model, ens, x, carry=points is None)[1:]
+
+
+def _evaluate(model: PotentialModel, ens, x: np.ndarray, carry: bool):
+    """(F, V, grad V) at the rows `x` from one `single` pass and, for an
+    interacting model, one pairwise pass; `carry` carries V and grad V."""
+    f, grad = model.single(x)
+    if not model.is_interacting:
+        return f, f, grad
+    vsum, fsum = model.kernel_weighted_sums(x, ens.thetas, ens.weights)
+    v, grad = f + vsum / ens.n, grad + fsum / ens.n
+    if carry:
+        ens._carry_field(model, v, grad)
+    return f, v, grad
 
 
 def ensemble_energy(model: PotentialModel, ens) -> float:
     """E = n^-1 sum w_i F_i + (2 n^2)^-1 sum_ij w_i w_j K_ij; an interacting
-    model reads the pair term as (2n)^-1 sum_i w_i (V_i - F_i) from `field`."""
+    model reads the pair term as (2n)^-1 sum_i w_i (V_i - F_i), with V carried
+    or formed beside F from the same `single` pass."""
     n = ens.n
-    f = model.single(ens.thetas)[0]
+    if model.is_interacting and (carried := ens._carried_field(model)) is not None:
+        f, v = model.single(ens.thetas)[0], carried[0]
+    else:
+        f, v, _ = _evaluate(model, ens, ens.thetas, carry=True)
     e = float(ens.weights @ f) / n
     if model.is_interacting:
-        e += 0.5 * float(ens.weights @ (field(model, ens)[0] - f)) / n
+        e += 0.5 * float(ens.weights @ (v - f)) / n
     return e
 
 

@@ -3,7 +3,7 @@ import sys
 import tempfile
 from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -604,3 +604,28 @@ class TestRunVerify:
         out = stub_suite / "verdict.json"
         assert cli_main(["verify", "--level", "fast", "--out", str(out), "--quiet"]) == 1
         self.check(json.loads(out.read_text()))
+
+    def test_collection_error_fails_every_criterion_and_names_the_error(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "test_acceptance.py").write_text("def test_c01_broken(:\n    pass\n")
+        monkeypatch.setattr(verify, "_find_tests_dir", lambda: tmp_path)
+        code, verdict = verify.run_verify(level="fast", quiet=True)
+        assert code == verdict["exit_code"] == 1
+        [error] = verdict["collection_errors"]
+        assert "test_acceptance.py" in error and "SyntaxError" in error
+        assert all(c["status"] == "fail" for c in verdict["criteria"])
+        out = capsys.readouterr().out
+        assert f"[collection] ERROR  {error}" in out and "SKIP" not in out
+
+    def test_two_runs_in_one_process_collect_the_stub(self, tmp_path, monkeypatch):
+        # a process that collected the real suite holds a `test_acceptance`
+        # module of another file; neither run may import the stub by that name
+        (tmp_path / "test_acceptance.py").write_text(ACCEPTANCE_STUB)
+        monkeypatch.setattr(verify, "_find_tests_dir", lambda: tmp_path)
+        held = ModuleType("test_acceptance")
+        held.__file__ = str(Path(__file__).with_name("test_acceptance.py"))
+        monkeypatch.setitem(sys.modules, "test_acceptance", held)
+        for _ in range(2):
+            code, verdict = verify.run_verify(level="fast", quiet=True)
+            assert code == 1 and verdict["collection_errors"] == []
+            self.check(verdict)
+        assert sys.modules["test_acceptance"] is held

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,6 +256,26 @@ def test_one_target_block_per_field_call(mixture_3c, monkeypatch):
     assert calls.count(True) == 1
 
 
+def test_one_target_block_per_uncarried_energy_call(mixture_3c, monkeypatch):
+    """An energy call on an ensemble that carries no field forms F once: the
+    same `single` pass gives F and the V it reads the pair term from."""
+    calls = []
+
+    def spy(a, b, var):
+        calls.append(a is mixture_3c.target_y)
+        return _gauss_block(a, b, var)
+
+    rng = np.random.default_rng(9)
+    ens = make_ensemble(rng.normal(size=(6, 2)), rng.uniform(0.5, 1.5, 6))
+    ens.weights /= ens.weights.mean()
+    f = mixture_3c.single(ens.thetas)[0]
+    v = bf.field(mixture_3c, make_ensemble(ens.thetas, ens.weights))[0]
+    want = float(ens.weights @ f) / 6 + 0.5 * float(ens.weights @ (v - f)) / 6
+    monkeypatch.setattr(bf.potentials, "_gauss_block", spy)
+    assert bf.ensemble_energy(mixture_3c, ens) == want
+    assert calls.count(True) == 1
+
+
 class TestGradientChecks:
     """Analytic gradients vs central differences (h = 1e-5, rel err < 1e-6)."""
 
@@ -388,6 +413,77 @@ class TestTiledKernel:
         assert shapes == [(3000, 20)]
         for got_part, want in zip(got, single_block_sums(model, a, b, w)):
             assert np.array_equal(got_part, want)
+
+
+def broadcast_gauss_block(a, b, var):
+    """The Gaussian block with each coordinate's differences formed by
+    broadcast subtraction, the formula `_gauss_block` replaced."""
+    d = a.shape[1]
+    d2 = a[:, 0, None] - b[None, :, 0]
+    d2 *= d2
+    for k in range(1, d):
+        diff = a[:, k, None] - b[None, :, k]
+        diff *= diff
+        d2 += diff
+    d2 *= -1.0 / (2.0 * var)
+    np.exp(d2, out=d2)
+    d2 *= np.asarray(np.frompyfunc(pow, 2, 1)(2.0 * np.pi * var, -d / 2.0), dtype=float)
+    return d2
+
+
+BLOCK_BYTES = """
+import hashlib
+import numpy as np
+from bdflow.potentials import _gauss_block
+rng = np.random.default_rng(19)
+blocks = [_gauss_block(rng.normal(scale=2.0, size=(192, d)), rng.normal(scale=2.0, size=(192, d)), 0.32)
+          for d in (1, 2)]
+print(hashlib.sha256(b"".join(blk.tobytes() for blk in blocks)).hexdigest())
+"""
+
+
+class TestGaussBlock:
+    """`_gauss_block` forms each coordinate's differences as a BLAS product,
+    which is exact, so it equals the broadcast formula bit for bit: at any
+    magnitude, with repeated and shared rows, for every shape of `var`, and
+    under any BLAS thread count."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(na=st.integers(1, 300), nb=st.integers(1, 300), d=st.integers(1, 3),
+           magnitude=st.integers(-8, 8), spread=st.integers(-8, 8),
+           var_shape=st.sampled_from(["scalar", "column", "full"]),
+           repeated=st.booleans(), shared=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_broadcast_formula(self, na, nb, d, magnitude, spread, var_shape,
+                                          repeated, shared, seed):
+        # rows within 10^spread of a centre 10^magnitude out, so a - b cancels
+        # up to 16 digits, with variances on the scale of the spread
+        rng = np.random.default_rng(seed)
+        spread = min(spread, magnitude)
+        centre = rng.uniform(-1.0, 1.0, d) * 10.0**magnitude
+        a = centre + rng.normal(scale=10.0**spread, size=(na, d))
+        b = centre + rng.normal(scale=10.0**spread, size=(nb, d))
+        if repeated:
+            a = a[rng.integers(0, na, na)]
+        if shared:
+            b[rng.random(nb) < 0.5] = a[0]
+        scale = 10.0 ** (2 * spread)
+        var = {"scalar": scale * rng.uniform(0.2, 5.0),
+               "column": scale * rng.uniform(0.2, 5.0, (na, 1)),
+               "full": scale * rng.uniform(0.2, 5.0, (na, nb))}[var_shape]
+        got = _gauss_block(a, b, var)
+        assert got.shape == (na, nb)
+        assert got.tobytes() == broadcast_gauss_block(a, b, var).tobytes()
+
+    def test_same_bytes_under_one_and_two_blas_threads(self):
+        path = str(Path(bf.__file__).resolve().parents[1])
+        digests = {
+            threads: subprocess.run(
+                [sys.executable, "-c", BLOCK_BYTES], capture_output=True, text=True, check=True,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+            ).stdout
+            for threads in ("1", "2")
+        }
+        assert digests["1"] == digests["2"] and len(digests["1"].strip()) == 64
 
 
 def tiled_sums(model, a, b, w):
