@@ -24,11 +24,12 @@ Fenwick trees over the sorted initial F values update in O(log n) per event.
 Every scheme that builds a new population from copies of old particles (the
 birth-death pass, resampling and KMC) only chooses the source row of each new
 row and which rows are copies; ``Ensemble.regroup`` builds the rows, weights
-and birth ids.  For interacting exact models a step makes one pairwise pass:
-the rates read (V, grad V) from ``potentials.field`` after transport,
-``regroup`` carries them to the new rows, and the next transport step reuses
-them.  A birth-death pass that draws no kill and no clone rebuilds nothing:
-the population and the field it carries stay as they are.
+and birth ids.  Only ``run_step`` forms rates; a birth-death pass is arithmetic
+on the rates it is given.  For interacting exact models a step makes one
+pairwise pass: ``potentials.field`` carries (F, V, grad V) after transport,
+``potentials.regroup_field`` moves the record to the new rows, and the next
+transport step and the energy reuse it.  A birth-death pass that draws no kill
+and no clone rebuilds nothing: the population and its record stay as they are.
 
 RNG draw order per step is fixed (minibatch, then Bernoulli uniforms, then
 population-control picks) so trajectories reproduce bitwise from a seed.
@@ -186,12 +187,6 @@ def fvariant_rate(model: PotentialModel, ens: Ensemble, f_spec: FVariant,
     return fv - fv.mean()
 
 
-def _effective_rates(model, ens, cfg, batch=None):
-    if cfg.variant == "gd-bd-fvariant":
-        return fvariant_rate(model, ens, cfg.f_spec, batch)
-    return centered_rate(model, ens, batch)
-
-
 # ---------------------------------------------------------------------------
 # transport
 
@@ -224,8 +219,8 @@ def bernoulli_phase(rates: np.ndarray, alpha: float, dt: float, rng: np.random.G
     return (rates > 0) & hit, (rates < 0) & hit
 
 
-def _birth_death_pass(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
-                      rng: np.random.Generator, rates: np.ndarray | None, prior) -> StepReport:
+def _birth_death_pass(ens: Ensemble, cfg: DynamicsConfig, rng: np.random.Generator,
+                      rates: np.ndarray, prior) -> StepReport:
     """One Bernoulli kill/duplicate pass on frozen rates, then exact head-count
     control: excess is removed uniformly, and a deficit is refilled by uniform
     cloning or, when `prior` is given, by zero-amplitude rows whose positions
@@ -233,9 +228,7 @@ def _birth_death_pass(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
     the field; a pass that draws no event returns before it, leaving the
     population as it was.  Given `rates` must be one finite real per particle."""
     n0 = ens.n
-    if rates is None:
-        rates = _effective_rates(model, ens, cfg)
-    elif not (isinstance(rates, np.ndarray) and rates.dtype == np.float64):
+    if not (isinstance(rates, np.ndarray) and rates.dtype == np.float64):
         rates = require_array(rates, "rates", (1,))
     if rates.shape != (n0,):
         raise ConfigurationError(f"rates must hold one entry per particle, shape ({n0},), got {rates.shape}")
@@ -274,18 +267,18 @@ def _birth_death_pass(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
     return report
 
 
-def birth_death_step(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
-                     rng: np.random.Generator, rates: np.ndarray | None = None) -> StepReport:
+def birth_death_step(ens: Ensemble, cfg: DynamicsConfig, rng: np.random.Generator,
+                     rates: np.ndarray) -> StepReport:
     """Birth-death pass whose deficit refill clones uniform survivors."""
-    return _birth_death_pass(model, ens, cfg, rng, rates, prior=None)
+    return _birth_death_pass(ens, cfg, rng, rates, prior=None)
 
 
 def reinjection_step(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
-                     rng: np.random.Generator, rates: np.ndarray | None = None) -> StepReport:
+                     rng: np.random.Generator, rates: np.ndarray) -> StepReport:
     """Birth-death pass whose deficit refill samples fresh particles with zero
-    amplitude and positions from the configured prior."""
+    amplitude and positions from the configured prior, in `model`'s row layout."""
     check_model_support(model, "gd-bd-reinjection", cfg.reinjection_prior)
-    return _birth_death_pass(model, ens, cfg, rng, rates, prior=cfg.reinjection_prior)
+    return _birth_death_pass(ens, cfg, rng, rates, prior=cfg.reinjection_prior)
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +591,12 @@ def run_step(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
     elif variant == "proximal":
         proximal_weight_update(model, ens, cfg.tau)
         report = resample_weights(ens, rng)
+    elif variant == "gd-bd-reinjection":
+        report = reinjection_step(model, ens, cfg, rng, centered_rate(model, ens, batch))
+    elif variant == "gd-bd-fvariant":
+        report = birth_death_step(ens, cfg, rng, fvariant_rate(model, ens, cfg.f_spec, batch))
     else:
-        rates = _effective_rates(model, ens, cfg, batch)
-        bd_pass = reinjection_step if variant == "gd-bd-reinjection" else birth_death_step
-        report = bd_pass(model, ens, cfg, rng, rates=rates)
+        report = birth_death_step(ens, cfg, rng, centered_rate(model, ens, batch))
 
     ens.step_count += cfg.substeps
     ens.time = ens.step_count * cfg.dt  # exact, no float accumulation drift

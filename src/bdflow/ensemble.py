@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, ExtinctionError, NumericError, require_array, require_int,
                      require_int_array)
-from .potentials import field as potential_field
+from .potentials import regroup_field
 
 WEIGHT_MEAN_RTOL = 1e-12
 
@@ -39,7 +39,7 @@ class Ensemble:
     step_count: int = 0
     time: float = 0.0
     next_birth_id: int = field(default=0)
-    # (model, thetas copy, weights copy, V, grad V) carried by potentials.field
+    # (model, thetas copy, weights copy, F, V, grad V) carried by potentials
     _field: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -87,34 +87,29 @@ class Ensemble:
             raise ConfigurationError(f"mean weight must be 1, got {mean_w!r}")
 
     def _carried_field(self, model):
-        """(V, grad V) if carried for `model` at exactly these rows and weights;
-        a carry that does not match is dropped, so no stale copy is held."""
+        """(F, V, grad V) if carried for `model` at exactly these rows and
+        weights; a carry that does not match is dropped, so no stale copy is held."""
         c = self._field
         if (c is not None and c[0] is model and np.array_equal(c[1], self.thetas)
                 and np.array_equal(c[2], self.weights)):
-            return c[3], c[4]
+            return c[3:]
         self._field = None
         return None
 
-    def _carry_field(self, model, v: np.ndarray, grad: np.ndarray) -> None:
-        """Carry (V, grad V) for these rows and weights, read-only as it is shared."""
-        v.flags.writeable = grad.flags.writeable = False
-        self._field = (model, self.thetas.copy(), self.weights.copy(), v, grad)
+    def _carry_field(self, model, f: np.ndarray, v: np.ndarray, grad: np.ndarray) -> None:
+        """Carry (F, V, grad V) for these rows and weights, read-only as it is shared."""
+        f.flags.writeable = v.flags.writeable = grad.flags.writeable = False
+        self._field = (model, self.thetas.copy(), self.weights.copy(), f, v, grad)
 
     def regroup(self, src: np.ndarray, copies: np.ndarray, fresh: np.ndarray | None = None) -> None:
         """Rebuild the population from the old rows.  New row i copies old row
         `src[i]` with its weight or, where `src[i] < 0`, takes the next row of
         `fresh` with weight 1.  Rows flagged in the boolean `copies`, and fresh
         rows, get new birth ids in row order; every other row keeps its
-        source's id.  A (V, grad V) carried for the old rows moves to the new
-        ones: a kept or copied row takes its source's values plus the kernel
-        sums against the old rows whose count changed (weight w * (count - 1))
-        and the fresh rows, which `field` evaluates as points.  That costs n pair
-        evaluations per changed or fresh row."""
-        model = self._field[0] if self._field is not None else None
-        carried = self._carried_field(model)
-        old_thetas, old_weights = self.thetas, self.weights
-        self.thetas, self.weights, self.birth_ids = old_thetas[src], old_weights[src], self.birth_ids[src]
+        source's id.  The field record carried for the old rows, if any, is
+        passed on to `potentials.regroup_field`, which moves it to the new ones."""
+        record = self._field if self._field and self._carried_field(self._field[0]) else None
+        self.thetas, self.weights, self.birth_ids = self.thetas[src], self.weights[src], self.birth_ids[src]
         born = copies
         if fresh is not None:
             new = src < 0
@@ -124,23 +119,7 @@ class Ensemble:
         n_born = int(np.count_nonzero(born))
         self.birth_ids[born] = np.arange(self.next_birth_id, self.next_birth_id + n_born)
         self.next_birth_id += n_born
-        if carried is None or src.size != old_thetas.shape[0]:
-            return
-        n = self.n
-        kept = slice(None) if fresh is None else np.flatnonzero(~new)
-        count = np.bincount(src[kept], minlength=n)
-        changed = np.flatnonzero(count != 1)
-        b, w = old_thetas[changed], old_weights[changed] * (count[changed] - 1)
-        v, grad = carried[0][src], carried[1][src]  # fresh rows are overwritten below
-        if fresh is not None:
-            b, w = np.vstack([b, fresh]), np.concatenate([w, np.ones(len(fresh))])
-        if b.shape[0]:
-            vsum, fsum = model.kernel_weighted_sums(self.thetas[kept], b, w)
-            v[kept] += vsum / n
-            grad[kept] += fsum / n
-        if fresh is not None:
-            v[new], grad[new] = potential_field(model, self, points=fresh)
-        self._carry_field(model, v, grad)
+        regroup_field(self, record, src, fresh)
 
 
 def init_from_sampler(sampler, n: int, k: int, seed: int) -> Ensemble:

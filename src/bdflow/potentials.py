@@ -11,8 +11,8 @@ Four kinds are implemented:
   available through minibatch estimates.
 
 An exact model's one single-particle method, ``single(thetas)``, returns F
-and grad F together, since every step reads both; ``field`` is the only
-caller that adds the interaction, and ``ensemble_energy`` beside it is the one
+and grad F together, since every step reads both; only ``field`` and
+``regroup_field`` add the interaction, and ``ensemble_energy`` is the one
 energy E = int F dmu + 1/2 iint K dmu dmu, of particles and grid nodes alike.
 Parameter rows are ``(c, y_1..y_d)`` for amplitude models and plain positions
 otherwise.  All closed-form gradients are hand-derived and checked against
@@ -483,9 +483,9 @@ class ReLUStudentTeacherModel(PotentialModel):
 def field(model: PotentialModel, ens, batch=None, points=None) -> tuple[np.ndarray, np.ndarray]:
     """(V, grad V), V = F + n^-1 sum_j w_j K(., theta_j), from one pairwise pass.
 
-    At the particles an interacting model's result is carried on the ensemble
-    and returned while the model is the same object and the rows and weights
-    equal the stored copies; the birth-death pass carries it to new rows.
+    At the particles an interacting model's (F, V, grad V) is carried on the
+    ensemble and read while the model is the same object and the rows and
+    weights equal the stored copies; `regroup_field` moves it to new rows.
     `points`, finite rows of rank 1 (one row) or 2, are evaluated instead,
     without reading or writing the carry.  A minibatch model estimates both at
     the particles only, from `batch`.
@@ -496,33 +496,58 @@ def field(model: PotentialModel, ens, batch=None, points=None) -> tuple[np.ndarr
         grad = model.batch_grad_V(ens.thetas, ens.weights, batch)
         return ens.thetas[:, 0] * grad[:, 0], grad
     if points is None and (carried := ens._carried_field(model)) is not None:
-        return carried
+        return carried[1:]
     x = ens.thetas if points is None else np.atleast_2d(require_array(points, "points", (1, 2)))
     return _evaluate(model, ens, x, carry=points is None)[1:]
 
 
 def _evaluate(model: PotentialModel, ens, x: np.ndarray, carry: bool):
     """(F, V, grad V) at the rows `x` from one `single` pass and, for an
-    interacting model, one pairwise pass; `carry` carries V and grad V."""
+    interacting model, one pairwise pass; `carry` carries all three."""
     f, grad = model.single(x)
     if not model.is_interacting:
         return f, f, grad
     vsum, fsum = model.kernel_weighted_sums(x, ens.thetas, ens.weights)
     v, grad = f + vsum / ens.n, grad + fsum / ens.n
     if carry:
-        ens._carry_field(model, v, grad)
+        ens._carry_field(model, f, v, grad)
     return f, v, grad
+
+
+def regroup_field(ens, record: tuple | None, src: np.ndarray, fresh: np.ndarray | None) -> None:
+    """Move `record`, the (model, rows, weights, F, V, grad V) of the rows that
+    `Ensemble.regroup` rebuilt into `ens` from `src` and `fresh`, if it is not
+    None and n is unchanged.  A kept or copied row takes its source's F, V and
+    grad V, the last two plus the kernel sums against the old rows whose count
+    changed (weight w * (count - 1)) and the fresh rows, which take all three
+    from `_evaluate`: n pair evaluations per changed or fresh row."""
+    if record is None or src.size != record[1].shape[0]:
+        return
+    model, old_thetas, old_weights, f, v, grad = record
+    n = ens.n
+    kept = slice(None) if fresh is None else np.flatnonzero(src >= 0)
+    count = np.bincount(src[kept], minlength=n)
+    changed = np.flatnonzero(count != 1)
+    b, w = old_thetas[changed], old_weights[changed] * (count[changed] - 1)
+    f, v, grad = f[src], v[src], grad[src]
+    if fresh is not None:
+        new = src < 0
+        f[new], v[new], grad[new] = _evaluate(model, ens, fresh, carry=False)
+        b, w = np.vstack([b, fresh]), np.concatenate([w, np.ones(len(fresh))])
+    if b.shape[0]:
+        vsum, fsum = model.kernel_weighted_sums(ens.thetas[kept], b, w)
+        v[kept] += vsum / n
+        grad[kept] += fsum / n
+    ens._carry_field(model, f, v, grad)
 
 
 def ensemble_energy(model: PotentialModel, ens) -> float:
     """E = n^-1 sum w_i F_i + (2 n^2)^-1 sum_ij w_i w_j K_ij; an interacting
-    model reads the pair term as (2n)^-1 sum_i w_i (V_i - F_i), with V carried
-    or formed beside F from the same `single` pass."""
+    model reads the pair term as (2n)^-1 sum_i w_i (V_i - F_i).  F and V are
+    read from the carried record or else come from one `_evaluate`, which
+    carries them."""
+    f, v, _ = ens._carried_field(model) or _evaluate(model, ens, ens.thetas, carry=True)
     n = ens.n
-    if model.is_interacting and (carried := ens._carried_field(model)) is not None:
-        f, v = model.single(ens.thetas)[0], carried[0]
-    else:
-        f, v, _ = _evaluate(model, ens, ens.thetas, carry=True)
     e = float(ens.weights @ f) / n
     if model.is_interacting:
         e += 0.5 * float(ens.weights @ (v - f)) / n

@@ -1,13 +1,14 @@
 """The public names of the `bdflow` package, pinned: adding or removing one is
-an API change that must show up here.  The carried (V, grad V) is private to
-its owner: only `ensemble.py` and `potentials.py` may name it.  They are also
-the only modules that sum the pairwise kernel, so `field` stays the one place
-V = F + n^-1 sum_j w_j K(., theta_j) is formed, with `Ensemble.regroup`
-moving it to new rows.  No module but `potentials.py` forms a kernel matrix
-with `K_block` either: the grid reads V through `field` too, with its cells as
-weighted nodes, and `K_block` is the tests' dense reference.  The modules form
-a strict layering: each imports, at module level only, modules before it in
-`LAYERS`, so the package's import graph has no cycle."""
+an API change that must show up here.  The carried (F, V, grad V) is private
+to its owner: only `ensemble.py` and `potentials.py` may name it.  Only
+`potentials.py` sums the pairwise kernel, so `field` stays the one place
+V = F + n^-1 sum_j w_j K(., theta_j) is formed, with `regroup_field` beside it
+moving the record to the rows `Ensemble.regroup` rebuilt.  No module but
+`potentials.py` forms a kernel matrix with `K_block` either: the grid reads V
+through `field` too, with its cells as weighted nodes, and `K_block` is the
+tests' dense reference.  The modules form a strict layering: each imports, at
+module level only, modules before it in `LAYERS`, so the package's import
+graph has no cycle."""
 
 import ast
 import re
@@ -59,7 +60,7 @@ def test_carried_field_is_named_only_by_its_owners():
 
 def test_pairwise_sums_are_called_only_by_the_field_owners():
     offenders = sorted(name for name, text in package_sources().items()
-                       if name not in CARRY_OWNERS and KERNEL_CALL.search(text))
+                       if name != "potentials.py" and KERNEL_CALL.search(text))
     assert offenders == []
 
 

@@ -109,8 +109,8 @@ class TestBirthDeathStep:
     def test_zero_rate_leaves_population_alone(self, quad_1d):
         ens = make_ensemble([[1.0], [1.0], [1.0]])  # identical -> vt = 0
         before = ens.thetas.copy()
-        rep = bf.birth_death_step(quad_1d, ens, bf.DynamicsConfig(variant="bd-only", dt=0.1),
-                                  np.random.default_rng(5))
+        rep = bf.birth_death_step(ens, bf.DynamicsConfig(variant="bd-only", dt=0.1),
+                                  np.random.default_rng(5), rates=bf.centered_rate(quad_1d, ens))
         assert rep.births == rep.deaths == 0
         np.testing.assert_array_equal(ens.thetas, before)
 
@@ -132,7 +132,7 @@ class TestBirthDeathStep:
         kills = dups = 0
         for _ in range(trials):
             ens = ens0.copy()
-            rep = bf.birth_death_step(quad_1d, ens, cfg, rng)
+            rep = bf.birth_death_step(ens, cfg, rng, rates=bf.centered_rate(quad_1d, ens))
             kills += rep.deaths
             dups += rep.births
         sigma = np.sqrt(p * (1 - p) / trials)
@@ -153,7 +153,7 @@ class TestBirthDeathStep:
                 e0 = bf.ensemble_energy(quad_1d, ens)
                 for _ in range(10):
                     rates = flip * bf.centered_rate(quad_1d, ens)
-                    bf.birth_death_step(quad_1d, ens, cfg, rng, rates=rates)
+                    bf.birth_death_step(ens, cfg, rng, rates=rates)
                 total += bf.ensemble_energy(quad_1d, ens) - e0
             drift[flip] = total / 40
         assert drift[1.0] < 0.0 < drift[-1.0]
@@ -162,7 +162,7 @@ class TestBirthDeathStep:
         # force a kill with certainty: huge positive rate on particle 0
         ens = make_ensemble([[10.0], [0.1], [0.0]])
         cfg = bf.DynamicsConfig(variant="bd-only", dt=5.0, alpha=10.0)
-        rep = bf.birth_death_step(quad_1d, ens, cfg, np.random.default_rng(9))
+        rep = bf.birth_death_step(ens, cfg, np.random.default_rng(9), rates=bf.centered_rate(quad_1d, ens))
         assert ens.n == 3
         assert rep.deaths >= 1
         assert not np.any(ens.thetas[:, 0] == 10.0)
@@ -173,14 +173,14 @@ class TestBirthDeathStep:
         monkeypatch.setattr(bf.Ensemble, "regroup",
                             lambda ens, *args: calls.append(ens.n) or regroup(ens, *args))
         ens = make_ensemble(np.random.default_rng(16).normal(size=(6, 2)))
-        bf.field(mixture_3c, ens)  # carry (V, grad V)
+        bf.field(mixture_3c, ens)  # carry (F, V, grad V)
         thetas, carried = ens.thetas, ens._carried_field(mixture_3c)
-        rep = bf.birth_death_step(mixture_3c, ens, CERTAIN, np.random.default_rng(17), rates=np.zeros(6))
+        rep = bf.birth_death_step(ens, CERTAIN, np.random.default_rng(17), rates=np.zeros(6))
         assert rep == bf.StepReport() and calls == []
         assert ens.thetas is thetas and ens._carried_field(mixture_3c)[0] is carried[0]
         rates = np.zeros(6)
         rates[2] = -1e9  # a certain clone
-        rep = bf.birth_death_step(mixture_3c, ens, CERTAIN, np.random.default_rng(17), rates=rates)
+        rep = bf.birth_death_step(ens, CERTAIN, np.random.default_rng(17), rates=rates)
         assert (rep.births, rep.deaths, rep.population_corrections, calls) == (1, 0, 1, [6])
 
     # 4 rates for 6 rows once cloned over rows 4-5 and reported 2 deaths, 8 raised a bare
@@ -191,8 +191,8 @@ class TestBirthDeathStep:
         (np.full(6, np.nan), "finite"), (np.array([0, 0, np.inf, 0, 0, 0.0]), "finite"),
         ([0.0, 0.0, np.nan, 0.0, 0.0, 0.0], "finite"), (["a"] * 6, "finite numbers"),
     ], ids=["4", "8", "1x6", "list-4", "nan", "inf", "nan-list", "strings"])
-    @pytest.mark.parametrize("step", [bf.birth_death_step, bf.reinjection_step],
-                             ids=["clone", "reinject"])
+    @pytest.mark.parametrize("step", [lambda model, *args, **kw: bf.birth_death_step(*args, **kw),
+                                      bf.reinjection_step], ids=["clone", "reinject"])
     def test_rates_are_one_finite_real_per_particle(self, mixture_3c, step, rates, match):
         cfg = bf.DynamicsConfig(variant="gd-bd-reinjection", dt=0.05,
                                 reinjection_prior=bf.GaussianSampler(mean=[0.0], std=2.0))
@@ -285,7 +285,8 @@ class TestReinjection:
     def test_needs_amplitude_channel(self, mixture_frozen):
         ens = make_ensemble([[0.0], [1.0]])
         with pytest.raises(bf.ConfigurationError):
-            bf.reinjection_step(mixture_frozen, ens, self._config(), np.random.default_rng(15))
+            bf.reinjection_step(mixture_frozen, ens, self._config(), np.random.default_rng(15),
+                                rates=bf.centered_rate(mixture_frozen, ens))
 
 
 class TestKMC:

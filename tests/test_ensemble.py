@@ -97,12 +97,12 @@ def certain_pass(ens, kill=(), dup=(), rng=None):
     """One birth-death pass in which exactly the given particles die or clone.
 
     Rates of +-1e9 make each event probability 1 - exp(-1e9) == 1.0; the
-    rates are given, so no model is evaluated.
+    rates are given, and the pass reads no model.
     """
     rates = np.zeros(ens.n)
     rates[list(kill)] = 1e9
     rates[list(dup)] = -1e9
-    return bf.birth_death_step(None, ens, CERTAIN, rng or np.random.default_rng(0), rates=rates)
+    return bf.birth_death_step(ens, CERTAIN, rng or np.random.default_rng(0), rates=rates)
 
 
 class TestCloneKill:

@@ -577,12 +577,7 @@ class TestRunVerify:
     def stub_suite(self, tmp_path, monkeypatch):
         (tmp_path / "test_acceptance.py").write_text(ACCEPTANCE_STUB)
         monkeypatch.setattr(verify, "_find_tests_dir", lambda: tmp_path)
-        # the inner pytest imports the stub under the module name of the real suite
-        real = sys.modules.pop("test_acceptance", None)
-        yield tmp_path
-        sys.modules.pop("test_acceptance", None)
-        if real is not None:
-            sys.modules["test_acceptance"] = real
+        return tmp_path
 
     @staticmethod
     def check(verdict):

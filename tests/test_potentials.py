@@ -276,6 +276,25 @@ def test_one_target_block_per_uncarried_energy_call(mixture_3c, monkeypatch):
     assert calls.count(True) == 1
 
 
+def test_no_target_block_per_carried_energy_call(mixture_3c, monkeypatch):
+    """An energy call on an ensemble that carries a field reads F from the
+    record beside V, so it builds no Gaussian block at all."""
+    calls = []
+
+    def spy(a, b, var):
+        calls.append(a is mixture_3c.target_y)
+        return _gauss_block(a, b, var)
+
+    rng = np.random.default_rng(9)
+    ens = make_ensemble(rng.normal(size=(6, 2)), rng.uniform(0.5, 1.5, 6))
+    ens.weights /= ens.weights.mean()
+    want = bf.ensemble_energy(mixture_3c, make_ensemble(ens.thetas, ens.weights))
+    bf.field(mixture_3c, ens)  # carry (F, V, grad V)
+    monkeypatch.setattr(bf.potentials, "_gauss_block", spy)
+    assert bf.ensemble_energy(mixture_3c, ens) == want
+    assert calls == []
+
+
 class TestGradientChecks:
     """Analytic gradients vs central differences (h = 1e-5, rel err < 1e-6)."""
 

@@ -1,14 +1,14 @@
 """Property tests of run_step over random ensembles and every variant each
 model supports: exact population conservation, unit mean weight, centered
 rates summing to zero, and the f = identity variant reproducing gd-bd bitwise.
-After a step, an interacting model's carried (V, grad V) matches a fresh
-evaluation, and an edited ensemble is evaluated afresh.  `run_replicas` equals
-a hand-written loop over seeds bitwise.  `Ensemble.regroup` moves rows,
-weights, birth ids and the carried field to any rebuilt population, and a
-birth-death pass, which skips that rebuild when it draws no event, equals a
-pass that always rebuilds.  After exact-event KMC every row is one of the
-initial rows, and its sampler's counts, tree sums and rank descent stay exact
-across any moves.
+After a step, an interacting model's carried (F, V, grad V) matches a fresh
+evaluation, F bitwise, and an edited ensemble is evaluated afresh.
+`run_replicas` equals a hand-written loop over seeds bitwise.
+`Ensemble.regroup` moves rows, weights, birth ids and the carried record, F
+bitwise, to any rebuilt population, and a birth-death pass, which skips that
+rebuild when it draws no event, equals a pass that always rebuilds.  After
+exact-event KMC every row is one of the initial rows, and its sampler's
+counts, tree sums and rank descent stay exact across any moves.
 Also: a committed config with any one value replaced by a malformed one
 either parses, and then round-trips through its echo, or raises
 ConfigurationError."""
@@ -192,7 +192,7 @@ def test_mutated_config_parses_or_raises_configuration_error(target, mutant):
     assert parse_config(json.loads(json.dumps(echo))).normalized() == echo
 
 
-# The field carried across a step must be the field of the rows the step left.
+# The record carried across a step must be the field of the rows the step left.
 CARRY_MODELS = {
     "mixture": MODELS["mixture"],
     "mixture-frozen": MODELS["mixture-frozen"],
@@ -232,7 +232,8 @@ def test_carried_field_matches_fresh_field(case, n, seed, spread, dt, alpha):
         bf.run_step(model, ens, cfg, rng)
         carried = ens._carried_field(model)
         assert carried is not None
-        assert_close(carried, bf.field(model, ens.copy()))
+        assert np.array_equal(carried[0], model.single(ens.thetas)[0])
+        assert_close(carried[1:], bf.field(model, ens.copy()))
 
 
 def test_edited_ensemble_is_evaluated_afresh():
@@ -242,12 +243,12 @@ def test_edited_ensemble_is_evaluated_afresh():
     ens = random_ensemble(model, 30, rng)
     bf.run_step(model, ens, cfg, rng)
     carried = ens._carried_field(model)
-    assert carried is not None and bf.field(model, ens)[0] is carried[0]
+    assert carried is not None and bf.field(model, ens)[0] is carried[1]
     ens.thetas[0, 1] += 0.25  # in place: the rows no longer match the carried copy
     v, grad = bf.field(model, ens)
     fresh = bf.field(model, ens.copy())
     assert np.array_equal(v, fresh[0]) and np.array_equal(grad, fresh[1])
-    assert v[0] != carried[0][0]
+    assert v[0] != carried[1][0]
     ens.weights[:2] = [0.5, 1.5]  # a reweight with the same mean
     v, _ = bf.field(model, ens)
     assert np.array_equal(v, bf.field(model, ens.copy())[0])
@@ -265,7 +266,7 @@ def test_regroup_moves_rows_birth_ids_and_carried_field(name, n, seed, data):
     ens.weights = rng.uniform(0.2, 2.0, n)
     ens.birth_ids = rng.permutation(3 * n)[:n]
     ens.next_birth_id = 3 * n
-    bf.field(model, ens)  # carry (V, grad V) for the old rows
+    bf.field(model, ens)  # carry (F, V, grad V) for the old rows
     old = ens.copy()
     src = np.array(data.draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n)))
     copies = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
@@ -286,7 +287,8 @@ def test_regroup_moves_rows_birth_ids_and_carried_field(name, n, seed, data):
     assert ens.next_birth_id == old.next_birth_id + int(np.count_nonzero(copies | new))
     carried = ens._carried_field(model)
     assert carried is not None
-    assert_close(carried, bf.field(model, ens.copy()))
+    assert np.array_equal(carried[0], model.single(ens.thetas)[0])  # F moves with its row
+    assert_close(carried[1:], bf.field(model, ens.copy()))
 
 
 def regrouping_pass(ens, cfg, rng, rates, prior):
@@ -336,12 +338,14 @@ def test_pass_equals_a_pass_that_always_regroups(case, carry, n, seed, log_dt, a
     if variant != "bd-only":
         bf.gd_step(model, ens, 0.05)
     if carry:
-        bf.field(model, ens)  # an interacting model carries (V, grad V) for these rows
+        bf.field(model, ens)  # an interacting model carries (F, V, grad V) for these rows
     rates = bf.centered_rate(model, ens if carry else ens.copy())
     a, b = (copy.deepcopy(ens, {id(model): model}) for _ in range(2))  # the carry stays on `model`
     rng_a, rng_b = (np.random.default_rng(seed + 1) for _ in range(2))
-    step = bf.reinjection_step if prior is not None else bf.birth_death_step
-    report = step(model, a, cfg, rng_a, rates=rates)
+    if prior is not None:
+        report = bf.reinjection_step(model, a, cfg, rng_a, rates=rates)
+    else:
+        report = bf.birth_death_step(a, cfg, rng_a, rates=rates)
     event("events" if report.births or report.deaths else "no event")
     assert report == regrouping_pass(b, cfg, rng_b, rates, prior)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
