@@ -163,15 +163,15 @@ def check_model_support(model: PotentialModel, variant: str, prior=None) -> None
 def centered_rate(model: PotentialModel, ens: Ensemble, batch: np.ndarray | None = None) -> np.ndarray:
     """vt_i = V(theta_i) - n^-1 sum_j V(theta_j), V from `field`; sums to zero
     by construction.  The mean is unweighted, so the ensemble must carry unit weights."""
-    if not np.all(ens.weights == 1.0):
+    if not (ens.weights == 1.0).all():
         raise ConfigurationError("centered rates take the unweighted mean and need unit weights")
     v = field(model, ens, batch)[0]
-    top = float(np.max(np.abs(v), initial=0.0))  # NaN if any V is NaN
+    top = float(np.maximum.reduce(np.abs(v), initial=0.0))  # NaN if any V is NaN
     if not math.isfinite(top):
         bad = int(np.flatnonzero(~np.isfinite(v))[0])
         raise NumericError(f"non-finite potential at particle {bad}")
-    vt = v - v.mean()
-    if abs(float(vt.sum())) > RATE_SUM_ATOL * max(1.0, top) * max(1.0, ens.n / 1000):
+    vt = v - np.add.reduce(v) / v.size  # np.mean's sum and division
+    if abs(float(np.add.reduce(vt))) > RATE_SUM_ATOL * max(1.0, top) * max(1.0, ens.n / 1000):
         raise NumericError("centered rates failed to sum to zero")
     return vt
 
@@ -192,11 +192,10 @@ def fvariant_rate(model: PotentialModel, ens: Ensemble, f_spec: FVariant,
 
 
 def gd_step(model: PotentialModel, ens: Ensemble, dt: float, batch: np.ndarray | None = None) -> Ensemble:
-    """Synchronous forward-Euler update theta_i <- theta_i - grad V(theta_i) dt."""
-    if not dt > 0:
-        raise ConfigurationError(f"dt must be > 0, got {dt}")
+    """Synchronous forward-Euler update theta_i <- theta_i - grad V(theta_i) dt, dt finite and > 0."""
+    dt = require_number(dt, "dt", 0.0, exclusive=True)
     vel = field(model, ens, batch)[1]
-    if not np.all(np.isfinite(vel)):
+    if not np.isfinite(vel).all():
         bad = int(np.flatnonzero(~np.isfinite(vel).all(axis=1))[0])
         raise NumericError(f"non-finite gradient at particle {bad}")
     ens.thetas = ens.thetas - dt * vel
@@ -212,11 +211,27 @@ def bernoulli_phase(rates: np.ndarray, alpha: float, dt: float, rng: np.random.G
 
     Returns boolean (kill, duplicate) masks; kill applies where rates > 0,
     duplication where rates < 0, each with probability 1 - exp(-alpha|r|dt).
+    Rates must be a vector of finite reals, alpha a finite real >= 0 and dt one > 0.
     """
-    rates = np.asarray(rates, dtype=float)
-    p = -np.expm1(-alpha * np.abs(rates) * dt)
-    hit = rng.random(rates.size) < p
-    return (rates > 0) & hit, (rates < 0) & hit
+    if not (isinstance(rates, np.ndarray) and rates.dtype == np.float64 and rates.ndim == 1):
+        rates = require_array(rates, "rates", (1,))
+    alpha, dt = require_number(alpha, "alpha", 0.0), require_number(dt, "dt", 0.0, exclusive=True)
+    hit = _bernoulli_hits(rates, alpha, dt, rng)[0]
+    kill = (rates > 0) & hit
+    return kill, hit ^ kill
+
+
+def _bernoulli_hits(rates: np.ndarray, alpha: float, dt: float, rng: np.random.Generator):
+    """The rows where `bernoulli_phase` draws an event, a kill where the rate
+    is positive and a clone where it is negative, and max |rate|, from one
+    scan of |rates| that also rejects a rate that is not finite."""
+    p = np.abs(rates)
+    top = float(np.maximum.reduce(p, initial=0.0))  # NaN if any rate is NaN
+    if not math.isfinite(top):
+        raise ConfigurationError("rates must be finite")
+    p *= -alpha  # p = -alpha |r| dt, whose event probability is -expm1(p)
+    p *= dt
+    return rng.random(rates.size) < -np.expm1(p, out=p), top  # a zero rate's probability is 0: no hit
 
 
 def _birth_death_pass(ens: Ensemble, cfg: DynamicsConfig, rng: np.random.Generator,
@@ -232,17 +247,15 @@ def _birth_death_pass(ens: Ensemble, cfg: DynamicsConfig, rng: np.random.Generat
         rates = require_array(rates, "rates", (1,))
     if rates.shape != (n0,):
         raise ConfigurationError(f"rates must hold one entry per particle, shape ({n0},), got {rates.shape}")
-    top = float(np.max(np.abs(rates), initial=0.0))  # NaN if any rate is NaN
-    if not math.isfinite(top):
-        raise ConfigurationError("rates must be finite")
-    kill, dup = bernoulli_phase(rates, cfg.alpha, cfg.dt, rng)
+    hit, top = _bernoulli_hits(rates, cfg.alpha, cfg.dt, rng)
     report = StepReport(max_rate=float(cfg.alpha * top * cfg.dt))
-    if not (kill.any() or dup.any()):
+    if not hit.any():
         return report
+    kill = (rates > 0) & hit
     surv = np.flatnonzero(~kill)
     if surv.size == 0:
         raise ExtinctionError("all particles were killed in one birth-death pass")
-    dup_idx = np.flatnonzero(dup)  # kill and dup are disjoint
+    dup_idx = np.flatnonzero(hit ^ kill)  # the other hits are clones
     report.births, report.deaths = int(dup_idx.size), int(n0 - surv.size)
 
     src = np.concatenate([surv, dup_idx])  # source row of each new row; -1 if reinjected

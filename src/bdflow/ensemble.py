@@ -17,6 +17,7 @@ bit-for-bit given a seed.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -74,24 +75,25 @@ class Ensemble:
     def validate(self):
         if self.n < 1:
             raise ExtinctionError("population must contain at least one particle")
-        if not np.all(np.isfinite(self.thetas)):
+        if not np.isfinite(self.thetas).all():
             bad = int(np.flatnonzero(~np.isfinite(self.thetas).all(axis=1))[0])
             raise NumericError(f"non-finite parameters at particle {bad}")
-        if not np.all(np.isfinite(self.weights)):
+        total = float(np.add.reduce(self.weights))  # finite unless an entry is not, or the sum overflows
+        if not (math.isfinite(total) or np.isfinite(self.weights).all()):
             bad = int(np.flatnonzero(~np.isfinite(self.weights))[0])
             raise NumericError(f"non-finite weight at particle {bad}")
-        if np.any(self.weights < 0):
+        if np.minimum.reduce(self.weights) < 0:
             raise ConfigurationError("weights must be nonnegative")
-        mean_w = float(self.weights.mean())
+        mean_w = total / self.weights.size  # np.mean's sum and division
         if abs(mean_w - 1.0) > WEIGHT_MEAN_RTOL * max(1.0, abs(mean_w)):
             raise ConfigurationError(f"mean weight must be 1, got {mean_w!r}")
 
     def _carried_field(self, model):
-        """(F, V, grad V) if carried for `model` at exactly these rows and
-        weights; a carry that does not match is dropped, so no stale copy is held."""
+        """(F, V, grad V) if carried for `model` at these rows and weights, bit
+        for bit; a carry that does not match is dropped, so no stale copy is held."""
         c = self._field
-        if (c is not None and c[0] is model and np.array_equal(c[1], self.thetas)
-                and np.array_equal(c[2], self.weights)):
+        if (c is not None and c[0] is model and c[1].shape == self.thetas.shape
+                and c[1].tobytes() == self.thetas.tobytes() and c[2].tobytes() == self.weights.tobytes()):
             return c[3:]
         self._field = None
         return None

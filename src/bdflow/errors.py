@@ -73,8 +73,9 @@ def require_int_array(value, name: str) -> np.ndarray:
 
 
 def require_number(value, name: str, minimum: float = -math.inf, exclusive: bool = False) -> float:
-    """`value` as a float; a finite real, and >= `minimum` (> when `exclusive`)."""
-    x = float(require_array(value, name, ndims=(0,)))
+    """`value` as a float; a finite real, and >= `minimum` (> when `exclusive`).
+    A finite Python float is checked as a scalar, anything else as an array."""
+    x = value if type(value) is float and math.isfinite(value) else float(require_array(value, name, (0,)))
     if x < minimum or (exclusive and x == minimum):
         raise ConfigurationError(f"{name} must be {'>' if exclusive else '>='} {minimum}, got {value!r}")
     return x

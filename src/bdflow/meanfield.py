@@ -285,9 +285,7 @@ class GridStepper:
 
     def step(self, dt: float | None = None) -> float:
         """Advance one step; returns the mass clipped from negative cells."""
-        dt = self.cfg.dt if dt is None else dt
-        if type(dt) is not float or not 0.0 < dt < np.inf:  # require_number costs µs; a solve is ~10^4 steps
-            dt = require_number(dt, "dt", 0.0, exclusive=True)
+        dt = require_number(self.cfg.dt if dt is None else dt, "dt", 0.0, exclusive=True)
         g = self.grid
         rho = g.density
         # the window [lo, hi) holds every nonzero cell and one more on each side; a

@@ -40,6 +40,7 @@ from .errors import (
 )
 
 _TILE = 256  # pairwise tiles are 256 x 256: 512 KB of float64, resident in L2
+_BROADCAST_ROWS = 8  # up to here a Gaussian block's operand build costs more than its differences
 _scalar_pow = np.frompyfunc(pow, 2, 1)  # x ** y element by element, as scalars
 
 # The Hermite Gauss transform for 1D positions (Greengard & Strain, SIAM J. Sci.
@@ -63,14 +64,19 @@ def _gauss_block(a: np.ndarray, b: np.ndarray, var) -> np.ndarray:
     a_ik - b_jk are one BLAS product [a_k, 1] @ [1; -b_k].  That is exact:
     both products by 1.0 are exact and their two-term sum is rounded once, so
     every entry is IEEE a - b bit for bit, in either order and under any BLAS
-    thread count.  Squared differences are summed per coordinate, so
-    distances are never negative and need no clamp."""
+    thread count.  A block of at most `_BROADCAST_ROWS` rows (a model's
+    targets) subtracts by broadcast: the same bits without the operand build.
+    Squared differences are summed per coordinate, so distances are never
+    negative and need no clamp."""
     d = a.shape[1]
-    lhs = np.ones((d, a.shape[0], 2))
-    lhs[:, :, 0] = a.T
-    rhs = np.ones((d, 2, b.shape[0]))
-    np.negative(b.T, out=rhs[:, 1])
-    diff = lhs @ rhs
+    if a.shape[0] <= _BROADCAST_ROWS:
+        diff = a.T[:, :, None] - b.T[:, None, :]
+    else:
+        lhs = np.ones((d, a.shape[0], 2))
+        lhs[:, :, 0] = a.T
+        rhs = np.ones((d, 2, b.shape[0]))
+        np.negative(b.T, out=rhs[:, 1])
+        diff = lhs @ rhs
     d2 = diff[0]
     d2 *= d2
     for k in range(1, d):
@@ -324,6 +330,7 @@ class GaussianMixtureModel(PotentialModel):
         # `single`'s per-component constants, which no row changes
         self._target_var = (self.sigma * self.sigma + self.target_sigma**2)[:, None]
         self._target_c = self.target_c[:, None]
+        self._target_y = self.target_y[:, None]
 
     # -- layout helpers ---------------------------------------------------
     def _split(self, thetas):
@@ -339,11 +346,14 @@ class GaussianMixtureModel(PotentialModel):
         c, y = self._split(self._check(thetas))
         m = self.target_c.size
         block = self._target_c * _gauss_block(self.target_y, y, self._target_var)
-        resp = block.sum(axis=0) / m
-        grad = ((block / self._target_var)[:, :, None] * (self.target_y[:, None] - y[None])).sum(axis=0)
-        grad *= -(c / m)[:, None]
+        resp = np.add.reduce(block, axis=0) / m
+        diff = self._target_y - y  # (m, n, d): ybar_j - y_i
+        diff *= (block / self._target_var)[:, :, None]
+        grad = np.empty((y.shape[0], self.theta_dim))
+        pos = np.add.reduce(diff, axis=0, out=grad[:, -y.shape[1]:])  # the position columns
+        pos *= (c / -m)[:, None]  # -(c / m), in one division
         if self.has_amplitude:
-            grad = np.hstack([-resp[:, None], grad])
+            np.negative(resp, out=grad[:, 0])
         return -c * resp, grad
 
     # -- interaction kernel -------------------------------------------------
@@ -363,14 +373,15 @@ class GaussianMixtureModel(PotentialModel):
         `b` of at most `_TILE` rows meets `a` in blocks of `_TILE^2 // len(b)`
         rows.
         """
+        same = b is a
         a = self._check(a)
-        b = self._check(b)
+        b = a if same else self._check(b)
         w = np.asarray(w, dtype=float)
         if w.shape != (b.shape[0],):
             raise ConfigurationError(
                 f"expected {b.shape[0]} weights, one per row of b, got shape {w.shape}")
         ca, ya = self._split(a)
-        cb, yb = self._split(b)
+        cb, yb = (ca, ya) if same else self._split(b)
         var = 2.0 * self.sigma * self.sigma
         wc = w * cb
         if ya.shape[1] == 1 and min(a.shape[0], b.shape[0]) >= 2 * _TILE:
@@ -391,12 +402,12 @@ class GaussianMixtureModel(PotentialModel):
                     blk = _gauss_block(ya[rows], yb[cols], var)
                     base[rows] += blk @ wc[cols]
                     mom[rows] += blk @ wcy[cols]
-            dev = mom - ya * base[:, None]  # sum_j w_j c_j N_ij (y_j - y_i)
+            dev = mom
+            dev -= ya * base[:, None]  # sum_j w_j c_j N_ij (y_j - y_i)
         fsum = np.empty((a.shape[0], self.theta_dim))
-        off = 1 if self.has_amplitude else 0
         if self.has_amplitude:
             fsum[:, 0] = base
-        fsum[:, off:] = (ca / var)[:, None] * dev
+        np.multiply((ca / var)[:, None], dev, out=fsum[:, -ya.shape[1]:])
         return ca * base, fsum
 
     # -- exact squared-error loss -------------------------------------------
@@ -485,7 +496,7 @@ def field(model: PotentialModel, ens, batch=None, points=None) -> tuple[np.ndarr
 
     At the particles an interacting model's (F, V, grad V) is carried on the
     ensemble and read while the model is the same object and the rows and
-    weights equal the stored copies; `regroup_field` moves it to new rows.
+    weights hold the stored copies' bits; `regroup_field` moves it to new rows.
     `points`, finite rows of rank 1 (one row) or 2, are evaluated instead,
     without reading or writing the carry.  A minibatch model estimates both at
     the particles only, from `batch`.
@@ -507,11 +518,14 @@ def _evaluate(model: PotentialModel, ens, x: np.ndarray, carry: bool):
     f, grad = model.single(x)
     if not model.is_interacting:
         return f, f, grad
-    vsum, fsum = model.kernel_weighted_sums(x, ens.thetas, ens.weights)
-    v, grad = f + vsum / ens.n, grad + fsum / ens.n
+    v, grad_v = model.kernel_weighted_sums(x, ens.thetas, ens.weights)
+    v /= ens.n  # fresh sums, so V = F + vsum / n and grad V = grad F + fsum / n in place
+    v += f
+    grad_v /= ens.n
+    grad_v += grad
     if carry:
-        ens._carry_field(model, f, v, grad)
-    return f, v, grad
+        ens._carry_field(model, f, v, grad_v)
+    return f, v, grad_v
 
 
 def regroup_field(ens, record: tuple | None, src: np.ndarray, fresh: np.ndarray | None) -> None:

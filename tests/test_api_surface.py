@@ -70,6 +70,23 @@ def test_kernel_matrix_is_formed_only_by_its_owner():
     assert offenders == []
 
 
+def exp_owners(node: ast.AST, owner: str | None = None):
+    """The innermost function or class around each `np.exp(` call under `node`."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        owner = node.name
+    if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.exp":
+        yield owner
+    for child in ast.iter_child_nodes(node):
+        yield from exp_owners(child, owner)
+
+
+def test_gaussians_are_formed_only_by_the_gaussian_block():
+    """`np.exp(` appears in `potentials.py` only inside `_gauss_block`, the one
+    Gaussian primitive, and `_box_map`, the Hermite transform's table."""
+    owners = set(exp_owners(ast.parse(package_sources()["potentials.py"])))
+    assert owners == {"_gauss_block", "_box_map"}
+
+
 LAYERS = ["errors", "samplers", "potentials", "ensemble", "dynamics", "meanfield", "diagnostics",
           "harness.config", "harness.runner", "harness.verify", "harness.cli"]
 

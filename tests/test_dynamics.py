@@ -1,9 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats as st
 
 import bdflow as bf
 from bdflow.dynamics import _RankPopulation
+from bdflow.harness import parse_config
 
 from conftest import make_ensemble, numerical_grad_F, numerical_grad_K1
 
@@ -50,6 +54,21 @@ class TestGdStep:
         with pytest.raises(bf.NumericError):
             bf.gd_step(quad_1d, ens, 0.1)
 
+    # inf once moved every particle to +-inf without an error, and "0.1" raised TypeError
+    @pytest.mark.parametrize("dt", [np.inf, -np.inf, np.nan, "0.1", True, None, 0.0, -0.1, [0.1]], ids=str)
+    def test_dt_is_a_finite_real_above_zero(self, quad_1d, dt):
+        ens = make_ensemble([[1.0], [2.0]])
+        with pytest.raises(bf.ConfigurationError, match="dt"):
+            bf.gd_step(quad_1d, ens, dt)
+        np.testing.assert_array_equal(ens.thetas, [[1.0], [2.0]])
+
+    @pytest.mark.parametrize("dt", [1, np.float64(1.0)], ids=str)
+    def test_integer_and_numpy_dt_step_as_floats(self, quad_1d, dt):
+        a, b = make_ensemble([[1.0], [2.0]]), make_ensemble([[1.0], [2.0]])
+        bf.gd_step(quad_1d, a, dt)
+        bf.gd_step(quad_1d, b, 1.0)
+        assert np.array_equal(a.thetas, b.thetas)
+
 
 class TestCenteredRate:
     def test_single_particle_self_centers(self, quad_1d):
@@ -94,6 +113,21 @@ class TestBernoulliPhase:
         assert not dup.any()
         sigma = np.sqrt(0.25 / trials)
         assert abs(kill.mean() - 0.5) < 3 * sigma
+
+    # a NaN rate once drew no event, a negative alpha never fired, and a (1, 2)
+    # array raised numpy's ValueError
+    @pytest.mark.parametrize("rates, alpha, dt", [
+        ([0.5, np.nan], 1.0, 0.1), ([np.inf, -1.0], 1.0, 0.1), ([-np.inf, 1.0], 1.0, 0.1),
+        (["a", "b"], 1.0, 0.1), ([[0.5, -0.5]], 1.0, 0.1), ([0.5, -0.5], -1.0, 0.1), ([0.5, -0.5], np.nan, 0.1),
+        ([0.5, -0.5], np.inf, 0.1), ([0.5, -0.5], 1.0, 0.0), ([0.5, -0.5], 1.0, -0.1),
+        ([0.5, -0.5], 1.0, np.inf), ([0.5, -0.5], 1.0, np.nan), ([0.5, -0.5], True, 0.1),
+    ], ids=str)
+    def test_malformed_inputs_rejected_before_any_draw(self, rates, alpha, dt):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(bf.ConfigurationError):
+            bf.bernoulli_phase(np.array(rates), alpha, dt, rng)
+        assert rng.bit_generator.state == state
 
     def test_duplication_frequency_matches_probability(self):
         trials = 100_000
@@ -642,6 +676,59 @@ class TestRunStep:
         for _ in range(20):
             bf.run_step(relu, ens, cfg, rng)
             assert ens.n == 12
+
+
+class TestOnePairwisePassPerStep:
+    """On the committed mixture config at n = 192, a gd-only step and a gd-bd
+    step whose pass draws no event each make one n x n pairwise call and one
+    `single` call.  A gd-bd step carries the field of the rows it leaves, so an
+    energy call after it makes neither; after a gd-only step the energy call
+    makes the pass, and the next step's transport reads what it carried."""
+
+    MIXTURE = Path(__file__).resolve().parents[1] / "configs" / "mixture_reinjection.json"
+
+    def stepped(self, variant, monkeypatch):
+        """(model, ensemble, config, rng, calls) one step into the run, with
+        `calls` recording each later `single` and pairwise call."""
+        data = json.loads(self.MIXTURE.read_text())
+        data["dynamics"]["variant"] = variant
+        del data["dynamics"]["reinjection"]
+        cfg = parse_config(data)
+        ens = bf.init_from_sampler(cfg.init, cfg.n, cfg.model.theta_dim, cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
+        bf.run_step(cfg.model, ens, cfg.dynamics, rng)
+        calls = []
+        pairs, single = bf.GaussianMixtureModel.kernel_weighted_sums, bf.GaussianMixtureModel.single
+        monkeypatch.setattr(bf.GaussianMixtureModel, "kernel_weighted_sums",
+                            lambda m, a, b, w: calls.append(("pairs", len(a), len(b))) or pairs(m, a, b, w))
+        monkeypatch.setattr(bf.GaussianMixtureModel, "single",
+                            lambda m, x: calls.append(("single", len(x))) or single(m, x))
+        return cfg.model, ens, cfg.dynamics, rng, calls
+
+    def calls_of(self, calls, fn, *args):
+        calls.clear()
+        out = fn(*args)
+        return out, list(calls)
+
+    @pytest.mark.parametrize("variant", ["gd-only", "gd-bd"])
+    def test_one_pass_per_step(self, variant, monkeypatch):
+        model, ens, cfg, rng, calls = self.stepped(variant, monkeypatch)
+        for _ in range(3):
+            report, made = self.calls_of(calls, bf.run_step, model, ens, cfg, rng)
+            assert report.births == report.deaths == 0  # an event-free pass
+            assert made == [("single", 192), ("pairs", 192, 192)]
+
+    @pytest.mark.parametrize("variant, by_step, by_energy", [
+        ("gd-bd", [("single", 192), ("pairs", 192, 192)], []),
+        ("gd-only", [], [("single", 192), ("pairs", 192, 192)]),
+    ])
+    def test_energy_between_steps(self, variant, by_step, by_energy, monkeypatch):
+        model, ens, cfg, rng, calls = self.stepped(variant, monkeypatch)
+        bf.ensemble_energy(model, ens)
+        for _ in range(3):
+            report, made = self.calls_of(calls, bf.run_step, model, ens, cfg, rng)
+            assert report.births == report.deaths == 0 and made == by_step
+            assert self.calls_of(calls, bf.ensemble_energy, model, ens)[1] == by_energy
 
 
 class TestDynamicsConfig:

@@ -2,8 +2,11 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bdflow as bf
+from bdflow.ensemble import WEIGHT_MEAN_RTOL
 
 from conftest import make_ensemble
 
@@ -145,7 +148,54 @@ class TestCloneKill:
             assert abs(after - before) <= 2.0 / n + 1e-12
 
 
+def scanned_validate(ens):
+    """`Ensemble.validate` as one entry-wise scan per check, in its order."""
+    if ens.n < 1:
+        raise bf.ExtinctionError("population must contain at least one particle")
+    if not np.all(np.isfinite(ens.thetas)):
+        bad = int(np.flatnonzero(~np.isfinite(ens.thetas).all(axis=1))[0])
+        raise bf.NumericError(f"non-finite parameters at particle {bad}")
+    if not np.all(np.isfinite(ens.weights)):
+        bad = int(np.flatnonzero(~np.isfinite(ens.weights))[0])
+        raise bf.NumericError(f"non-finite weight at particle {bad}")
+    if np.any(ens.weights < 0):
+        raise bf.ConfigurationError("weights must be nonnegative")
+    mean_w = float(ens.weights.mean())
+    if abs(mean_w - 1.0) > WEIGHT_MEAN_RTOL * max(1.0, abs(mean_w)):
+        raise bf.ConfigurationError(f"mean weight must be 1, got {mean_w!r}")
+
+
+def outcome(check, ens):
+    try:
+        check(ens)
+    except Exception as exc:  # noqa: BLE001 - the outcome compared is the exception itself
+        return type(exc), str(exc)
+    return None
+
+
+ENTRIES = st.sampled_from([0.0, -0.0, 1.0, 0.5, -0.5, 1e308, -1e308, np.nan, np.inf, -np.inf])
+
+
 class TestValidation:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(n=st.integers(1, 40), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           theta_bad=st.lists(ENTRIES, max_size=3), weight_bad=st.lists(ENTRIES, max_size=3),
+           unit=st.booleans(), short=st.booleans())
+    def test_same_outcome_as_the_entry_wise_scans(self, n, d, seed, theta_bad, weight_bad, unit, short):
+        """Its sums stand in for the scans: the same exception and message, or
+        none, for non-finite entries, sums that overflow, negative weights,
+        weights off mean 1 and weights reassigned one short of the rows."""
+        rng = np.random.default_rng(seed)
+        thetas = rng.normal(size=(n, d))
+        weights = np.ones(n) if unit else rng.uniform(0.0, 2.0, n)
+        thetas.flat[rng.integers(0, n * d, len(theta_bad))] = theta_bad
+        weights[rng.integers(0, n, len(weight_bad))] = weight_bad
+        ens = make_ensemble(thetas, weights)
+        if short and n > 1:
+            ens.weights = weights[1:]
+        with np.errstate(over="ignore", invalid="ignore"):  # sums of +-1e308 overflow on both sides
+            assert outcome(bf.Ensemble.validate, ens) == outcome(scanned_validate, ens)
+
     def test_mean_weight_must_be_one(self):
         ens = make_ensemble([[0.0], [1.0]], weights=[0.5, 0.6])
         with pytest.raises(bf.ConfigurationError):

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 import bdflow as bf
 from bdflow.harness import cli
-from bdflow.potentials import _TILE, _gauss_block
+from bdflow.potentials import _BROADCAST_ROWS, _TILE, _gauss_block
 
 from conftest import at, make_ensemble, numerical_grad_F, numerical_grad_K1
 
@@ -463,12 +463,14 @@ print(hashlib.sha256(b"".join(blk.tobytes() for blk in blocks)).hexdigest())
 
 class TestGaussBlock:
     """`_gauss_block` forms each coordinate's differences as a BLAS product,
-    which is exact, so it equals the broadcast formula bit for bit: at any
-    magnitude, with repeated and shared rows, for every shape of `var`, and
-    under any BLAS thread count."""
+    which is exact, or by broadcast for at most `_BROADCAST_ROWS` rows, so it
+    equals the broadcast formula bit for bit on both sides of that row count:
+    at any magnitude, with repeated and shared rows, for every shape of `var`,
+    and under any BLAS thread count."""
 
     @settings(max_examples=80, deadline=None, database=None)
-    @given(na=st.integers(1, 300), nb=st.integers(1, 300), d=st.integers(1, 3),
+    @given(na=st.one_of(st.integers(1, _BROADCAST_ROWS), st.integers(_BROADCAST_ROWS + 1, 300)),
+           nb=st.integers(1, 300), d=st.integers(1, 3),
            magnitude=st.integers(-8, 8), spread=st.integers(-8, 8),
            var_shape=st.sampled_from(["scalar", "column", "full"]),
            repeated=st.booleans(), shared=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -503,6 +505,47 @@ class TestGaussBlock:
             for threads in ("1", "2")
         }
         assert digests["1"] == digests["2"] and len(digests["1"].strip()) == 64
+
+
+def formula_single(model, thetas):
+    """`GaussianMixtureModel.single` as one expression per quantity: the
+    target block, the gradient by broadcast over (components, rows,
+    coordinates) and the amplitude column joined by `hstack`."""
+    c, y = model._split(thetas)
+    m = model.target_c.size
+    var = (model.sigma * model.sigma + model.target_sigma**2)[:, None]
+    block = model.target_c[:, None] * broadcast_gauss_block(model.target_y, y, var)
+    resp = block.sum(axis=0) / m
+    grad = ((block / var)[:, :, None] * (model.target_y[:, None] - y[None])).sum(axis=0)
+    grad *= -(c / m)[:, None]
+    if model.has_amplitude:
+        grad = np.hstack([-resp[:, None], grad])
+    return -c * resp, grad
+
+
+class TestSingle:
+    """`GaussianMixtureModel.single` equals `formula_single` byte for byte:
+    for 1 to 6 components, 1 to 300 rows in 1 to 3 dimensions, dynamic and
+    frozen amplitudes, targets and rows up to 1e8 from the origin, and
+    repeated rows."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(m=st.integers(1, 6), n=st.integers(1, 300), d=st.integers(1, 3), frozen=st.booleans(),
+           magnitude=st.integers(0, 8), repeated=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_formula(self, m, n, d, frozen, magnitude, repeated, seed):
+        rng = np.random.default_rng(seed)
+        sigma = rng.uniform(0.2, 0.8)
+        centre = rng.uniform(-1.0, 1.0, d) * 10.0**magnitude
+        amplitudes = dict(amplitude_mode="frozen", frozen_c=rng.uniform(-2.0, 2.0)) if frozen else {}
+        model = bf.GaussianMixtureModel(
+            target_c=rng.uniform(-2.0, 2.0, m), target_y=centre + rng.uniform(-2.0, 2.0, (m, d)),
+            target_sigma=sigma * rng.uniform(1.05, 3.0, m), sigma=sigma, **amplitudes)
+        thetas = rng.normal(scale=1.5, size=(n, model.theta_dim))
+        thetas[:, model.theta_dim - d:] += centre
+        if repeated:
+            thetas = thetas[rng.integers(0, n, n)]
+        for got, want in zip(model.single(thetas), formula_single(model, thetas)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def tiled_sums(model, a, b, w):
