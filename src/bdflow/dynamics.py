@@ -23,13 +23,13 @@ Fenwick trees over the sorted initial F values update in O(log n) per event.
 
 Every scheme that builds a new population from copies of old particles (the
 birth-death pass, resampling and KMC) only chooses the source row of each new
-row and which rows are copies; ``Ensemble.regroup`` builds the rows, weights
-and birth ids.  Only ``run_step`` forms rates; a birth-death pass is arithmetic
-on the rates it is given.  For interacting exact models a step makes one
-pairwise pass: ``potentials.field`` carries (F, V, grad V) after transport,
-``potentials.regroup_field`` moves the record to the new rows, and the next
-transport step and the energy reuse it.  A birth-death pass that draws no kill
-and no clone rebuilds nothing: the population and its record stay as they are.
+row and which rows are copies; ``potentials.regroup_field``, the one rebuild,
+builds the rows, weights and birth ids through ``Ensemble.regroup`` and moves
+the (F, V, grad V) that ``potentials.field`` carried after transport to the
+new rows, so for interacting exact models a step makes one pairwise pass and
+the next transport step and the energy reuse it.  Only ``run_step`` forms
+rates; a birth-death pass is arithmetic on the rates it is given, and one that
+draws no kill and no clone rebuilds nothing, leaving the record as it is.
 
 RNG draw order per step is fixed (minibatch, then Bernoulli uniforms, then
 population-control picks) so trajectories reproduce bitwise from a seed.
@@ -54,7 +54,7 @@ from .errors import (
     require_int,
     require_number,
 )
-from .potentials import PotentialModel, field
+from .potentials import PotentialModel, field, regroup_field
 
 VARIANTS = (
     "gd-only",
@@ -160,11 +160,15 @@ def check_model_support(model: PotentialModel, variant: str, prior=None) -> None
 # rates
 
 
+def _require_unit_weights(ens: Ensemble) -> None:
+    if not (ens.weights == 1.0).all():
+        raise ConfigurationError("centered rates take the unweighted mean and need unit weights")
+
+
 def centered_rate(model: PotentialModel, ens: Ensemble, batch: np.ndarray | None = None) -> np.ndarray:
     """vt_i = V(theta_i) - n^-1 sum_j V(theta_j), V from `field`; sums to zero
     by construction.  The mean is unweighted, so the ensemble must carry unit weights."""
-    if not (ens.weights == 1.0).all():
-        raise ConfigurationError("centered rates take the unweighted mean and need unit weights")
+    _require_unit_weights(ens)
     v = field(model, ens, batch)[0]
     top = float(np.maximum.reduce(np.abs(v), initial=0.0))  # NaN if any V is NaN
     if not math.isfinite(top):
@@ -239,8 +243,8 @@ def _birth_death_pass(ens: Ensemble, cfg: DynamicsConfig, rng: np.random.Generat
     """One Bernoulli kill/duplicate pass on frozen rates, then exact head-count
     control: excess is removed uniformly, and a deficit is refilled by uniform
     cloning or, when `prior` is given, by zero-amplitude rows whose positions
-    are drawn from it.  `Ensemble.regroup` builds the new rows and carries
-    the field; a pass that draws no event returns before it, leaving the
+    are drawn from it.  `regroup_field` builds the new rows and moves the
+    carried field; a pass that draws no event returns before it, leaving the
     population as it was.  Given `rates` must be one finite real per particle."""
     n0 = ens.n
     if not (isinstance(rates, np.ndarray) and rates.dtype == np.float64):
@@ -276,7 +280,7 @@ def _birth_death_pass(ens: Ensemble, cfg: DynamicsConfig, rng: np.random.Generat
         else:
             src = np.concatenate([src, np.full(deficit, -1)])
             fresh = np.hstack([np.zeros((deficit, 1)), prior.sample(rng, deficit)])
-    ens.regroup(src, copies, fresh)
+    regroup_field(ens, src, copies, fresh)
     return report
 
 
@@ -444,7 +448,8 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
 
     Waiting times are exponential with the total rate alpha * sum_i |vt_i|,
     and the event particle is chosen in proportion to |vt_i|.  Requires K = 0
-    so V depends on a particle only through F.  An event only copies one
+    so V depends on a particle only through F, and unit weights, since the
+    rates are centered on the unweighted mean.  An event only copies one
     particle's F onto another, so every F a particle holds is one of the n
     initial values, and copies of one value are the same mass: the values are
     sorted once, and a `_RankPopulation` keeps the count of each rank and
@@ -467,6 +472,7 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
     """
     check_model_support(model, "kmc-bd")
     horizon = require_number(horizon, "horizon", 0.0)
+    _require_unit_weights(ens)
     n = ens.n
     f_vals = model.single(ens.thetas)[0]
     if not np.all(np.isfinite(f_vals)):
@@ -504,7 +510,7 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
     src[empty] = order[np.repeat(np.arange(n), np.maximum(count - 1, 0))]
     if means:
         means[-1] = float(f_vals[src].mean())
-    ens.regroup(src, src != np.arange(n))
+    regroup_field(ens, src, src != np.arange(n))
     ens.time += horizon
     return KMCLog(times=np.asarray(times), mean_energy=np.asarray(means), initial_mean=initial_mean)
 
@@ -562,8 +568,8 @@ def resample_weights(ens: Ensemble, rng: np.random.Generator) -> StepReport:
     and sum N_i = n exactly; survivor order follows the original index order.
     """
     w = ens.weights
-    if not np.all(w >= 0):  # NaN fails this too
-        raise ConfigurationError("weights must be nonnegative numbers before resampling")
+    if not (np.isfinite(w).all() and (w >= 0).all()):
+        raise ConfigurationError("weights must be finite nonnegative numbers before resampling")
     total = float(w.sum())
     if total <= 0:
         raise ExtinctionError("all weights are zero; cannot resample")
@@ -574,7 +580,7 @@ def resample_weights(ens: Ensemble, rng: np.random.Generator) -> StepReport:
     np.clip(idx, 0, n - 1, out=idx)
     counts = np.bincount(idx, minlength=n)
     copies = np.concatenate([[False], idx[1:] == idx[:-1]])  # idx is sorted; a source's first row is kept
-    ens.regroup(idx, copies)
+    regroup_field(ens, idx, copies)
     ens.weights = np.ones(n)
     return StepReport(births=int(copies.sum()), deaths=int((counts == 0).sum()))
 

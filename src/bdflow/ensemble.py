@@ -7,7 +7,7 @@ columns are the position; otherwise all ``D`` columns are the position.  Each
 particle also carries a nonnegative weight (mean 1 across the population) and a
 monotone birth id assigned at creation, used only for lineage diagnostics.
 `Ensemble.regroup` rebuilds a population from copies of its rows and is the
-only code that assigns new birth ids.
+only code that assigns new birth ids.  The module imports only ``errors``.
 
 All randomness is drawn from explicitly passed ``numpy.random.Generator``
 instances (PCG64 via ``numpy.random.default_rng``), so runs are reproducible
@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (ConfigurationError, ExtinctionError, NumericError, require_array, require_int,
                      require_int_array)
-from .potentials import regroup_field
 
 WEIGHT_MEAN_RTOL = 1e-12
 
@@ -40,8 +39,6 @@ class Ensemble:
     step_count: int = 0
     time: float = 0.0
     next_birth_id: int = field(default=0)
-    # (model, thetas copy, weights copy, F, V, grad V) carried by potentials
-    _field: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a float64 array is taken unscanned, so `validate` reports its non-finite entries
@@ -52,9 +49,7 @@ class Ensemble:
         self.birth_ids = require_int_array(self.birth_ids, "birth_ids")
         if self.thetas.ndim != 2:
             raise ConfigurationError("thetas must be a (n, D) array")
-        if self.weights.shape != (self.n,) or self.birth_ids.shape != (self.n,):
-            raise ConfigurationError(f"weights {self.weights.shape} and birth ids {self.birth_ids.shape} "
-                                     f"must hold one entry per row, shape ({self.n},)")
+        self.check_rows()
         if self.next_birth_id == 0:
             self.next_birth_id = int(self.birth_ids.max(initial=-1)) + 1
 
@@ -72,9 +67,17 @@ class Ensemble:
             next_birth_id=self.next_birth_id,
         )
 
+    def check_rows(self) -> None:
+        """Weights and birth ids hold one entry per row, else a configuration
+        error, also when either was reassigned after construction."""
+        if self.weights.shape != (self.n,) or self.birth_ids.shape != (self.n,):
+            raise ConfigurationError(f"weights {self.weights.shape} and birth ids {self.birth_ids.shape} "
+                                     f"must hold one entry per row, shape ({self.n},)")
+
     def validate(self):
         if self.n < 1:
             raise ExtinctionError("population must contain at least one particle")
+        self.check_rows()
         if not np.isfinite(self.thetas).all():
             bad = int(np.flatnonzero(~np.isfinite(self.thetas).all(axis=1))[0])
             raise NumericError(f"non-finite parameters at particle {bad}")
@@ -88,29 +91,12 @@ class Ensemble:
         if abs(mean_w - 1.0) > WEIGHT_MEAN_RTOL * max(1.0, abs(mean_w)):
             raise ConfigurationError(f"mean weight must be 1, got {mean_w!r}")
 
-    def _carried_field(self, model):
-        """(F, V, grad V) if carried for `model` at these rows and weights, bit
-        for bit; a carry that does not match is dropped, so no stale copy is held."""
-        c = self._field
-        if (c is not None and c[0] is model and c[1].shape == self.thetas.shape
-                and c[1].tobytes() == self.thetas.tobytes() and c[2].tobytes() == self.weights.tobytes()):
-            return c[3:]
-        self._field = None
-        return None
-
-    def _carry_field(self, model, f: np.ndarray, v: np.ndarray, grad: np.ndarray) -> None:
-        """Carry (F, V, grad V) for these rows and weights, read-only as it is shared."""
-        f.flags.writeable = v.flags.writeable = grad.flags.writeable = False
-        self._field = (model, self.thetas.copy(), self.weights.copy(), f, v, grad)
-
     def regroup(self, src: np.ndarray, copies: np.ndarray, fresh: np.ndarray | None = None) -> None:
         """Rebuild the population from the old rows.  New row i copies old row
         `src[i]` with its weight or, where `src[i] < 0`, takes the next row of
         `fresh` with weight 1.  Rows flagged in the boolean `copies`, and fresh
         rows, get new birth ids in row order; every other row keeps its
-        source's id.  The field record carried for the old rows, if any, is
-        passed on to `potentials.regroup_field`, which moves it to the new ones."""
-        record = self._field if self._field and self._carried_field(self._field[0]) else None
+        source's id.  Only `potentials.regroup_field` calls this."""
         self.thetas, self.weights, self.birth_ids = self.thetas[src], self.weights[src], self.birth_ids[src]
         born = copies
         if fresh is not None:
@@ -121,7 +107,6 @@ class Ensemble:
         n_born = int(np.count_nonzero(born))
         self.birth_ids[born] = np.arange(self.next_birth_id, self.next_birth_id + n_born)
         self.next_birth_id += n_born
-        regroup_field(self, record, src, fresh)
 
 
 def init_from_sampler(sampler, n: int, k: int, seed: int) -> Ensemble:

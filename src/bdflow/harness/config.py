@@ -1,8 +1,8 @@
 """Experiment configuration: one JSON document, strict schema, full echo.
 
 Unknown keys anywhere are rejected so typos cannot silently change an
-experiment.  ``ExperimentConfig.normalized()`` emits a canonical dict with
-all defaults filled in; parsing that echo reproduces the config exactly.
+experiment.  ``ExperimentConfig.normalized()`` echoes the model block as
+given and fills in every other default; parsing it reproduces the config.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ An exact model's one single-particle method, ``single(thetas)``, returns F
 and grad F together, since every step reads both; only ``field`` and
 ``regroup_field`` add the interaction, and ``ensemble_energy`` is the one
 energy E = int F dmu + 1/2 iint K dmu dmu, of particles and grid nodes alike.
+Only this module keys, reads, writes and moves the carried (F, V, grad V).
 Parameter rows are ``(c, y_1..y_d)`` for amplitude models and plain positions
 otherwise.  All closed-form gradients are hand-derived and checked against
 central finite differences in the test suite.
@@ -506,15 +507,31 @@ def field(model: PotentialModel, ens, batch=None, points=None) -> tuple[np.ndarr
             raise ConfigurationError(f"{model.kind} estimates V only at the particles")
         grad = model.batch_grad_V(ens.thetas, ens.weights, batch)
         return ens.thetas[:, 0] * grad[:, 0], grad
-    if points is None and (carried := ens._carried_field(model)) is not None:
-        return carried[1:]
+    if points is None and (record := _carried(ens, model)):
+        return record[4:]
     x = ens.thetas if points is None else np.atleast_2d(require_array(points, "points", (1, 2)))
-    return _evaluate(model, ens, x, carry=points is None)[1:]
+    return _evaluate(model, ens, x)[1:]
 
 
-def _evaluate(model: PotentialModel, ens, x: np.ndarray, carry: bool):
+def _carried(ens, model: PotentialModel | None = None) -> tuple | None:
+    """The carried (model, rows, weights, F, V, grad V) if it is for `model` (any
+    if None) and `ens` holds its rows and weights bit for bit; else it is dropped."""
+    c = getattr(ens, "_field", None)
+    if not (c is not None and (model is None or c[0] is model) and c[1].shape == ens.thetas.shape
+            and c[1].tobytes() == ens.thetas.tobytes() and c[2].tobytes() == ens.weights.tobytes()):
+        ens._field = c = None
+    return c
+
+
+def _carry(model: PotentialModel, ens, f: np.ndarray, v: np.ndarray, grad: np.ndarray) -> None:
+    """Carry (F, V, grad V) for the rows and weights of `ens`, read-only as it is shared."""
+    f.flags.writeable = v.flags.writeable = grad.flags.writeable = False
+    ens._field = (model, ens.thetas.copy(), ens.weights.copy(), f, v, grad)
+
+
+def _evaluate(model: PotentialModel, ens, x: np.ndarray):
     """(F, V, grad V) at the rows `x` from one `single` pass and, for an
-    interacting model, one pairwise pass; `carry` carries all three."""
+    interacting model, one pairwise pass, carried when `x` is `ens.thetas`."""
     f, grad = model.single(x)
     if not model.is_interacting:
         return f, f, grad
@@ -523,18 +540,20 @@ def _evaluate(model: PotentialModel, ens, x: np.ndarray, carry: bool):
     v += f
     grad_v /= ens.n
     grad_v += grad
-    if carry:
-        ens._carry_field(model, f, v, grad_v)
+    if x is ens.thetas:
+        _carry(model, ens, f, v, grad_v)
     return f, v, grad_v
 
 
-def regroup_field(ens, record: tuple | None, src: np.ndarray, fresh: np.ndarray | None) -> None:
-    """Move `record`, the (model, rows, weights, F, V, grad V) of the rows that
-    `Ensemble.regroup` rebuilt into `ens` from `src` and `fresh`, if it is not
-    None and n is unchanged.  A kept or copied row takes its source's F, V and
-    grad V, the last two plus the kernel sums against the old rows whose count
-    changed (weight w * (count - 1)) and the fresh rows, which take all three
-    from `_evaluate`: n pair evaluations per changed or fresh row."""
+def regroup_field(ens, src: np.ndarray, copies: np.ndarray, fresh: np.ndarray | None = None) -> None:
+    """Rebuild `ens` through `Ensemble.regroup(src, copies, fresh)` and move
+    the record carried for the old rows, if any and n is unchanged, to the new
+    ones.  A kept or copied row takes its source's F, V and grad V, the last
+    two plus the kernel sums against the old rows whose count changed (weight
+    w * (count - 1)) and the fresh rows, which take all three from
+    `_evaluate`: n pair evaluations per changed or fresh row."""
+    record = _carried(ens)
+    ens.regroup(src, copies, fresh)
     if record is None or src.size != record[1].shape[0]:
         return
     model, old_thetas, old_weights, f, v, grad = record
@@ -546,21 +565,23 @@ def regroup_field(ens, record: tuple | None, src: np.ndarray, fresh: np.ndarray 
     f, v, grad = f[src], v[src], grad[src]
     if fresh is not None:
         new = src < 0
-        f[new], v[new], grad[new] = _evaluate(model, ens, fresh, carry=False)
+        f[new], v[new], grad[new] = _evaluate(model, ens, fresh)
         b, w = np.vstack([b, fresh]), np.concatenate([w, np.ones(len(fresh))])
     if b.shape[0]:
         vsum, fsum = model.kernel_weighted_sums(ens.thetas[kept], b, w)
         v[kept] += vsum / n
         grad[kept] += fsum / n
-    ens._carry_field(model, f, v, grad)
+    _carry(model, ens, f, v, grad)
 
 
 def ensemble_energy(model: PotentialModel, ens) -> float:
     """E = n^-1 sum w_i F_i + (2 n^2)^-1 sum_ij w_i w_j K_ij; an interacting
     model reads the pair term as (2n)^-1 sum_i w_i (V_i - F_i).  F and V are
     read from the carried record or else come from one `_evaluate`, which
-    carries them."""
-    f, v, _ = ens._carried_field(model) or _evaluate(model, ens, ens.thetas, carry=True)
+    carries them.  The weights must hold one entry per row."""
+    ens.check_rows()
+    record = _carried(ens, model)
+    f, v, _ = record[3:] if record else _evaluate(model, ens, ens.thetas)
     n = ens.n
     e = float(ens.weights @ f) / n
     if model.is_interacting:

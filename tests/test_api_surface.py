@@ -1,9 +1,10 @@
 """The public names of the `bdflow` package, pinned: adding or removing one is
 an API change that must show up here.  The carried (F, V, grad V) is private
-to its owner: only `ensemble.py` and `potentials.py` may name it.  Only
-`potentials.py` sums the pairwise kernel, so `field` stays the one place
-V = F + n^-1 sum_j w_j K(., theta_j) is formed, with `regroup_field` beside it
-moving the record to the rows `Ensemble.regroup` rebuilt.  No module but
+to its owner: only `potentials.py` keys, reads, writes or moves it, and only
+`potentials.py` calls `Ensemble.regroup`, from `regroup_field`, so no rebuild
+can skip the move.  Only `potentials.py` sums the pairwise kernel, so `field`
+stays the one place V = F + n^-1 sum_j w_j K(., theta_j) is formed, with
+`regroup_field` beside it moving the record to the rebuilt rows.  No module but
 `potentials.py` forms a kernel matrix with `K_block` either: the grid reads V
 through `field` too, with its cells as weighted nodes, and `K_block` is the
 tests' dense reference.  The modules form a strict layering: each imports, at
@@ -41,8 +42,8 @@ def test_public_names_are_pinned():
     assert len(names) == 51
 
 
-CARRY_NAMES = re.compile(r"\b(_field|_carried_field|_carry_field)\b")
-CARRY_OWNERS = {"ensemble.py", "potentials.py"}
+CARRY_NAMES = re.compile(r"\b(_field|_carried|_carry)\b")
+REGROUP_CALL = re.compile(r"\.regroup\(")
 KERNEL_CALL = re.compile(r"\.kernel_weighted_sums\(")
 KERNEL_MATRIX = re.compile(r"\.K_block\(")
 
@@ -54,7 +55,13 @@ def package_sources() -> dict[str, str]:
 
 def test_carried_field_is_named_only_by_its_owners():
     offenders = sorted(name for name, text in package_sources().items()
-                       if name not in CARRY_OWNERS and CARRY_NAMES.search(text))
+                       if name != "potentials.py" and CARRY_NAMES.search(text))
+    assert offenders == []
+
+
+def test_populations_are_rebuilt_only_through_the_field_owner():
+    offenders = sorted(name for name, text in package_sources().items()
+                       if name != "potentials.py" and REGROUP_CALL.search(text))
     assert offenders == []
 
 
@@ -87,7 +94,7 @@ def test_gaussians_are_formed_only_by_the_gaussian_block():
     assert owners == {"_gauss_block", "_box_map"}
 
 
-LAYERS = ["errors", "samplers", "potentials", "ensemble", "dynamics", "meanfield", "diagnostics",
+LAYERS = ["errors", "samplers", "ensemble", "potentials", "dynamics", "meanfield", "diagnostics",
           "harness.config", "harness.runner", "harness.verify", "harness.cli"]
 
 

@@ -8,6 +8,7 @@ import scipy.stats as st
 import bdflow as bf
 from bdflow.dynamics import _RankPopulation
 from bdflow.harness import parse_config
+from bdflow.potentials import _carried
 
 from conftest import make_ensemble, numerical_grad_F, numerical_grad_K1
 
@@ -208,10 +209,10 @@ class TestBirthDeathStep:
                             lambda ens, *args: calls.append(ens.n) or regroup(ens, *args))
         ens = make_ensemble(np.random.default_rng(16).normal(size=(6, 2)))
         bf.field(mixture_3c, ens)  # carry (F, V, grad V)
-        thetas, carried = ens.thetas, ens._carried_field(mixture_3c)
+        thetas, carried = ens.thetas, _carried(ens, mixture_3c)
         rep = bf.birth_death_step(ens, CERTAIN, np.random.default_rng(17), rates=np.zeros(6))
         assert rep == bf.StepReport() and calls == []
-        assert ens.thetas is thetas and ens._carried_field(mixture_3c)[0] is carried[0]
+        assert ens.thetas is thetas and _carried(ens, mixture_3c) is carried
         rates = np.zeros(6)
         rates[2] = -1e9  # a certain clone
         rep = bf.birth_death_step(ens, CERTAIN, np.random.default_rng(17), rates=rates)
@@ -389,6 +390,17 @@ class TestKMC:
                          np.random.default_rng(24))
         assert log.n_events == 0 and ens.time == 1e18
 
+    def test_weighted_ensemble_rejected_before_any_draw(self, quad_1d):
+        # weights [0.5, 1.5, 1, 1] once came back as four 0.5s, and only run_step's
+        # validate objected afterwards, with "mean weight must be 1"
+        ens = make_ensemble([[0.0], [1.0], [2.0], [3.0]], weights=[0.5, 1.5, 1.0, 1.0])
+        rng = np.random.default_rng(25)
+        state = rng.bit_generator.state
+        with pytest.raises(bf.ConfigurationError, match="unit weights"):
+            bf.kmc_run(quad_1d, ens, bf.DynamicsConfig(variant="kmc-bd", dt=1.0), 1.0, rng)
+        assert rng.bit_generator.state == state
+        assert ens.weights.tolist() == [0.5, 1.5, 1.0, 1.0]
+
     @pytest.mark.parametrize("seed", range(20))
     def test_two_particles_fix_after_one_event(self, quad_1d, seed):
         # the running sum of F keeps a rounding residue after the event, so
@@ -556,6 +568,16 @@ class TestResampleWeights:
         ens = make_ensemble([[0.0], [1.0], [2.0], [3.0], [4.0]], weights=[1.0, np.nan, 1.0, 1.0, 1.0])
         with pytest.raises(bf.ConfigurationError, match="nonnegative"):
             bf.resample_weights(ens, np.random.default_rng(27))
+
+    def test_infinite_weight_rejected_before_any_draw(self):
+        # [1, inf, 1, 1] once gave four copies of the last row
+        ens = make_ensemble([[0.0], [1.0], [2.0], [3.0]], weights=[1.0, np.inf, 1.0, 1.0])
+        rng = np.random.default_rng(27)
+        state = rng.bit_generator.state
+        with pytest.raises(bf.ConfigurationError, match="finite"):
+            bf.resample_weights(ens, rng)
+        assert rng.bit_generator.state == state
+        assert ens.thetas[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_all_zero_weights_extinct(self):
         ens = make_ensemble([[0.0], [1.0]], weights=[0.0, 0.0])

@@ -152,6 +152,9 @@ def scanned_validate(ens):
     """`Ensemble.validate` as one entry-wise scan per check, in its order."""
     if ens.n < 1:
         raise bf.ExtinctionError("population must contain at least one particle")
+    if ens.weights.shape != (ens.n,) or ens.birth_ids.shape != (ens.n,):
+        raise bf.ConfigurationError(f"weights {ens.weights.shape} and birth ids {ens.birth_ids.shape} "
+                                    f"must hold one entry per row, shape ({ens.n},)")
     if not np.all(np.isfinite(ens.thetas)):
         bad = int(np.flatnonzero(~np.isfinite(ens.thetas).all(axis=1))[0])
         raise bf.NumericError(f"non-finite parameters at particle {bad}")
@@ -220,6 +223,22 @@ class TestValidation:
         # two weights for three rows once passed validate(), then run_step raised IndexError
         with pytest.raises(bf.ConfigurationError, match="one entry per row"):
             bf.Ensemble(thetas=np.zeros((3, 1)), weights=weights, birth_ids=birth_ids)
+
+    @pytest.mark.parametrize("name, value", [("weights", np.ones(2)), ("weights", np.ones(4)),
+                                             ("birth_ids", np.arange(2))], ids=str)
+    def test_reassigned_length_rejected(self, quad_1d, mixture_3c, name, value):
+        # weights reassigned one short or long once passed validate(), and
+        # ensemble_energy then raised numpy's bare ValueError
+        ens = make_ensemble([[0.0], [1.0], [2.0]])
+        setattr(ens, name, value)
+        with pytest.raises(bf.ConfigurationError, match="one entry per row"):
+            ens.validate()
+        with pytest.raises(bf.ConfigurationError, match="one entry per row"):
+            bf.ensemble_energy(quad_1d, ens)
+        two_d = make_ensemble(np.zeros((3, 2)))
+        setattr(two_d, name, value)
+        with pytest.raises(bf.ConfigurationError, match="one entry per row"):
+            bf.ensemble_energy(mixture_3c, two_d)
 
     @pytest.mark.parametrize("thetas", [[["a"]], [[True]], [[0.0], [1.0, 2.0]], [[np.nan]], [0.0, 1.0]],
                              ids=["string", "bool", "ragged", "nan-list", "rank-1"])

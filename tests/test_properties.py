@@ -4,9 +4,11 @@ rates summing to zero, and the f = identity variant reproducing gd-bd bitwise.
 After a step, an interacting model's carried (F, V, grad V) matches a fresh
 evaluation, F bitwise, and an edited ensemble is evaluated afresh.
 `run_replicas` equals a hand-written loop over seeds bitwise.
-`Ensemble.regroup` moves rows, weights, birth ids and the carried record, F
-bitwise, to any rebuilt population, and a birth-death pass, which skips that
-rebuild when it draws no event, equals a pass that always rebuilds.  After
+`potentials.regroup_field` moves rows, weights, birth ids and the carried
+record, F bitwise, to any rebuilt population; a rebuild through
+`Ensemble.regroup` alone that changes the rows or weights leaves no record
+that can be read; and a birth-death pass, which skips the rebuild when it
+draws no event, equals a pass that always rebuilds.  After
 exact-event KMC every row is one of the initial rows, and its sampler's
 counts, tree sums and rank descent stay exact across any moves.
 Also: a committed config with any one value replaced by a malformed one
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 import bdflow as bf
 from bdflow.dynamics import _RankPopulation
 from bdflow.harness import parse_config
+from bdflow.potentials import _carried, regroup_field
 
 MODELS = {
     "quadratic": bf.QuadraticWellModel(minimizer=[0.5], hessian=1.5),
@@ -230,10 +233,10 @@ def test_carried_field_matches_fresh_field(case, n, seed, spread, dt, alpha):
     ens.thetas *= spread
     for _ in range(3):
         bf.run_step(model, ens, cfg, rng)
-        carried = ens._carried_field(model)
+        carried = _carried(ens, model)
         assert carried is not None
-        assert np.array_equal(carried[0], model.single(ens.thetas)[0])
-        assert_close(carried[1:], bf.field(model, ens.copy()))
+        assert np.array_equal(carried[3], model.single(ens.thetas)[0])
+        assert_close(carried[4:], bf.field(model, ens.copy()))
 
 
 def test_edited_ensemble_is_evaluated_afresh():
@@ -242,20 +245,20 @@ def test_edited_ensemble_is_evaluated_afresh():
     rng = np.random.default_rng(0)
     ens = random_ensemble(model, 30, rng)
     bf.run_step(model, ens, cfg, rng)
-    carried = ens._carried_field(model)
-    assert carried is not None and bf.field(model, ens)[0] is carried[1]
+    carried = _carried(ens, model)
+    assert carried is not None and bf.field(model, ens)[0] is carried[4]
     ens.thetas[0, 1] += 0.25  # in place: the rows no longer match the carried copy
     v, grad = bf.field(model, ens)
     fresh = bf.field(model, ens.copy())
     assert np.array_equal(v, fresh[0]) and np.array_equal(grad, fresh[1])
-    assert v[0] != carried[1][0]
+    assert v[0] != carried[4][0]
     ens.weights[:2] = [0.5, 1.5]  # a reweight with the same mean
     v, _ = bf.field(model, ens)
     assert np.array_equal(v, bf.field(model, ens.copy())[0])
-    assert ens._carried_field(copy.deepcopy(model)) is None  # an equal model is not the same one
+    assert _carried(ens, copy.deepcopy(model)) is None  # an equal model is not the same one
 
 
-# Ensemble.regroup is the one place that rebuilds a population from old rows.
+# regroup_field is the one entry that rebuilds a population from old rows.
 @PROPERTY_SETTINGS
 @given(name=st.sampled_from(sorted(CARRY_MODELS)), n=st.integers(2, 30),
        seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -275,7 +278,7 @@ def test_regroup_moves_rows_birth_ids_and_carried_field(name, n, seed, data):
             copies[i] = True
     new = src < 0
     fresh = rng.normal(size=(int(new.sum()), model.theta_dim)) if new.any() else None
-    ens.regroup(src, copies, fresh)
+    regroup_field(ens, src, copies, fresh)
 
     assert np.array_equal(ens.thetas[~new], old.thetas[src[~new]])
     assert np.array_equal(ens.weights[~new], old.weights[src[~new]])
@@ -285,14 +288,41 @@ def test_regroup_moves_rows_birth_ids_and_carried_field(name, n, seed, data):
     assert np.array_equal(ens.birth_ids[kept], old.birth_ids[src[kept]])
     assert len(set(ens.birth_ids.tolist())) == n
     assert ens.next_birth_id == old.next_birth_id + int(np.count_nonzero(copies | new))
-    carried = ens._carried_field(model)
+    carried = _carried(ens, model)
     assert carried is not None
-    assert np.array_equal(carried[0], model.single(ens.thetas)[0])  # F moves with its row
-    assert_close(carried[1:], bf.field(model, ens.copy()))
+    assert np.array_equal(carried[3], model.single(ens.thetas)[0])  # F moves with its row
+    assert_close(carried[4:], bf.field(model, ens.copy()))
+
+
+@PROPERTY_SETTINGS
+@given(name=st.sampled_from(sorted(CARRY_MODELS)), n=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_regroup_alone_leaves_no_stale_record(name, n, seed, data):
+    """`Ensemble.regroup` called without `regroup_field` moves no record: one
+    that no longer holds for the rows or weights is never read, and `field`
+    gives the fresh evaluation bitwise."""
+    model = CARRY_MODELS[name]
+    rng = np.random.default_rng(seed)
+    ens = random_ensemble(model, n, rng)
+    ens.weights = rng.uniform(0.2, 2.0, n) if data.draw(st.booleans()) else np.ones(n)
+    bf.field(model, ens)
+    old = ens.copy()
+    src = np.array(data.draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n)))
+    new = src < 0
+    fresh = rng.normal(size=(int(new.sum()), model.theta_dim)) if new.any() else None
+    copies = np.array([s < 0 or s in src[:i] for i, s in enumerate(src)])  # a source's first row is kept
+    ens.regroup(src, copies, fresh)
+    same = (ens.thetas.tobytes() == old.thetas.tobytes()
+            and ens.weights.tobytes() == old.weights.tobytes())
+    event("rows and weights unchanged" if same else "rows or weights changed")
+    assert (_carried(ens, model) is not None) == same
+    v, grad = bf.field(model, ens)
+    fresh_v, fresh_grad = bf.field(model, ens.copy())
+    assert np.array_equal(v, fresh_v) and np.array_equal(grad, fresh_grad)
 
 
 def regrouping_pass(ens, cfg, rng, rates, prior):
-    """The birth-death pass rebuilt through `Ensemble.regroup` on every pass,
+    """The birth-death pass rebuilt through `regroup_field` on every pass,
     the identity rebuild of an event-free pass included: the reference that
     the pass must equal bitwise."""
     kill, dup = bf.bernoulli_phase(rates, cfg.alpha, cfg.dt, rng)
@@ -316,7 +346,7 @@ def regrouping_pass(ens, cfg, rng, rates, prior):
         else:
             src = np.concatenate([src, np.full(n0 - n1, -1)])
             fresh = np.hstack([np.zeros((n0 - n1, 1)), prior.sample(rng, n0 - n1)])
-    ens.regroup(src, copies, fresh)
+    regroup_field(ens, src, copies, fresh)
     return report
 
 
@@ -352,10 +382,10 @@ def test_pass_equals_a_pass_that_always_regroups(case, carry, n, seed, log_dt, a
     for x, y in [(a.thetas, b.thetas), (a.weights, b.weights), (a.birth_ids, b.birth_ids)]:
         assert np.array_equal(x, y)
     assert a.next_birth_id == b.next_birth_id
-    carried_a, carried_b = a._carried_field(model), b._carried_field(model)
+    carried_a, carried_b = _carried(a, model), _carried(b, model)
     assert (carried_a is None) == (carried_b is None) == (not (carry and model.is_interacting))
     if carried_a is not None:
-        assert all(np.array_equal(x, y) for x, y in zip(carried_a, carried_b))
+        assert all(np.array_equal(x, y) for x, y in zip(carried_a[1:], carried_b[1:]))
 
 
 @PROPERTY_SETTINGS
