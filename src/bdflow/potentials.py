@@ -141,23 +141,22 @@ def _hermite_sums(x: np.ndarray, y: np.ndarray, q: np.ndarray, var: float):
     series (h/2) sum_b (b+1) L_(b+1) v^b, so no y_j - x_i is formed from large
     positions.  Positions are divided by the power-of-two box width, which is
     exact, so the box offsets are exact wherever the points lie.
+
+    Each point set is sorted once (`_hermite_layout`); a self call (`x is y`)
+    reuses the sources' layout for the targets.  Powers run order by order,
+    so besides the per-box tables a call holds the two layouts (a sort order
+    and offsets each), three source vectors while the moments form, and
+    eight target vectors (base and position sums interleaved) while the
+    series sum, never a (`_HERMITE_ORDER` x n) array.  Each sum still takes
+    its products in the order of whole power tables and one einsum, so the
+    results are those of the whole-table transform bit for bit.
     """
     p, h = _HERMITE_ORDER, math.sqrt(2.0 * var)
     width = math.ldexp(1.0, math.frexp(h)[1] - 1)
     r = width / h
-    order = np.argsort(y, kind="stable")
-    ys = y[order] / width
-    sbox = np.floor(ys)
-    starts = np.flatnonzero(np.diff(sbox, prepend=sbox[0] - 1.0))
-    terms = _powers((ys - sbox - 0.5) * r)
-    terms *= q[order]
-    moments = (np.add.reduceat(terms, starts, axis=1) * _INV_FACT[:p, None]).T  # (boxes, p)
-    sbox = sbox[starts]
-
-    xs = x / width
-    tbox = np.floor(xs)
-    powers = _powers((xs - tbox - 0.5) * r)
-    tbox, t_inv = np.unique(tbox, return_inverse=True)
+    sorder, sstarts, sbox, u = sources = _hermite_layout(y, width, r)
+    order, starts, tbox, v = sources if x is y else _hermite_layout(x, width, r)
+    moments = _hermite_moments(q[sorder], sstarts, u)
     offsets, trans = _box_map(r)
     local = np.empty((p + 1, tbox.size))
     for c0 in range(0, tbox.size, _TILE):
@@ -166,21 +165,51 @@ def _hermite_sums(x: np.ndarray, y: np.ndarray, q: np.ndarray, var: float):
         near = moments[j] * (sbox[j] == near)[:, :, None]
         local[:, c0 : c0 + _TILE] = (near.reshape(near.shape[0], -1) @ trans).T
 
+    # per order, each box's (base, position) coefficient pair as one complex,
+    # so one `repeat` gives every sorted target its box's pair
     norm = float(_scalar_pow(2.0 * np.pi * var, -0.5))
-    coef = np.empty((2, p, tbox.size))
-    coef[0] = local[:p] * norm
-    coef[1] = local[1:] * (np.arange(1, p + 1) * (0.5 * h * norm))[:, None]
-    base, dev = np.einsum("ckn,kn->cn", coef[:, :, t_inv], powers)
-    return base, dev
+    coef = np.empty((p, tbox.size), dtype=complex)
+    pairs = coef.view(float)
+    pairs[:, 0::2] = local[:p] * norm
+    pairs[:, 1::2] = local[1:] * (np.arange(1, p + 1) * (0.5 * h * norm))[:, None]
+    counts = np.diff(starts, append=v.size)
+    total = coef[0].repeat(counts).view(float)
+    v = v.repeat(2)
+    power = v.copy()
+    for c in coef[1:]:
+        term = c.repeat(counts).view(float)
+        term *= power
+        total += term
+        power *= v
+    sums = np.empty((2, order.size))
+    sums[:, order] = total.reshape(-1, 2).T
+    return sums[0], sums[1]
 
 
-def _powers(v: np.ndarray) -> np.ndarray:
-    """v^k for k < `_HERMITE_ORDER`, as a (k, len(v)) array."""
-    out = np.empty((_HERMITE_ORDER, v.size))
-    out[0] = 1.0
-    for k in range(1, _HERMITE_ORDER):
-        np.multiply(out[k - 1], v, out=out[k])
-    return out
+def _hermite_layout(x: np.ndarray, width: float, r: float):
+    """The 1D points x in boxes of `width` (a power of two) = r h: their
+    stable sort order, the first sorted point of each non-empty box, those
+    boxes (in widths) and each sorted point's offset from its box centre, in
+    units of h.  It depends on the positions only."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order] / width
+    box = np.floor(xs)
+    starts = np.flatnonzero(np.diff(box, prepend=box[0] - 1.0))
+    return order, starts, box[starts], (xs - box - 0.5) * r
+
+
+def _hermite_moments(q: np.ndarray, starts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each box's moments sum q u^a / a! for a < `_HERMITE_ORDER`, as a
+    (boxes, order) table, for sorted weights q and offsets u and the boxes'
+    first points `starts`, from a running power of u."""
+    moments = np.empty((_HERMITE_ORDER, starts.size))
+    np.add.reduceat(q, starts, out=moments[0])
+    power = u.copy()
+    for row in moments[1:]:
+        np.add.reduceat(power * q, starts, out=row)
+        power *= u
+    moments *= _INV_FACT[:_HERMITE_ORDER, None]
+    return moments.T
 
 
 class PotentialModel:
@@ -386,7 +415,8 @@ class GaussianMixtureModel(PotentialModel):
         var = 2.0 * self.sigma * self.sigma
         wc = w * cb
         if ya.shape[1] == 1 and min(a.shape[0], b.shape[0]) >= 2 * _TILE:
-            base, dev = _hermite_sums(ya[:, 0], yb[:, 0], wc, var)
+            x = ya[:, 0]  # one object for a self call, whose targets reuse its sources' sort
+            base, dev = _hermite_sums(x, x if same else yb[:, 0], wc, var)
             dev = dev[:, None]
         else:
             wcy = wc[:, None] * yb

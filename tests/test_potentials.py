@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,8 @@ from scipy.integrate import quad
 
 import bdflow as bf
 from bdflow.harness import cli
-from bdflow.potentials import _BROADCAST_ROWS, _TILE, _gauss_block
+from bdflow.potentials import (_BROADCAST_ROWS, _HERMITE_ORDER, _INV_FACT, _TILE, _box_map,
+                               _gauss_block, _hermite_sums, _scalar_pow)
 
 from conftest import at, make_ensemble, numerical_grad_F, numerical_grad_K1
 
@@ -678,6 +681,91 @@ class TestHermiteTransform:
             assert np.array_equal(got, want)
 
 
+def whole_table_hermite_sums(x, y, q, var):
+    """The Hermite Gauss transform with whole (`_HERMITE_ORDER` x n) power
+    tables: the sources' and the targets' powers each formed at once, the
+    target boxes found by `np.unique` (a second sort) and every target's
+    series summed by one einsum over its box's gathered coefficients."""
+    p, h = _HERMITE_ORDER, math.sqrt(2.0 * var)
+    width = math.ldexp(1.0, math.frexp(h)[1] - 1)
+    r = width / h
+    order = np.argsort(y, kind="stable")
+    ys = y[order] / width
+    sbox = np.floor(ys)
+    starts = np.flatnonzero(np.diff(sbox, prepend=sbox[0] - 1.0))
+    terms = whole_powers((ys - sbox - 0.5) * r)
+    terms *= q[order]
+    moments = (np.add.reduceat(terms, starts, axis=1) * _INV_FACT[:p, None]).T
+    sbox = sbox[starts]
+    xs = x / width
+    tbox = np.floor(xs)
+    powers = whole_powers((xs - tbox - 0.5) * r)
+    tbox, t_inv = np.unique(tbox, return_inverse=True)
+    offsets, trans = _box_map(r)
+    local = np.empty((p + 1, tbox.size))
+    for c0 in range(0, tbox.size, _TILE):
+        near = tbox[c0 : c0 + _TILE, None] - offsets
+        j = np.minimum(np.searchsorted(sbox, near), sbox.size - 1)
+        near = moments[j] * (sbox[j] == near)[:, :, None]
+        local[:, c0 : c0 + _TILE] = (near.reshape(near.shape[0], -1) @ trans).T
+    norm = float(_scalar_pow(2.0 * np.pi * var, -0.5))
+    coef = np.empty((2, p, tbox.size))
+    coef[0] = local[:p] * norm
+    coef[1] = local[1:] * (np.arange(1, p + 1) * (0.5 * h * norm))[:, None]
+    base, dev = np.einsum("ckn,kn->cn", coef[:, :, t_inv], powers)
+    return base, dev
+
+
+def whole_powers(v):
+    """v^k for k < `_HERMITE_ORDER`, as one (k, len(v)) table."""
+    out = np.empty((_HERMITE_ORDER, v.size))
+    out[0] = 1.0
+    for k in range(1, _HERMITE_ORDER):
+        np.multiply(out[k - 1], v, out=out[k])
+    return out
+
+
+class TestHermiteLayout:
+    """`_hermite_sums` sorts each point set once, runs its powers order by
+    order and holds a few n-vectors, and still gives the sums of the
+    whole-table transform byte for byte."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(n=st.sampled_from([512, 1000, 2500, 5000]), same=st.booleans(),
+           m=st.sampled_from([512, 700, 1500]), spread=st.sampled_from(sorted(TestHermiteTransform.SPREADS)),
+           zeros=st.booleans(), var=st.sampled_from([0.05, 0.32, 0.98, 3.3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_whole_table_transform(self, n, same, m, spread, zeros, var, seed):
+        rng = np.random.default_rng(seed)
+        draw = TestHermiteTransform.SPREADS[spread]
+        x = draw(rng, n)
+        y = x if same else np.concatenate([rng.permutation(x)[: m // 2], draw(rng, m - m // 2)])
+        q = rng.uniform(-2.0, 2.0, y.size)  # negative weights, as signed amplitudes give
+        if zeros:
+            q[rng.random(q.size) < 0.3] = 0.0
+        for got, want in zip(_hermite_sums(x, y, q, var), whole_table_hermite_sums(x, y, q, var)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_a_self_call_holds_a_few_vectors(self):
+        """One `kernel_weighted_sums(theta, theta, w)` call at n = 16,000 with
+        1D positions peaks under tracemalloc at no more than 24 n-vectors
+        (3.07 MB).  It reads 15.6 (2.00 MB), a margin of 1.5x; with whole
+        power tables it read 121.6 (15.6 MB)."""
+        model = TestTiledKernel.model("frozen", 1)
+        rng = np.random.default_rng(19)
+        n = 16_000
+        theta = rng.normal(scale=2.0, size=(n, 1))
+        w = rng.uniform(0.2, 2.0, n)
+        model.kernel_weighted_sums(theta, theta, w)  # the box map and factors are cached
+        tracemalloc.start()
+        try:
+            model.kernel_weighted_sums(theta, theta, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 8 * n
+
+
 class TestBandwidthSquare:
     """The unit bandwidth is squared as `sigma * sigma`.  At this sigma C
     `pow(sigma, 2)` lands 1 ulp off that square on an x86-64 Linux build,
@@ -943,6 +1031,43 @@ class TestReluStudentTeacher:
             cli.write_teacher_csv(other, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["teacher.csv"]  # no temp file left
+
+
+class TestReluHomogeneity:
+    """The student unit c relu(y . x) has no bias, so it is 2-homogeneous in
+    (c, y): on any minibatch Euler's identity gives y . grad_y V = c dV/dc
+    (= V, as V = c vhat) at every particle, and gradient flow conserves
+    q = c^2 - |y|^2, so one Euler step changes q by dt^2 (g_c^2 - |g_y|^2)."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(n=st.integers(1, 40), d=st.integers(1, 60), batch=st.integers(1, 128),
+           scale=st.sampled_from([0.1, 1.0, 10.0]), seed=st.integers(0, 2**32 - 1))
+    def test_batch_gradient_obeys_eulers_identity(self, n, d, batch, scale, seed):
+        rng = np.random.default_rng(seed)
+        m = bf.ReLUStudentTeacherModel(input_dim=d, teacher_units=3, batch_size=batch,
+                                       teacher_seed=seed % 1000)
+        thetas = scale * rng.normal(size=(n, d + 1))
+        grad = m.batch_grad_V(thetas, rng.uniform(0.2, 2.0, n), m.sample_batch(rng))
+        v = thetas[:, 0] * grad[:, 0]  # c dV/dc
+        radial = np.einsum("ij,ij->i", thetas[:, 1:], grad[:, 1:])  # y . grad_y V
+        assert np.abs(radial - v).max() <= 1e-12 * np.abs(v).max()
+
+    def test_one_step_changes_q_by_the_squared_step(self):
+        m = bf.ReLUStudentTeacherModel(input_dim=8, teacher_units=3, batch_size=32, teacher_seed=2)
+        rng = np.random.default_rng(20)
+        ens = make_ensemble(np.column_stack([rng.normal(size=30), rng.normal(size=(30, 8))]))
+        x, dt = m.sample_batch(rng), 0.1
+        g = bf.field(m, ens, x)[1]
+        before = ens.thetas.copy()
+        bf.gd_step(m, ens, dt, x)
+
+        def q(th):
+            return th[:, 0] ** 2 - np.einsum("ij,ij->i", th[:, 1:], th[:, 1:])
+
+        want = dt * dt * (g[:, 0] ** 2 - np.einsum("ij,ij->i", g[:, 1:], g[:, 1:]))
+        tol = 1e-13 * np.einsum("ij,ij->i", before, before).max()  # rounding of q
+        assert np.abs(want).max() > 1e6 * tol  # the step moves q far beyond rounding
+        np.testing.assert_allclose(q(ens.thetas) - q(before), want, rtol=0, atol=tol)
 
 
 class TestBuildModel:
