@@ -1,5 +1,6 @@
-"""Acceptance-suite runner: executes the criteria tests through pytest and
-emits a machine-readable verdict plus one pass/fail line per criterion.
+"""Acceptance-suite runner: executes the criteria tests in a child pytest, reads
+its JUnit report and emits a machine-readable verdict plus one pass/fail line
+per criterion.  The child imports this process's ``bdflow``.
 
 ``fast`` runs the property tests and short quantitative checks (everything
 not marked slow); ``full`` runs all criteria.  Requires a repository
@@ -8,8 +9,14 @@ checkout, since the tests directory is not installed with the package.
 
 from __future__ import annotations
 
+import ast
 import json
+import os
 import re
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from ..ensemble import atomic_open
@@ -33,40 +40,34 @@ CRITERIA = {
 _NODE_RE = re.compile(r"test_c(\d{2})")
 
 
-class _Collector:
-    """Pytest plugin recording outcome and measured values per criterion, and
-    its wall time: the setup, call and teardown durations of all its tests,
-    so a shared fixture counts where it is set up; and each collection error."""
-
-    def __init__(self):
-        self.outcomes: dict[int, list] = {}
-        self.measured: dict[int, dict] = {}
-        self.errors: list[str] = []
-
-    def pytest_collectreport(self, report):
-        if report.failed:  # named by the report's last `E ` line, else its whole text
-            text = report.longreprtext
-            errors = [ln[1:].strip() for ln in text.splitlines() if ln.startswith("E ")]
-            self.errors.append(f"{report.nodeid}: {errors[-1] if errors else text.strip()}")
-
-    def pytest_runtest_logreport(self, report):
-        m = _NODE_RE.search(report.nodeid)
+def _read_report(path: Path) -> tuple[dict[int, list], dict[int, dict], list[str]]:
+    """Outcomes and measured values per criterion, and the collection errors, from
+    an xunit1 JUnit report (it keeps properties).  A testcase's time sums its setup,
+    call and teardown, so a shared fixture counts where it is set up."""
+    outcomes, measured, errors = {}, {}, []
+    for case in ET.parse(path).iter("testcase"):
+        name = case.get("name", "")
+        error = case.find("error")
+        if error is not None and error.get("message") == "collection failure":
+            node = case.get("file", name) + (f"::{name}" if case.get("classname") else "")
+            text = error.text or ""
+            lines = [ln[1:].strip() for ln in text.splitlines() if ln.startswith("E ")]
+            errors.append(f"{node}: {lines[-1] if lines else text.strip()}")
+        m = _NODE_RE.search(name)
         if not m:
-            return
+            continue
         crit = int(m.group(1))
-        measured = self.measured.setdefault(crit, {})
-        measured["wall_seconds"] = measured.get("wall_seconds", 0.0) + report.duration
-        if report.when == "call" or (report.when == "setup" and report.skipped):
-            outcome = "skipped" if report.skipped else ("pass" if report.passed else "fail")
-            self.outcomes.setdefault(crit, []).append(outcome)
-            for key, value in getattr(report, "user_properties", ()):
-                measured[key] = value
-
-    def pytest_deselected(self, items):
-        for item in items:
-            m = _NODE_RE.search(item.nodeid)
-            if m:
-                self.outcomes.setdefault(int(m.group(1)), []).append("deselected")
+        values = measured.setdefault(crit, {})
+        values["wall_seconds"] = values.get("wall_seconds", 0.0) + float(case.get("time", 0.0))
+        for prop in case.iter("property"):  # pytest writes str(value): the literal, else the text
+            try:
+                values[prop.get("name")] = ast.literal_eval(prop.get("value"))
+            except (ValueError, SyntaxError):
+                values[prop.get("name")] = prop.get("value")
+        tags = {child.tag for child in case}
+        outcome = "fail" if tags & {"error", "failure"} else "skipped" if "skipped" in tags else "pass"
+        outcomes.setdefault(crit, []).append(outcome)
+    return outcomes, measured, errors
 
 
 def _find_tests_dir() -> Path:
@@ -80,43 +81,39 @@ def _find_tests_dir() -> Path:
 
 def run_verify(level: str = "full", report_path=None, quiet: bool = False) -> tuple[int, dict]:
     """Run the acceptance suite; returns (exit_code, verdict dict)."""
-    import pytest
-
     if level not in ("fast", "full"):
         raise ConfigurationError(f"level must be fast or full, got {level!r}")
     tests = _find_tests_dir()
-    collector = _Collector()
-    # importlib mode names the file by its path under the rootdir, not by the
-    # bare `test_acceptance` a process may already hold for another file
-    args = [str(tests / "test_acceptance.py"), "-q", "-p", "no:cacheprovider",
-            "--import-mode=importlib", f"--rootdir={tests.parent}"]
-    if level == "fast":
-        args += ["-m", "not slow"]
-    if quiet:
-        args += ["--no-header", "-rN"]
-    code = pytest.main(args, plugins=[collector])
+    pythonpath = [str(Path(__file__).resolve().parents[2]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    with tempfile.TemporaryDirectory() as tmp:
+        xml = Path(tmp) / "report.xml"
+        args = [sys.executable, "-m", "pytest", str(tests / "test_acceptance.py"), "-q",
+                "-p", "no:cacheprovider", f"--rootdir={tests.parent}", f"--junitxml={xml}",
+                "-o", "junit_family=xunit1"]
+        if level == "fast":
+            args += ["-m", "not slow"]
+        if quiet:
+            args += ["--no-header", "-rN"]
+        code = subprocess.run(args, env=env).returncode
+        outcomes, measured, errors = _read_report(xml) if xml.is_file() else (
+            {}, {}, [f"pytest exited with code {code} and wrote no report"])
 
     criteria = []
     for num in sorted(CRITERIA):
-        outcomes = collector.outcomes.get(num, [])
+        found = outcomes.get(num, [])
         # a criterion whose tests did not run because of a collection error fails
-        failed = "fail" in outcomes or (collector.errors and not outcomes)
-        status = "fail" if failed else "pass" if "pass" in outcomes else "skipped"
-        criteria.append(
-            {
-                "criterion": num,
-                "name": CRITERIA[num],
-                "status": status,
-                "measured": collector.measured.get(num, {}),
-            }
-        )
-    any_fail = any(c["status"] == "fail" for c in criteria) or collector.errors
+        failed = "fail" in found or (errors and not found)
+        status = "fail" if failed else "pass" if "pass" in found else "skipped"
+        criteria.append({"criterion": num, "name": CRITERIA[num], "status": status,
+                         "measured": measured.get(num, {})})
+    any_fail = any(c["status"] == "fail" for c in criteria) or errors
     # a nonzero pytest code with no mapped failure still fails the verdict
     exit_code = 1 if (any_fail or code not in (0, 5)) else 0
     verdict = {"schema_version": 1, "level": level, "exit_code": exit_code,
-               "collection_errors": collector.errors, "criteria": criteria}
+               "collection_errors": errors, "criteria": criteria}
 
-    for error in collector.errors:
+    for error in errors:
         print(f"[collection] ERROR  {error}")
     for c in criteria:
         mark = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[c["status"]]

@@ -279,9 +279,8 @@ class GridStepper:
         return Ensemble(g.centers[:, None], g.density * (g.dx * g.cells), np.arange(g.cells))
 
     def potential(self) -> np.ndarray:
-        """V = F + sum_j rho_j dx K(., x_j): `field` on the nodes, at them as points so nothing is carried."""
-        nodes = self._nodes()
-        return potential_field(self.model, nodes, points=nodes.thetas)[0]
+        """V = F + sum_j rho_j dx K(., x_j): `field` on the nodes, a self call."""
+        return potential_field(self.model, self._nodes())[0]
 
     def step(self, dt: float | None = None) -> float:
         """Advance one step; returns the mass clipped from negative cells."""

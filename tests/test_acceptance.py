@@ -257,7 +257,7 @@ def test_c07_kill_and_duplication_law(record_property):
         assert abs(kill.mean() - p) < 3.0 * sigma, f"kill rate at {target}"
         _, dup = bf.bernoulli_phase(np.full(trials, -target), 1.0, 1.0, rng)
         assert abs(dup.mean() - p) < 3.0 * sigma, f"duplication rate at {target}"
-        measured[round(float(target), 4)] = (float(kill.mean()), float(dup.mean()), p)
+        measured[round(float(target), 4)] = (float(kill.mean()), float(dup.mean()), float(p))
     record_property("frequencies", measured)
 
 

@@ -1,9 +1,10 @@
 import json
+import subprocess
 import sys
 import tempfile
 from functools import partial
 from pathlib import Path
-from types import ModuleType, SimpleNamespace
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ import bdflow as bf
 from bdflow.dynamics import check_model_support
 from bdflow.harness import load_config, parse_config, run_experiment, run_sweep, verify
 from bdflow.harness.cli import main as cli_main
-from bdflow.harness.verify import _Collector
 from bdflow.meanfield import Grid1D
 
 
@@ -528,30 +528,30 @@ class TestCli:
         assert cli_main(["teacher-dump", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
 
 
-class TestVerifyCollector:
-    @staticmethod
-    def report(name, when, duration, outcome="passed", props=()):
-        return SimpleNamespace(nodeid=f"tests/test_acceptance.py::{name}", when=when,
-                               duration=duration, passed=outcome == "passed",
-                               skipped=outcome == "skipped", user_properties=list(props))
+JUNIT_REPORT = """<?xml version="1.0" encoding="utf-8"?>
+<testsuites><testsuite name="pytest">
+<testcase classname="tests.test_acceptance" name="test_c09_a" time="100.750">
+<properties><property name="bad" value="1.0" /></properties></testcase>
+<testcase classname="tests.test_acceptance" name="test_c09_b" time="2.125">
+<failure message="assert False">E   assert False</failure></testcase>
+<testcase classname="tests.test_acceptance" name="test_c11_c" time="2.000">
+<skipped type="pytest.skip" message="skipped in setup" /></testcase>
+<testcase classname="tests.test_acceptance" name="test_other" time="9.000" />
+</testsuite></testsuites>
+"""
 
-    def test_wall_seconds_sum_every_phase_of_every_test(self):
-        collector = _Collector()
-        for report in (
-            self.report("test_c09_a", "setup", 100.0),  # a shared fixture is built here
-            self.report("test_c09_a", "call", 0.5, props=[("bad", 1.0)]),
-            self.report("test_c09_a", "teardown", 0.25),
-            self.report("test_c09_b", "setup", 0.125),
-            self.report("test_c09_b", "call", 2.0, outcome="failed"),
-            self.report("test_c09_b", "teardown", 0.0),
-            self.report("test_c11_c", "setup", 1.5, outcome="skipped"),
-            self.report("test_c11_c", "teardown", 0.5),
-            self.report("test_other", "call", 9.0),
-        ):
-            collector.pytest_runtest_logreport(report)
-        assert collector.measured == {9: {"wall_seconds": 102.875, "bad": 1.0},
-                                      11: {"wall_seconds": 2.0}}
-        assert collector.outcomes == {9: ["pass", "fail"], 11: ["skipped"]}
+
+class TestVerifyCollector:
+    def test_wall_seconds_sum_every_phase_of_every_test(self, tmp_path):
+        # each time is setup + call + teardown: test_c09_a's 100.75 s include a
+        # shared fixture's 100 s setup; test_c11_c was skipped in its setup
+        report = tmp_path / "report.xml"
+        report.write_text(JUNIT_REPORT)
+        outcomes, measured, errors = verify._read_report(report)
+        assert measured == {9: {"wall_seconds": 102.875, "bad": 1.0},
+                            11: {"wall_seconds": 2.0}}
+        assert outcomes == {9: ["pass", "fail"], 11: ["skipped"]}
+        assert errors == []
 
 
 ACCEPTANCE_STUB = """
@@ -568,6 +568,40 @@ def test_c02_fails():
 
 @pytest.mark.slow
 def test_c03_is_slow():
+    pass
+"""
+
+
+PROCESS_STUB = """
+import sys
+
+NUMPY_AT_IMPORT = "numpy" in sys.modules
+
+import bdflow
+import pytest
+
+
+@pytest.fixture(scope="module")
+def broken_setup():
+    raise RuntimeError("setup")
+
+
+@pytest.fixture
+def broken_teardown():
+    yield
+    raise RuntimeError("teardown")
+
+
+def test_c01_reads_its_process(record_property):
+    record_property("numpy_at_import", NUMPY_AT_IMPORT)
+    record_property("bdflow_file", bdflow.__file__)
+
+
+def test_c02_setup_error(broken_setup):
+    pass
+
+
+def test_c03_teardown_error(broken_teardown):
     pass
 """
 
@@ -610,6 +644,29 @@ class TestRunVerify:
         assert all(c["status"] == "fail" for c in verdict["criteria"])
         out = capsys.readouterr().out
         assert f"[collection] ERROR  {error}" in out and "SKIP" not in out
+
+    def test_setup_and_teardown_errors_fail_their_criterion(self, tmp_path, monkeypatch):
+        (tmp_path / "test_acceptance.py").write_text(PROCESS_STUB)
+        monkeypatch.setattr(verify, "_find_tests_dir", lambda: tmp_path)
+        code, verdict = verify.run_verify(level="fast", quiet=True)
+        status = [c["status"] for c in verdict["criteria"][:3]]
+        assert code == 1 and status == ["pass", "fail", "fail"]
+
+    def test_suite_imports_this_bdflow_in_a_process_without_numpy(self, tmp_path, monkeypatch):
+        # so tests/conftest.py pins the BLAS threads before numpy loads
+        (tmp_path / "test_acceptance.py").write_text(PROCESS_STUB)
+        monkeypatch.setattr(verify, "_find_tests_dir", lambda: tmp_path)
+        measured = verify.run_verify(level="fast", quiet=True)[1]["criteria"][0]["measured"]
+        assert measured["numpy_at_import"] is False
+        assert Path(measured["bdflow_file"]).resolve() == Path(bf.__file__).resolve()
+
+    def test_a_child_without_a_report_fails_every_criterion(self, stub_suite, monkeypatch):
+        monkeypatch.setattr(verify.subprocess, "run",
+                            lambda args, env: subprocess.CompletedProcess(args, 4))
+        code, verdict = verify.run_verify(level="fast", quiet=True)
+        assert code == 1 and verdict["collection_errors"] == [
+            "pytest exited with code 4 and wrote no report"]
+        assert all(c["status"] == "fail" for c in verdict["criteria"])
 
     def test_two_runs_in_one_process_collect_the_stub(self, tmp_path, monkeypatch):
         # a process that collected the real suite holds a `test_acceptance`
