@@ -100,11 +100,11 @@ class StepReport:
 
 @dataclass
 class DynamicsConfig:
-    """One dynamics scheme and its step parameters.  `f_spec` is read only by
-    gd-bd-fvariant, `reinjection_prior` only by gd-bd-reinjection, and
-    `proximal_steps`, the m transport steps of one proximal step, only by
-    proximal; every variant carries them unchanged, so one configuration can
-    be swept over the variant."""
+    """One dynamics scheme and its step parameters.  `f_spec` is read only by gd-bd-fvariant,
+    `reinjection_prior` only by gd-bd-reinjection, and `proximal_steps`, the m transport steps of
+    one proximal step, only by proximal; every variant carries them unchanged, so one configuration
+    can be swept over the variant.  A step is one `run_step` call for every variant, and `time_of`
+    is the time a count of steps ends at."""
 
     variant: str
     dt: float
@@ -135,6 +135,10 @@ class DynamicsConfig:
     def substeps(self) -> int:
         """Transport steps per step: 1, or `proximal_steps` for proximal."""
         return self.proximal_steps if self.variant == "proximal" else 1
+
+    def time_of(self, steps: int) -> float:
+        """The time `steps` steps end at, from the integer count of transport steps (no float drift)."""
+        return steps * self.substeps * self.dt
 
 
 def check_model_support(model: PotentialModel, variant: str, prior=None) -> None:
@@ -474,7 +478,7 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
     horizon = require_number(horizon, "horizon", 0.0)
     _require_unit_weights(ens)
     n = ens.n
-    f_vals = model.single(ens.thetas)[0]
+    f_vals = field(model, ens)[0]
     if not np.all(np.isfinite(f_vals)):
         raise NumericError("non-finite potential in kmc_run")
     initial_mean = float(f_vals.mean())
@@ -591,8 +595,8 @@ def resample_weights(ens: Ensemble, rng: np.random.Generator) -> StepReport:
 
 def run_step(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
              rng: np.random.Generator) -> StepReport:
-    """Advance one full dynamics step: transport, then one birth-death pass on
-    the post-transport rates.  The population size is exactly conserved."""
+    """Advance one step of any variant: `cfg.substeps` transport steps, then one birth-death pass on
+    the post-transport rates; the time becomes `cfg.time_of(ens.step_count)`.  n is exactly conserved."""
     n0 = ens.n
     variant = cfg.variant
     check_model_support(model, variant, cfg.reinjection_prior)
@@ -617,8 +621,8 @@ def run_step(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
     else:
         report = birth_death_step(ens, cfg, rng, centered_rate(model, ens, batch))
 
-    ens.step_count += cfg.substeps
-    ens.time = ens.step_count * cfg.dt  # exact, no float accumulation drift
+    ens.step_count += 1
+    ens.time = cfg.time_of(ens.step_count)
     if ens.n != n0:
         raise NumericError(f"population changed from {n0} to {ens.n} within one step")
     ens.validate()

@@ -40,8 +40,8 @@ def snapshot_name(t: float) -> str:
 
 @dataclass
 class ExperimentConfig:
-    """One run: the model, init sampler and dynamics built from a config, the
-    raw model spec they came from (for the echo), and the run controls."""
+    """One run of `steps` steps: the model, init sampler and dynamics built from a config, the raw
+    model spec (for the echo) and the run controls, whose times come from `dynamics.time_of`."""
 
     model_spec: dict
     model: PotentialModel
@@ -70,7 +70,7 @@ class ExperimentConfig:
         names = [snapshot_name(t) for t in self.snapshot_times]
         if len(set(names)) < len(names):
             raise ConfigurationError(f"snapshot_times {list(self.snapshot_times)} repeat a file name in {names}")
-        end = self._time_of(self.steps)  # a run snapshots t once its time reaches t - dt/2
+        end = self.dynamics.time_of(self.steps)  # a run snapshots t once its time reaches t - dt/2
         late = [t for t in self.snapshot_times if end < t - 0.5 * self.dynamics.dt]
         if late:
             raise ConfigurationError(f"snapshot_times {late} fall after the run ends at t = {end}")
@@ -96,14 +96,10 @@ class ExperimentConfig:
             )
         check_model_support(self.model, self.dynamics.variant, self.dynamics.reinjection_prior)
 
-    def _time_of(self, step: int) -> float:
-        """The time a run computes for the end of `step` (proximal substeps count)."""
-        return step * self.dynamics.substeps * self.dynamics.dt
-
     def _records_in(self, t0: float, t1: float) -> int:
         """Records a run puts in [t0, t1] (step 0, every record_every-th step,
         the last), at the times the run computes for them."""
-        steps, time_of = range(0, self.steps + 1, self.record_every), self._time_of
+        steps, time_of = range(0, self.steps + 1, self.record_every), self.dynamics.time_of
         last = self.steps % self.record_every != 0 and t0 <= time_of(self.steps) <= t1
         return bisect_right(steps, t1, key=time_of) - bisect_left(steps, t0, key=time_of) + last
 

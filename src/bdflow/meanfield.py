@@ -268,7 +268,7 @@ class GridStepper:
         self.heavy_clips = 0
         self.total_clip_mass = 0.0
         if not model.is_interacting:  # V = F is static: one stencil serves every step
-            self._f = model.single(grid.centers[:, None])[0]
+            self._f = self.potential()
             self._stencil = _upwind_stencil(self._f, grid.dx)
         self._flux = np.zeros(grid.cells + 1)  # zero-flux walls stay zero
         self._buf = np.empty(grid.cells)

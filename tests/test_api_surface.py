@@ -46,6 +46,7 @@ CARRY_NAMES = re.compile(r"\b(_field|_carried|_carry)\b")
 REGROUP_CALL = re.compile(r"\.regroup\(")
 KERNEL_CALL = re.compile(r"\.kernel_weighted_sums\(")
 KERNEL_MATRIX = re.compile(r"\.K_block\(")
+SINGLE_CALL = re.compile(r"\.single\(")
 
 
 def package_sources() -> dict[str, str]:
@@ -74,6 +75,12 @@ def test_pairwise_sums_are_called_only_by_the_field_owners():
 def test_kernel_matrix_is_formed_only_by_its_owner():
     offenders = sorted(name for name, text in package_sources().items()
                        if name != "potentials.py" and KERNEL_MATRIX.search(text))
+    assert offenders == []
+
+
+def test_model_f_is_read_only_by_the_field_owner():
+    offenders = sorted(name for name, text in package_sources().items()
+                       if name != "potentials.py" and SINGLE_CALL.search(text))
     assert offenders == []
 
 

@@ -629,7 +629,7 @@ class TestRunStep:
             ends.append(ens.thetas.copy())
         assert np.array_equal(ends[0], ends[1])
 
-    def test_proximal_cycle_advances_m_substeps(self, mixture_3c):
+    def test_proximal_step_is_one_step_of_m_transport_steps(self, mixture_3c):
         init = bf.ProductSampler(
             factors=(bf.GaussianSampler(mean=[0.0], std=1.0), bf.GaussianSampler(mean=[0.0], std=2.0))
         )
@@ -637,8 +637,23 @@ class TestRunStep:
         assert cfg.substeps == 10
         ens = bf.init_from_sampler(init, 16, 2, seed=33)
         bf.run_step(mixture_3c, ens, cfg, np.random.default_rng(34))
-        assert ens.step_count == 10
+        assert ens.step_count == 1
         assert ens.time == pytest.approx(0.1)
+
+    def test_kmc_step_is_one_kmc_run_over_dt(self, quad_1d):
+        cfg = bf.DynamicsConfig(variant="kmc-bd", dt=0.05)
+        ens = bf.init_from_sampler(bf.GaussianSampler(mean=[1.0], std=1.0), 200, 1, seed=35)
+        direct = ens.copy()
+        rng = np.random.default_rng(36)
+        reports = [bf.run_step(quad_1d, ens, cfg, rng) for _ in range(10)]
+        rng = np.random.default_rng(36)
+        for _ in range(10):
+            bf.kmc_run(quad_1d, direct, cfg, cfg.dt, rng)
+        births, deaths = sum(r.births for r in reports), sum(r.deaths for r in reports)
+        assert ens.n == 200 and births == deaths > 0
+        assert (ens.step_count, ens.time) == (10, cfg.time_of(10))
+        assert ens.thetas.tobytes() == direct.thetas.tobytes()
+        assert ens.birth_ids.tobytes() == direct.birth_ids.tobytes()
 
     def test_proximal_strict_resampling_matches_birth_death_in_distribution(self, mixture_3c):
         """One proximal cycle with m = 1 and a single implicit sweep should

@@ -402,6 +402,18 @@ class TestCommittedConfigs:
             echo = cfg.normalized()
             assert parse_config(json.loads(json.dumps(echo))).normalized() == echo
 
+    def test_proximal_run_counts_proximal_steps(self, tmp_path):
+        data = json.loads((Path(__file__).resolve().parents[1] / "configs/quadratic_gd_bd.json").read_text())
+        del data["rate_fit"]  # its window [2, 4] lies past this run's end at t = 1
+        data["dynamics"].update(variant="proximal", proximal_steps=5)
+        data.update(steps=20, record_every=5, n=64, snapshot_times=[0.5])
+        summary = run_experiment(parse_config(data), output_dir=tmp_path)
+        assert (summary["status"], summary["final_step"]) == ("ok", 20)
+        assert summary["snapshots"] == ["snapshot_t0.5.csv"]
+        rows = [line.split(",") for line in (tmp_path / "trajectory.csv").read_text().splitlines()[2:]]
+        assert [row[0] for row in rows] == ["0", "5", "10", "15", "20"]
+        assert [row[1] for row in rows] == [format((k * 5) * 0.01, ".17g") for k in range(0, 21, 5)]
+
 
 class TestCli:
     def test_run_and_exit_codes(self, tmp_path):
