@@ -72,7 +72,7 @@ PROXIMAL_TOL = 1e-10  # max weight change that ends the proximal fixed-point swe
 
 @dataclass(frozen=True)
 class FVariant:
-    """Odd nondecreasing rate transform; built-ins: identity, tanh(beta z)/beta."""
+    """Odd nondecreasing rate transform; built-ins: identity (beta stays 1), tanh(beta z)/beta."""
 
     kind: str = "identity"
     beta: float = 1.0
@@ -83,6 +83,8 @@ class FVariant:
         object.__setattr__(self, "beta", require_number(self.beta, "f.beta"))
         if self.kind == "tanh" and not self.beta > 0:
             raise ConfigurationError("tanh f variant needs beta > 0")
+        if self.kind == "identity" and self.beta != 1.0:
+            raise ConfigurationError(f"the identity f variant takes no beta, got {self.beta!r}")
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "identity":
@@ -515,7 +517,6 @@ def kmc_run(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig, horizon: 
     if means:
         means[-1] = float(f_vals[src].mean())
     regroup_field(ens, src, src != np.arange(n))
-    ens.time += horizon
     return KMCLog(times=np.asarray(times), mean_energy=np.asarray(means), initial_mean=initial_mean)
 
 
@@ -532,8 +533,7 @@ def proximal_weight_update(model: PotentialModel, ens: Ensemble, tau: float,
     a copy, so `ens` is unchanged when they raise.  The exact loss never
     increases across a converged update.
     """
-    if not model.is_exact:
-        raise ConfigurationError("proximal weight updates need an exact model")
+    check_model_support(model, "proximal")
     tau = require_number(tau, "tau", 0.0, exclusive=True)
     inner_iters = require_int(inner_iters, "inner_iters", 1)
     trial = ens.copy()
@@ -596,7 +596,8 @@ def resample_weights(ens: Ensemble, rng: np.random.Generator) -> StepReport:
 def run_step(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
              rng: np.random.Generator) -> StepReport:
     """Advance one step of any variant: `cfg.substeps` transport steps, then one birth-death pass on
-    the post-transport rates; the time becomes `cfg.time_of(ens.step_count)`.  n is exactly conserved."""
+    the post-transport rates.  n is exactly conserved.  The population carries no clock: the caller
+    counts its calls, and k calls end at time `cfg.time_of(k)`."""
     n0 = ens.n
     variant = cfg.variant
     check_model_support(model, variant, cfg.reinjection_prior)
@@ -621,8 +622,6 @@ def run_step(model: PotentialModel, ens: Ensemble, cfg: DynamicsConfig,
     else:
         report = birth_death_step(ens, cfg, rng, centered_rate(model, ens, batch))
 
-    ens.step_count += 1
-    ens.time = cfg.time_of(ens.step_count)
     if ens.n != n0:
         raise NumericError(f"population changed from {n0} to {ens.n} within one step")
     ens.validate()

@@ -6,6 +6,7 @@ an output-amplitude channel the amplitude ``c`` is column 0 and the remaining
 columns are the position; otherwise all ``D`` columns are the position.  Each
 particle also carries a nonnegative weight (mean 1 across the population) and a
 monotone birth id assigned at creation, used only for lineage diagnostics.
+A population carries no clock: the loop that steps it counts the steps.
 `Ensemble.regroup` rebuilds a population from copies of its rows and is the
 only code that assigns new birth ids.  The module imports only ``errors``.
 
@@ -36,8 +37,6 @@ class Ensemble:
     thetas: np.ndarray  # (n, D) full parameter rows
     weights: np.ndarray  # (n,)
     birth_ids: np.ndarray  # (n,) int64
-    step_count: int = 0
-    time: float = 0.0
     next_birth_id: int = field(default=0)
 
     def __post_init__(self):
@@ -62,8 +61,6 @@ class Ensemble:
             thetas=self.thetas.copy(),
             weights=self.weights.copy(),
             birth_ids=self.birth_ids.copy(),
-            step_count=self.step_count,
-            time=self.time,
             next_birth_id=self.next_birth_id,
         )
 

@@ -32,9 +32,9 @@ from .config import ExperimentConfig, parse_config, snapshot_name
 RUN_ERRORS = (NumericError, ExtinctionError, StepSizeError)
 
 
-def observe(model, ens, births: int, deaths: int, eval_rng) -> TrajectoryRecord:
-    """One trajectory record; batch models use a fresh evaluation minibatch
-    drawn from the dedicated eval stream so the dynamics stream is untouched."""
+def observe(model, ens, step: int, t: float, births: int, deaths: int, eval_rng) -> TrajectoryRecord:
+    """The trajectory record of `ens` after `step` steps, at time `t`; batch models use a fresh
+    evaluation minibatch drawn from the dedicated eval stream so the dynamics stream is untouched."""
     if model.is_exact:
         batch, energy = None, ensemble_energy(model, ens)
     else:
@@ -42,8 +42,8 @@ def observe(model, ens, births: int, deaths: int, eval_rng) -> TrajectoryRecord:
         energy = model.batch_loss(ens.thetas, ens.weights, batch)
     mean_v, var_v, grad_sq = field_moments(ens, *field(model, ens, batch))
     return TrajectoryRecord(
-        step=ens.step_count,
-        time=ens.time,
+        step=step,
+        time=t,
         energy=energy,
         mean_V=mean_v,
         var_V=var_v,
@@ -79,18 +79,18 @@ def run_experiment(config: ExperimentConfig, output_dir=None, quiet: bool = True
     eval_rng = np.random.default_rng(eval_ss)
 
     t_start = time.perf_counter()
-    records = [observe(model, ens, 0, 0, eval_rng)]
+    records = [observe(model, ens, 0, dyn.time_of(0), 0, 0, eval_rng)]
     pending = sorted(config.snapshot_times)
     snapshots = []
 
-    def take_snapshots():
-        while pending and ens.time >= pending[0] - 0.5 * dyn.dt:
+    def take_snapshots(step):
+        while pending and dyn.time_of(step) >= pending[0] - 0.5 * dyn.dt:
             t_snap = pending.pop(0)
             path = out / snapshot_name(t_snap)
             write_snapshot_csv(ens, path, model)
             snapshots.append(path.name)
 
-    take_snapshots()
+    take_snapshots(0)
     status, error = "ok", None
     births = deaths = corrections = 0
     max_rate = 0.0
@@ -102,9 +102,9 @@ def run_experiment(config: ExperimentConfig, output_dir=None, quiet: bool = True
             corrections += report.population_corrections
             max_rate = max(max_rate, report.max_rate)
             if step % config.record_every == 0 or step == config.steps:
-                records.append(observe(model, ens, births, deaths, eval_rng))
+                records.append(observe(model, ens, step, dyn.time_of(step), births, deaths, eval_rng))
                 births = deaths = 0
-            take_snapshots()
+            take_snapshots(step)
     except RUN_ERRORS as exc:
         status, error = "failed", f"{type(exc).__name__}: {exc}"
     wall = time.perf_counter() - t_start

@@ -530,13 +530,15 @@ def field(model: PotentialModel, ens, batch=None, points=None) -> tuple[np.ndarr
     weights hold the stored copies' bits; `regroup_field` moves it to new rows.
     `points`, finite rows of rank 1 (one row) or 2, are evaluated instead,
     without reading or writing the carry.  A minibatch model estimates both at
-    the particles only, from `batch`.
+    the particles only, from `batch`; an exact model takes no batch.
     """
     if not model.is_exact:
         if points is not None:
             raise ConfigurationError(f"{model.kind} estimates V only at the particles")
         grad = model.batch_grad_V(ens.thetas, ens.weights, batch)
         return ens.thetas[:, 0] * grad[:, 0], grad
+    if batch is not None:
+        raise ConfigurationError(f"{model.kind} is exact and takes no minibatch")
     if points is None and (record := _carried(ens, model)):
         return record[4:]
     x = ens.thetas if points is None else np.atleast_2d(require_array(points, "points", (1, 2)))

@@ -12,6 +12,7 @@ module level only, modules before it in `LAYERS`, so the package's import
 graph has no cycle."""
 
 import ast
+import dataclasses
 import re
 import types
 from pathlib import Path
@@ -40,6 +41,12 @@ def test_public_names_are_pinned():
                    if not n.startswith("_") and not isinstance(v, types.ModuleType))
     assert names == PUBLIC_NAMES
     assert len(names) == 51
+
+
+def test_a_population_is_its_rows_weights_and_birth_ids():
+    # the population once also stored a step count and a time that any step overwrote
+    assert [f.name for f in dataclasses.fields(bf.Ensemble)] == [
+        "thetas", "weights", "birth_ids", "next_birth_id"]
 
 
 CARRY_NAMES = re.compile(r"\b(_field|_carried|_carry)\b")

@@ -288,6 +288,30 @@ class TestFVariant:
         with pytest.raises(bf.ConfigurationError):
             bf.FVariant(kind="tanh", beta="abc")
 
+    def test_identity_takes_no_beta(self):
+        # identity with beta 3 was once accepted and its beta ignored
+        with pytest.raises(bf.ConfigurationError, match="beta"):
+            bf.FVariant(kind="identity", beta=3.0)
+        assert bf.FVariant(kind="identity", beta=1.0) == bf.FVariant()
+
+
+# an exact model once ignored a batch given to any of these
+EXACT_BATCH_CALLS = {
+    "field": lambda model, ens, batch: bf.field(model, ens, batch),
+    "gd_step": lambda model, ens, batch: bf.gd_step(model, ens, 0.1, batch),
+    "centered_rate": lambda model, ens, batch: bf.centered_rate(model, ens, batch),
+    "fvariant_rate": lambda model, ens, batch: bf.fvariant_rate(model, ens, bf.FVariant(kind="tanh"), batch),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_BATCH_CALLS))
+def test_exact_model_takes_no_batch(mixture_3c, name):
+    ens = make_ensemble(np.random.default_rng(13).normal(size=(6, 2)))
+    rows, weights = ens.thetas.copy(), ens.weights.copy()
+    with pytest.raises(bf.ConfigurationError, match="takes no minibatch"):
+        EXACT_BATCH_CALLS[name](mixture_3c, ens, np.zeros((4, 1)))
+    assert ens.thetas.tobytes() == rows.tobytes() and ens.weights.tobytes() == weights.tobytes()
+
 
 class TestReinjection:
     def _config(self):
@@ -330,7 +354,6 @@ class TestKMC:
         log = bf.kmc_run(quad_1d, ens, bf.DynamicsConfig(variant="kmc-bd", dt=1.0), 10.0,
                          np.random.default_rng(16))
         assert log.n_events == 0
-        assert ens.time == 10.0
 
     def test_population_constant_and_energy_decreases(self, quad_1d):
         ens = bf.init_from_sampler(bf.GaussianSampler(mean=[1.0], std=1.0), 500, 1, seed=17)
@@ -376,7 +399,7 @@ class TestKMC:
         ens = make_ensemble([[0.7]])
         log = bf.kmc_run(quad_1d, ens, bf.DynamicsConfig(variant="kmc-bd", dt=1.0), 2.5,
                          np.random.default_rng(23))
-        assert log.n_events == 0 and ens.time == 2.5
+        assert log.n_events == 0
         assert np.array_equal(ens.thetas, [[0.7]]) and np.array_equal(ens.birth_ids, [0])
 
     @pytest.mark.parametrize("x", [0.3, 1.7])
@@ -388,7 +411,7 @@ class TestKMC:
         assert f.mean() != f[0]
         log = bf.kmc_run(quad_1d, ens, bf.DynamicsConfig(variant="kmc-bd", dt=1.0), 1e18,
                          np.random.default_rng(24))
-        assert log.n_events == 0 and ens.time == 1e18
+        assert log.n_events == 0
 
     def test_weighted_ensemble_rejected_before_any_draw(self, quad_1d):
         # weights [0.5, 1.5, 1, 1] once came back as four 0.5s, and only run_step's
@@ -408,7 +431,7 @@ class TestKMC:
         ens = make_ensemble(np.random.default_rng(seed).normal(size=(2, 1)))
         log = bf.kmc_run(quad_1d, ens, bf.DynamicsConfig(variant="kmc-bd", dt=1.0), 1e18,
                          np.random.default_rng(seed))
-        assert log.n_events == 1 and ens.time == 1e18
+        assert log.n_events == 1
         assert ens.thetas[0, 0] == ens.thetas[1, 0]
         assert log.mean_energy[-1] == quad_1d.single(ens.thetas)[0].mean()
         assert sorted(ens.birth_ids.tolist()) in ([0, 2], [1, 2])  # one survivor, one copy
@@ -484,6 +507,15 @@ class TestRankPopulation:
 
 
 class TestProximalWeights:
+    def test_batch_model_rejected(self):
+        relu = bf.ReLUStudentTeacherModel(input_dim=3, teacher_units=2, batch_size=4, teacher_seed=0)
+        ens = make_ensemble(np.random.default_rng(14).normal(size=(8, 4)),
+                            weights=np.linspace(0.5, 1.5, 8))
+        rows, weights = ens.thetas.copy(), ens.weights.copy()
+        with pytest.raises(bf.ConfigurationError, match="exact model"):
+            bf.proximal_weight_update(relu, ens, tau=0.1)
+        assert ens.thetas.tobytes() == rows.tobytes() and ens.weights.tobytes() == weights.tobytes()
+
     def test_uniform_potential_leaves_weights(self, quad_1d):
         ens = make_ensemble([[1.0], [1.0], [1.0]])
         bf.proximal_weight_update(quad_1d, ens, tau=2.0)
@@ -637,8 +669,7 @@ class TestRunStep:
         assert cfg.substeps == 10
         ens = bf.init_from_sampler(init, 16, 2, seed=33)
         bf.run_step(mixture_3c, ens, cfg, np.random.default_rng(34))
-        assert ens.step_count == 1
-        assert ens.time == pytest.approx(0.1)
+        assert cfg.time_of(1) == pytest.approx(0.1)
 
     def test_kmc_step_is_one_kmc_run_over_dt(self, quad_1d):
         cfg = bf.DynamicsConfig(variant="kmc-bd", dt=0.05)
@@ -651,7 +682,6 @@ class TestRunStep:
             bf.kmc_run(quad_1d, direct, cfg, cfg.dt, rng)
         births, deaths = sum(r.births for r in reports), sum(r.deaths for r in reports)
         assert ens.n == 200 and births == deaths > 0
-        assert (ens.step_count, ens.time) == (10, cfg.time_of(10))
         assert ens.thetas.tobytes() == direct.thetas.tobytes()
         assert ens.birth_ids.tobytes() == direct.birth_ids.tobytes()
 

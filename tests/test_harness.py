@@ -68,7 +68,8 @@ RELU = {"model": {"kind": "relu-student-teacher", "input_dim": 1},
 # reached the CLI as raw exceptions (exit 1), except teacher_units: true, which ran;
 # the [5, 9] window once ran and then failed its fit with exit 1 and no summary;
 # the snapshot after the run's end at t = 1 was once dropped from a run that ended ok;
-# the last two snapshot lists, whose times share a file name, once ran and wrote one file.
+# the two snapshot lists whose times share a file name once ran and wrote one file;
+# the identity f, which takes no beta, once ran with its beta 3 ignored.
 MALFORMED = [
     {"dynamics.dt": "abc"},
     {"snapshot_times": ["x"]},
@@ -96,6 +97,7 @@ MALFORMED = [
     {"snapshot_times": [2.0]},
     {"snapshot_times": [0.5, 0.5]},
     {"snapshot_times": [0.1, 0.1000001]},
+    {"dynamics": {"variant": "gd-bd-fvariant", "dt": 0.01, "f": {"kind": "identity", "beta": 3}}},
 ]
 
 

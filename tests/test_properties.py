@@ -119,8 +119,8 @@ def test_identity_transform_is_bitwise_gd_bd(name, n, seed, dt, alpha):
 
 
 def population(ens):
-    """What a replica leaves: rows, weights, birth ids, its clock and one moment."""
-    return (ens.thetas.copy(), ens.weights.copy(), ens.birth_ids.copy(), ens.step_count, ens.time,
+    """What a replica leaves: rows, weights, birth ids and one moment."""
+    return (ens.thetas.copy(), ens.weights.copy(), ens.birth_ids.copy(),
             float(ens.weights @ ens.thetas[:, -1]) / ens.n)
 
 
